@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-sarif test race test-recovery fuzz-smoke bench bench-diff bench-diff-core
+.PHONY: all build vet lint lint-sarif test race test-e2e test-recovery fuzz-smoke bench bench-diff bench-diff-core
 
 all: build vet lint test
 
@@ -31,6 +31,13 @@ test:
 	$(GO) test -race ./...
 
 race: test
+
+# The served-round benchmark under e2ebench/ is a separate module, so
+# `go test ./...` never builds it. Its short tests include the
+# four-workload smoke run with its IR, digest and
+# delivered-equals-reported checks.
+test-e2e:
+	$(GO) -C e2ebench test -short ./...
 
 # Micro-benchmarks for the auction core, the telemetry overhead pair,
 # and the sweep engine (cover construction, reweight-vs-rebuild,

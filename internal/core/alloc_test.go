@@ -56,7 +56,9 @@ func TestAuctionRebuildAllocCeiling(t *testing.T) {
 
 // TestGreedyCoverWarmScratchAllocFree: with a warm coverScratch the
 // greedy cover inner loop — the single hottest routine in the repo —
-// must not allocate at all.
+// must not allocate at all, cold or warm-started along a chain of
+// ascending candidate counts (the trajectory and the replay marks live
+// in the scratch).
 func TestGreedyCoverWarmScratchAllocFree(t *testing.T) {
 	inst := allocInstance()
 	var cp coverProblem
@@ -74,6 +76,16 @@ func TestGreedyCoverWarmScratchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm greedyCover allocates %.1f/op, want 0", allocs)
+	}
+	n := len(cands)
+	chain := func() {
+		cp.greedyCoverFrom(s, cands[:n-2], 0)
+		cp.greedyCoverFrom(s, cands[:n-1], n-2)
+		cp.greedyCoverFrom(s, cands, n-1)
+	}
+	chain() // warm the trajectory and replay marks
+	if allocs := testing.AllocsPerRun(50, chain); allocs != 0 {
+		t.Fatalf("warm-started greedyCover chain allocates %.1f/op, want 0", allocs)
 	}
 	if !cp.feasible(s, cands) {
 		t.Fatal("feasible disagrees with greedyCover")

@@ -17,8 +17,9 @@ import (
 type SelectionRule int
 
 const (
-	// RuleGreedy is Algorithm 1's marginal-gain greedy (lazy-evaluated;
-	// identical output to the naive scan).
+	// RuleGreedy is Algorithm 1's marginal-gain greedy: lazy-evaluated,
+	// and warm-started from the previous candidate count's selections
+	// (see greedyCoverFrom). Its output is identical to the naive scan.
 	RuleGreedy SelectionRule = iota
 	// RuleGreedyNaive is the literal per-selection argmax scan of
 	// Algorithm 1; used for ablation benches and cross-checks.
@@ -78,14 +79,16 @@ func WithPriceSet(p []float64) Option {
 }
 
 // WithParallelism computes the winner sets for distinct candidate
-// counts on up to n goroutines. The winner set for each count is a pure
-// function of the instance, so results are identical to the sequential
-// default; only construction wall-clock changes. Values below 2 keep
-// the sequential path. Callers that already fan instances across a
-// worker pool (the experiment sweep engine) should keep inner builds
-// sequential: the pool owns the parallelism budget, and nesting the two
-// oversubscribes the scheduler (see DESIGN.md "Hot path & scratch
-// memory").
+// counts on up to n goroutines, each taking one contiguous range of the
+// ascending counts. The winner set for each count is a pure function of
+// the instance, so results are identical to the sequential default.
+// Construction wall-clock and GainEvaluations (each range starts its
+// warm-start chain cold) change with n, never with scheduling. Values
+// below 2 keep the sequential path. Callers that already fan instances
+// across a worker pool (the experiment sweep engine) should keep inner
+// builds sequential: the pool owns the parallelism budget, and nesting
+// the two oversubscribes the scheduler (see DESIGN.md "Hot path &
+// scratch memory").
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
@@ -353,9 +356,9 @@ func (a *Auction) build(src *Instance) error {
 	// Winner sets depend on the price only through the candidate count
 	// (how many sorted bids are <= price), so compute once per distinct
 	// count. This is the interval-sharing optimization of Algorithm 1
-	// lines 14-15 that removes the dependency on |P|. Distinct counts
-	// are independent pure computations, so WithParallelism fans them
-	// out across goroutines.
+	// lines 14-15 that removes the dependency on |P|. Each count's
+	// winner set is a pure function of the instance, so WithParallelism
+	// can fan ranges of counts out across goroutines.
 	if cap(bs.seenCount) < n+1 {
 		bs.seenCount = make([]bool, n+1)
 	} else {
@@ -515,26 +518,68 @@ type coverResult struct {
 }
 
 // coverByCount computes the winner set for every distinct candidate
-// count into bs.cache, optionally in parallel. Each goroutine owns one
-// coverScratch, so the hot cover routines run allocation-free; retained
-// winner slices are saved into the computing goroutine's arena.
-// Per-count evaluation time lands in mcs_core_cover_seconds; the
+// count into bs.cache, optionally in parallel. The distinct counts
+// ascend with the support, so each count's candidates extend the
+// previous count's, and coverRange warm-starts each RuleGreedy cover
+// from its predecessor's trajectory. WithParallelism splits the counts
+// into one contiguous range per goroutine, each chained on its own, so
+// the work done — and GainEvaluations — is a pure function of the
+// instance and the options, never of scheduling. Each goroutine owns
+// one coverScratch, so the hot cover routines run allocation-free;
+// retained winner slices are saved into the computing goroutine's
+// arena. Per-count evaluation time lands in mcs_core_cover_seconds; the
 // histogram is atomic, so the parallel path observes safely from every
 // worker goroutine.
 func (a *Auction) coverByCount() {
 	bs := a.bs
+	coverSeconds := a.reg.Histogram("mcs_core_cover_seconds",
+		"Winner-set computation time per distinct candidate count.", telemetry.TimeBuckets)
+	parallelism := a.cfg.parallelism
+	if parallelism > len(bs.distinct) {
+		parallelism = len(bs.distinct)
+	}
+	if parallelism < 2 {
+		a.coverRange(bs.scratch(0), bs.distinct, coverSeconds)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < parallelism; w++ {
+		lo := w * len(bs.distinct) / parallelism
+		hi := (w + 1) * len(bs.distinct) / parallelism
+		wg.Add(1)
+		go func(s *coverScratch, counts []int) {
+			defer wg.Done()
+			a.coverRange(s, counts, coverSeconds)
+		}(bs.scratch(w), bs.distinct[lo:hi])
+	}
+	wg.Wait()
+}
+
+// coverRange computes the winner sets for the ascending candidate
+// counts on one scratch. The feasibility sums extend from one count to
+// the next. Under RuleGreedy each cover also warm-starts from the
+// previous count's trajectory; that chain breaks at every count that
+// fails cp.feasible (no trajectory is recorded there). Neither chain
+// crosses a coverRange call, so a build or Rebuild always starts cold.
+func (a *Auction) coverRange(s *coverScratch, counts []int, coverSeconds *telemetry.Histogram) {
+	bs := a.bs
 	cp := &bs.cp
 	reg := a.reg
-	coverSeconds := reg.Histogram("mcs_core_cover_seconds",
-		"Winner-set computation time per distinct candidate count.", telemetry.TimeBuckets)
-	compute := func(k int, s *coverScratch) {
+	summed, prev := 0, 0
+	for _, count := range counts {
 		start := reg.Now()
-		count := bs.distinct[k]
 		cands := bs.sorted[:count]
 		res := coverResult{}
-		if cp.feasible(s, cands) {
-			sel, feas := a.cover(cp, s, cands)
+		feasible := cp.feasibleFrom(s, cands, summed)
+		summed = count
+		if feasible {
+			sel, feas := a.cover(cp, s, cands, prev)
 			res = coverResult{winners: s.arena.save(sel), feasible: feas}
+			if a.rule == RuleGreedy {
+				prev = count
+			}
+		} else {
+			prev = 0
 		}
 		bs.cache[count] = res
 		coverSeconds.Observe(reg.Since(start))
@@ -546,45 +591,20 @@ func (a *Auction) coverByCount() {
 			evlog.Int("winners", len(res.winners)),
 			evlog.Bool("feasible", res.feasible))
 	}
-	parallelism := a.cfg.parallelism
-	if parallelism > len(bs.distinct) {
-		parallelism = len(bs.distinct)
-	}
-	if parallelism < 2 || len(bs.distinct) < 2 {
-		s := bs.scratch(0)
-		for k := range bs.distinct {
-			compute(k, s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int, len(bs.distinct))
-	for k := range bs.distinct {
-		work <- k
-	}
-	close(work)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func(s *coverScratch) {
-			defer wg.Done()
-			for k := range work {
-				compute(k, s)
-			}
-		}(bs.scratch(w))
-	}
-	wg.Wait()
 }
 
-// cover dispatches to the configured selection rule. The returned slice
-// aliases s and must be persisted via s.arena before s is reused.
-func (a *Auction) cover(cp *coverProblem, s *coverScratch, cands []int) ([]int, bool) {
+// cover dispatches to the configured selection rule; prev is the
+// predecessor count RuleGreedy warm-starts from (0 for a cold cover)
+// and is ignored by the other rules. The returned slice aliases s and
+// must be persisted via s.arena before s is reused.
+func (a *Auction) cover(cp *coverProblem, s *coverScratch, cands []int, prev int) ([]int, bool) {
 	switch a.rule {
 	case RuleGreedyNaive:
 		return cp.greedyCoverNaive(s, cands)
 	case RuleStatic:
 		return cp.staticCover(s, cands)
 	default:
-		return cp.greedyCover(s, cands)
+		return cp.greedyCoverFrom(s, cands, prev)
 	}
 }
 

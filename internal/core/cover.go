@@ -74,6 +74,14 @@ type coverScratch struct {
 	selected []int
 	active   []int
 	order    []int
+	// steps is the trajectory of the latest greedy cover on this
+	// scratch, one entry per selection; greedyCoverFrom replays it for
+	// the next, larger candidate count.
+	steps []coverStep
+	// picked marks, by rank, the winners replayed before a lazy-greedy
+	// restart so the restart heap excludes them. All false between
+	// calls.
+	picked []bool
 	// arena owns the winner-set memory that outlives the scratch: one
 	// chunk per build holds every retained winner slice back to back.
 	arena intArena
@@ -162,12 +170,25 @@ func (cp *coverProblem) apply(i int, residual []float64) float64 {
 // error-bound constraint. This is exactly the paper's notion of a
 // feasible price (Section IV).
 func (cp *coverProblem) feasible(s *coverScratch, candidates []int) bool {
-	cover := s.cover[:0]
-	for j := 0; j < cp.numTasks; j++ {
-		cover = append(cover, 0)
+	return cp.feasibleFrom(s, candidates, 0)
+}
+
+// feasibleFrom is feasible with the per-task coverage sums of
+// candidates[:prev] already in s.cover (prev == 0 starts from zero), so
+// a chain of ascending candidate counts adds each candidate once. The
+// sums accumulate in candidate order either way, so the answer is
+// bitwise the one feasible gives. The caller guarantees that the last
+// feasibility check on s was over candidates[:prev].
+func (cp *coverProblem) feasibleFrom(s *coverScratch, candidates []int, prev int) bool {
+	cover := s.cover
+	if prev == 0 {
+		cover = cover[:0]
+		for j := 0; j < cp.numTasks; j++ {
+			cover = append(cover, 0)
+		}
+		s.cover = cover
 	}
-	s.cover = cover
-	for _, i := range candidates {
+	for _, i := range candidates[prev:] {
 		for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
 			cover[cp.taskIdx[k]] += cp.qual[k]
 		}
@@ -178,6 +199,14 @@ func (cp *coverProblem) feasible(s *coverScratch, candidates []int) bool {
 		}
 	}
 	return true
+}
+
+// coverStep records one greedy selection: the winner's rank in the
+// candidate list and its marginal gain at the residual it was picked
+// from.
+type coverStep struct {
+	rank int
+	gain float64
 }
 
 // gainItem is a heap entry for the lazy-greedy selection.
@@ -261,32 +290,108 @@ func (h gainHeap) popTop() gainHeap {
 // fresh evaluation stays on top it is exactly the argmax the naive scan
 // would have picked. greedyCoverNaive below is the direct transcription
 // used to cross-check this in tests and ablation benches.
+//
+// A standalone call is always cold: it never replays a trajectory left
+// in s by an earlier call. Auction.coverRange warm-starts consecutive
+// candidate counts through greedyCoverFrom instead.
 func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, bool) {
+	return cp.greedyCoverFrom(s, candidates, 0)
+}
+
+// greedyCoverFrom is greedyCover warm-started from the trajectory the
+// previous greedy cover on s recorded for candidates[:prev]; prev == 0
+// runs cold. The caller guarantees that trajectory is still in s, which
+// holds when the immediately preceding cover call on s was greedy over
+// candidates[:prev].
+//
+// Exactness: ties on gain break toward the smaller rank, and every
+// candidate in candidates[prev:] outranks every candidate the previous
+// trajectory saw. Replaying that trajectory step by step therefore
+// reproduces greedyCover's choice as long as no new candidate's gain at
+// the step's residual is strictly greater than the recorded winner's
+// gain. The replay applies the recorded winners in their original order,
+// so every residual it compares against is bitwise the one the cold run
+// would reach. At the first step a new candidate wins, or once the
+// trajectory runs out with demand left, the lazy greedy restarts from
+// the current residual over every candidate not already replayed.
+func (cp *coverProblem) greedyCoverFrom(s *coverScratch, candidates []int, prev int) ([]int, bool) {
 	residual := append(s.residual[:0], cp.demands...)
 	s.residual = residual
 	remaining := 0.0
 	for _, r := range residual {
 		remaining += r
 	}
-	s.selected = s.selected[:0]
+	selected := s.selected[:0]
+	steps := s.steps
+	if prev == 0 {
+		steps = steps[:0]
+	}
 	if remaining <= residualTol {
+		s.selected, s.steps = selected, steps[:0]
 		return nil, true
 	}
 
+	replayed := 0
+	fresh := candidates[prev:]
+replay:
+	for ; replayed < len(steps); replayed++ {
+		st := steps[replayed]
+		for _, i := range fresh {
+			if cp.gain(i, residual) > st.gain {
+				break replay
+			}
+		}
+		w := candidates[st.rank]
+		remaining -= cp.apply(w, residual)
+		selected = append(selected, w)
+	}
+	steps = steps[:replayed]
+	if remaining > residualTol {
+		selected, steps, remaining = cp.lazyGreedy(s, candidates, selected, steps, remaining)
+	}
+	s.selected, s.steps = selected, steps
+	if len(selected) == 0 {
+		return nil, remaining <= residualTol
+	}
+	return selected, remaining <= residualTol
+}
+
+// lazyGreedy runs the CELF selection loop from the current s.residual,
+// skipping the candidates whose ranks steps already holds, and appends
+// each pick to selected and steps. It returns the extended slices and
+// the remaining demand.
+func (cp *coverProblem) lazyGreedy(s *coverScratch, candidates, selected []int, steps []coverStep, remaining float64) ([]int, []coverStep, float64) {
+	residual := s.residual
+	// Candidates are distinct workers, so sizing by the worker count
+	// serves every candidate count of a build with one allocation.
+	numWorkers := len(cp.totalQual)
+	if len(steps) > 0 {
+		if len(s.picked) < len(candidates) {
+			s.picked = make([]bool, numWorkers)
+		}
+		for _, st := range steps {
+			s.picked[st.rank] = true
+		}
+	}
 	if cap(s.heap) < len(candidates) {
-		s.heap = make(gainHeap, 0, len(candidates))
+		s.heap = make(gainHeap, 0, numWorkers)
 	}
 	h := s.heap[:0]
 	for rank, i := range candidates {
+		if len(steps) > 0 && s.picked[rank] {
+			continue
+		}
 		g := cp.gain(i, residual)
 		if g > 0 {
 			h = append(h, gainItem{worker: i, rank: rank, gain: g, round: 0})
 		}
 	}
+	for _, st := range steps {
+		s.picked[st.rank] = false
+	}
 	s.heap = h
 	h.initHeap()
 
-	selected := s.selected
 	round := 0
 	for remaining > residualTol && len(h) > 0 {
 		top := h[0]
@@ -308,13 +413,10 @@ func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, b
 		removed := cp.apply(top.worker, residual)
 		remaining -= removed
 		selected = append(selected, top.worker)
+		steps = append(steps, coverStep{rank: top.rank, gain: top.gain})
 		round++
 	}
-	s.selected = selected
-	if len(selected) == 0 {
-		return nil, remaining <= residualTol
-	}
-	return selected, remaining <= residualTol
+	return selected, steps, remaining
 }
 
 // greedyCoverNaive is the literal transcription of Algorithm 1 lines
