@@ -33,11 +33,13 @@ test:
 race: test
 
 # The served-round benchmark under e2ebench/ is a separate module, so
-# `go test ./...` never builds it. Its short tests include the
-# four-workload smoke run with its IR, digest and
-# delivered-equals-reported checks.
+# `go test ./...` never builds it. Its tests include the four-workload
+# smoke run with its IR, digest and delivered-equals-reported checks,
+# and TestLiveHeapFlat, which serves 20 rounds and fails when the live
+# heap grows per round (partition bid buffers and auctions persist
+# across rounds).
 test-e2e:
-	$(GO) -C e2ebench test -short ./...
+	$(GO) -C e2ebench test ./...
 
 # Micro-benchmarks for the auction core, the telemetry overhead pair,
 # and the sweep engine (cover construction, reweight-vs-rebuild,

@@ -16,9 +16,9 @@ import (
 
 // ---------------------------------------------------------------------------
 // In-memory transport: a deadline-capable net.Listener over net.Pipe, so the
-// acceptance test can drive ten thousand concurrent workers without consuming
-// a single file descriptor. SetDeadline makes it take the platform's
-// deadline-wakeup path (no poke connections).
+// acceptance tests can drive ten thousand concurrent workers without consuming
+// a single file descriptor. SetDeadline is how the platform closes a bid
+// window.
 
 type pipeAddr struct{}
 
@@ -127,21 +127,68 @@ func testSkills(workerID string, numTasks int) []float64 {
 
 // ---------------------------------------------------------------------------
 // Acceptance: the loadgen fleet sustains >= 10,000 concurrent workers against
-// a 4-shard platform with zero lost accepted bids — every worker whose bid
-// the platform admitted appears in exactly one partition, the per-partition
-// bid counts sum to the fleet size, and the merged round debits the
+// one platform with zero lost accepted bids, and the round debits the
 // accountant a single unsharded epsilon.
+
+// TestFleetTenThousandWorkersFourShards: against a 4-shard platform every
+// worker whose bid the platform admitted appears in exactly one partition
+// and the per-partition bid counts sum to the fleet size. The default
+// admission cap (2048 per partition) is below a quarter of the fleet, so
+// the test raises it.
 func TestFleetTenThousandWorkersFourShards(t *testing.T) {
-	n := 10000
+	const shards = 4
+	n, rep, fleet := runTenThousandFleet(t, shards, tenThousand)
+	sh := rep.Sharding
+	if sh == nil {
+		t.Fatal("sharded round produced no sharding report")
+	}
+	if len(sh.Partitions) != shards {
+		t.Fatalf("got %d partitions, want %d", len(sh.Partitions), shards)
+	}
+	sum := 0
+	for _, p := range sh.Partitions {
+		sum += p.Bidders
+	}
+	if sum != n || sh.Bidders != n {
+		t.Fatalf("partition bids sum to %d (report %d), want %d — bids lost or duplicated", sum, sh.Bidders, n)
+	}
+	if sh.Killed != 0 || sh.Completed == 0 {
+		t.Fatalf("unexpected partition statuses: %+v", sh)
+	}
+	if fleet.Won != len(sh.Winners) {
+		t.Fatalf("fleet saw %d winners, merge reports %d", fleet.Won, len(sh.Winners))
+	}
+}
+
+// TestFleetTenThousandWorkersUnsharded: an unsharded platform runs the whole
+// fleet as one uncapped partition and reports a single auction's outcome.
+func TestFleetTenThousandWorkersUnsharded(t *testing.T) {
+	_, rep, fleet := runTenThousandFleet(t, 0, 0)
+	if rep.Sharding != nil {
+		t.Fatalf("unsharded round carries a sharding report: %+v", rep.Sharding)
+	}
+	if fleet.Won != len(rep.Outcome.Winners) {
+		t.Fatalf("fleet saw %d winners, outcome reports %d", fleet.Won, len(rep.Outcome.Winners))
+	}
+}
+
+// tenThousand is the acceptance fleet size.
+const tenThousand = 10000
+
+// runTenThousandFleet drives the acceptance fleet through one round on a
+// platform with the given shard count and per-partition admission cap,
+// and requires every worker to be admitted and settled.
+func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, dphsrc.RoundReport, FleetResult) {
+	t.Helper()
+	n := tenThousand
 	if raceEnabled || testing.Short() {
 		// The race runtime caps simultaneously alive goroutines (~8k);
 		// the full 10k fleet runs in the plain tier-1 suite.
 		n = 1000
 	}
 	const (
-		tasks  = 12
-		eps    = 0.5
-		shards = 4
+		tasks = 12
+		eps   = 0.5
 	)
 	thresholds := make([]float64, tasks)
 	for j := range thresholds {
@@ -168,9 +215,8 @@ func TestFleetTenThousandWorkersFourShards(t *testing.T) {
 		Seed:       42,
 		Accountant: acct,
 
-		Shards:          shards,
-		ShardQueueDepth: 512,
-		ShardBatch:      64,
+		Shards:       shards,
+		ShardMaxBids: maxBids,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +253,7 @@ func TestFleetTenThousandWorkersFourShards(t *testing.T) {
 		t.Fatalf("round: %v", r.err)
 	}
 
-	// Zero lost accepted bids: the whole fleet completed the protocol and
-	// every admitted bid is accounted to exactly one partition.
+	// Zero lost accepted bids: the whole fleet completed the protocol.
 	if fleet.Failed != 0 || fleet.Rejected != 0 {
 		t.Fatalf("fleet lost workers: %d failed, %d rejected of %d", fleet.Failed, fleet.Rejected, n)
 	}
@@ -218,34 +263,15 @@ func TestFleetTenThousandWorkersFourShards(t *testing.T) {
 	if r.rep.Bidders != n {
 		t.Fatalf("platform admitted %d bids, fleet sent %d", r.rep.Bidders, n)
 	}
-	sh := r.rep.Sharding
-	if sh == nil {
-		t.Fatal("sharded round produced no sharding report")
-	}
-	if len(sh.Partitions) != shards {
-		t.Fatalf("got %d partitions, want %d", len(sh.Partitions), shards)
-	}
-	sum := 0
-	for _, p := range sh.Partitions {
-		sum += p.Bidders
-	}
-	if sum != n || sh.Bidders != n {
-		t.Fatalf("partition bids sum to %d (report %d), want %d — bids lost or duplicated", sum, sh.Bidders, n)
-	}
-	if sh.Killed != 0 || sh.Completed == 0 {
-		t.Fatalf("unexpected partition statuses: %+v", sh)
-	}
-	if fleet.Won != len(sh.Winners) {
-		t.Fatalf("fleet saw %d winners, merge reports %d", fleet.Won, len(sh.Winners))
-	}
-	// The merged round's debit is the parallel composition: exactly one
+	// However many partitions ran, the round's debit is exactly one
 	// unsharded epsilon, bit-for-bit.
 	if spent := acct.Spent(); spent != eps {
-		t.Fatalf("4-shard round debited %v, want exactly %v", spent, eps)
+		t.Fatalf("%d-shard round debited %v, want exactly %v", shards, spent, eps)
 	}
 	if fleet.Completed > 0 && fleet.Latency.P99 <= 0 {
 		t.Fatalf("latency distribution not recorded: %+v", fleet.Latency)
 	}
+	return n, r.rep, fleet
 }
 
 // TestFleetChaosTraits: slow clients and reconnect-storm workers still

@@ -78,8 +78,6 @@ func run(args []string) error {
 		stateDir    = fs.String("state-dir", "", "persist budget/skill/campaign state here and recover it on startup (empty = in-memory only)")
 		snapEvery   = fs.Int("snapshot-every", 64, "WAL records between automatic snapshots when -state-dir is set (0 = snapshot only at exit)")
 		shards      = fs.Int("shards", 0, "partition the auction across this many shards (0 or 1 = unsharded)")
-		shardQueue  = fs.Int("shard-queue", 0, "per-shard bounded ingest queue depth in batches (0 = default 64)")
-		shardBatch  = fs.Int("shard-batch", 0, "bids coalesced per ingest batch (0 = default 32)")
 		shardQuorum = fs.Int("shard-quorum", 0, "minimum surviving shards for a merged round (0 = 1)")
 		maxConns    = fs.Int("max-conns", 0, "reject connections beyond this concurrent limit (0 = unlimited)")
 	)
@@ -222,11 +220,9 @@ func run(args []string) error {
 		Tracer:     tracer,
 		StartRound: startRound,
 
-		Shards:          *shards,
-		ShardQueueDepth: *shardQueue,
-		ShardBatch:      *shardBatch,
-		ShardQuorum:     *shardQuorum,
-		MaxConns:        *maxConns,
+		Shards:      *shards,
+		ShardQuorum: *shardQuorum,
+		MaxConns:    *maxConns,
 	}
 	if skills != nil {
 		cfg.Skills = skills.Func()

@@ -382,8 +382,9 @@ var NewFaultInjector = faultnet.New
 // partitions a round across independent auction partitions.
 type (
 	// ShardCoordinator routes bids to partitions and merges their
-	// auctions at round close; NewPlatform builds one automatically
-	// when PlatformConfig.Shards > 1.
+	// auctions at round close; NewPlatform builds one for every
+	// platform, with PlatformConfig.Shards partitions (one when
+	// unsharded).
 	ShardCoordinator = shard.Coordinator
 	// ShardConfig parameterizes a coordinator directly (for embedders
 	// that bypass the platform).
@@ -405,7 +406,7 @@ var ShardFor = shard.PartitionFor
 // Shard-layer errors.
 var (
 	// ErrShardOverloaded is the backpressure rejection a worker sees
-	// when its partition's bounded ingest queue is full.
+	// when its partition's per-round admission cap is reached.
 	ErrShardOverloaded = shard.ErrOverloaded
 	// ErrTooManyConnections reports a connection rejected by the
 	// platform's MaxConns limit.

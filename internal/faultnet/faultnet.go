@@ -246,3 +246,14 @@ func (l *listener) Accept() (net.Conn, error) {
 	n := l.accepts.Add(1)
 	return l.in.Conn(raw, fmt.Sprintf("accept#%d", n)), nil
 }
+
+// SetDeadline passes an accept deadline through to the wrapped
+// listener, so a blocked Accept can still be woken by a past deadline.
+// It fails when the wrapped listener has no deadline support.
+func (l *listener) SetDeadline(t time.Time) error {
+	dl, ok := l.Listener.(interface{ SetDeadline(time.Time) error })
+	if !ok {
+		return fmt.Errorf("faultnet: %T has no SetDeadline", l.Listener)
+	}
+	return dl.SetDeadline(t)
+}

@@ -165,8 +165,25 @@ type CampaignReport struct {
 // the next begins. The platform must have been built with
 // cfg.Skills = store.Func() for the learning to take effect; passing a
 // different store is allowed but pointless. Workers reconnect each
-// round.
+// round. The first failed round aborts the campaign.
 func (p *Platform) RunCampaign(ctx context.Context, ln net.Listener, rounds int, store *SkillStore) (CampaignReport, error) {
+	return p.runCampaign(ctx, ln, rounds, store, false)
+}
+
+// RunCampaignTolerant is RunCampaign for lossy networks: a round that
+// fails with a degradation error (see IsDegraded — no bids, no quorum,
+// infeasible surviving bid set) is recorded in FailedRounds/RoundErrors
+// and skipped rather than aborting the whole campaign. Degraded rounds
+// spend no privacy budget, so skipping is safe under composition. Hard
+// failures — context cancellation, budget exhaustion, listener errors —
+// still abort.
+func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rounds int, store *SkillStore) (CampaignReport, error) {
+	return p.runCampaign(ctx, ln, rounds, store, true)
+}
+
+// runCampaign is the campaign loop behind both entry points; tolerant
+// skips degraded rounds instead of aborting on them.
+func (p *Platform) runCampaign(ctx context.Context, ln net.Listener, rounds int, store *SkillStore, tolerant bool) (CampaignReport, error) {
 	if rounds <= 0 {
 		return CampaignReport{}, ErrNoRounds
 	}
@@ -181,7 +198,16 @@ func (p *Platform) RunCampaign(ctx context.Context, ln net.Listener, rounds int,
 		}
 		rep, reports, err := p.runRoundCollecting(ctx, ln)
 		if err != nil {
-			return campaign, fmt.Errorf("protocol: round %d: %w", round+1, err)
+			if !tolerant || !IsDegraded(err) {
+				return campaign, fmt.Errorf("protocol: round %d: %w", round+1, err)
+			}
+			campaign.FailedRounds++
+			campaign.RoundErrors = append(campaign.RoundErrors, err.Error())
+			p.cfg.Events.Warn("campaign.round_skipped",
+				evlog.Int("round", round+1),
+				evlog.Int("rounds", rounds),
+				evlog.String("reason", degradeReason(err)))
+			continue
 		}
 		campaign.Rounds = append(campaign.Rounds, rep)
 		campaign.TotalPayment += rep.Outcome.TotalPayment
@@ -190,7 +216,12 @@ func (p *Platform) RunCampaign(ctx context.Context, ln net.Listener, rounds int,
 				return campaign, err
 			}
 		}
-		p.campaignRoundEvent(round+1, rounds, rep)
+		// The payment total derives from the DP price draw, so it rides
+		// in an Aggregate wrapper like the clearing price itself.
+		p.cfg.Events.Info("campaign.round",
+			evlog.Int("round", round+1),
+			evlog.Int("rounds", rounds),
+			evlog.Aggregate("total_payment", rep.Outcome.TotalPayment))
 	}
 	return campaign, nil
 }
@@ -221,59 +252,4 @@ func (p *Platform) campaignStart(rounds int) (int, error) {
 		}
 	}
 	return start, nil
-}
-
-// campaignRoundEvent records one completed campaign round. The payment
-// total derives from the DP price draw, so it rides in an Aggregate
-// wrapper like the clearing price itself.
-func (p *Platform) campaignRoundEvent(round, rounds int, rep RoundReport) {
-	p.cfg.Events.Info("campaign.round",
-		evlog.Int("round", round),
-		evlog.Int("rounds", rounds),
-		evlog.Aggregate("total_payment", rep.Outcome.TotalPayment))
-}
-
-// RunCampaignTolerant is RunCampaign for lossy networks: a round that
-// fails with a degradation error (see IsDegraded — no bids, no quorum,
-// infeasible surviving bid set) is recorded in FailedRounds/RoundErrors
-// and skipped rather than aborting the whole campaign. Degraded rounds
-// spend no privacy budget, so skipping is safe under composition. Hard
-// failures — context cancellation, budget exhaustion, listener errors —
-// still abort.
-func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rounds int, store *SkillStore) (CampaignReport, error) {
-	if rounds <= 0 {
-		return CampaignReport{}, ErrNoRounds
-	}
-	start, err := p.campaignStart(rounds)
-	if err != nil {
-		return CampaignReport{}, err
-	}
-	var campaign CampaignReport
-	for round := start; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return campaign, err
-		}
-		rep, reports, err := p.runRoundCollecting(ctx, ln)
-		if err != nil {
-			if IsDegraded(err) {
-				campaign.FailedRounds++
-				campaign.RoundErrors = append(campaign.RoundErrors, err.Error())
-				p.cfg.Events.Warn("campaign.round_skipped",
-					evlog.Int("round", round+1),
-					evlog.Int("rounds", rounds),
-					evlog.String("reason", degradeReason(err)))
-				continue
-			}
-			return campaign, fmt.Errorf("protocol: round %d: %w", round+1, err)
-		}
-		campaign.Rounds = append(campaign.Rounds, rep)
-		campaign.TotalPayment += rep.Outcome.TotalPayment
-		if store != nil {
-			if err := store.UpdateFromReports(reports, rep.WorkerIDs, p.cfg.NumTasks); err != nil {
-				return campaign, err
-			}
-		}
-		p.campaignRoundEvent(round+1, rounds, rep)
-	}
-	return campaign, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"strconv"
@@ -116,23 +115,19 @@ type PlatformConfig struct {
 	// exact per-round seeds of the unbroken run without ever re-drawing
 	// a round it already paid.
 	StartRound int
-	// Shards, when > 1, partitions each round's accepted bids across
-	// that many auction partitions by consistent worker-ID hashing
-	// (see internal/shard): bids are batched into per-partition core
-	// auctions through bounded queues, the partitions run concurrently
-	// at round close, and their outcomes merge under a single
-	// parallel-composition debit — the same epsilon the unsharded
-	// round spends, bit-for-bit. 0 or 1 keeps the single-auction path.
+	// Shards partitions each round's accepted bids across that many
+	// auction partitions by consistent worker-ID hashing (see
+	// internal/shard): the partitions run concurrently at round close
+	// and their outcomes merge under a single parallel-composition
+	// debit — the same epsilon an unsharded round spends, bit-for-bit.
+	// 0 or 1 runs every round as one partition, which draws from the
+	// round seed itself and reports a single auction's outcome.
 	Shards int
-	// ShardQueueDepth bounds each partition's ingest queue (batches);
-	// ShardBatch sets the bids-per-batch coalescing size; ShardMaxBids
-	// caps admissions per partition per round. Zero values take the
-	// shard package defaults (64 / 32 / depth*batch). A full queue or
-	// cap rejects further bids with backpressure rather than buffering
-	// without bound.
-	ShardQueueDepth int
-	ShardBatch      int
-	ShardMaxBids    int
+	// ShardMaxBids caps admissions per partition per round; a full
+	// partition rejects further bids with backpressure rather than
+	// buffering without bound. 0 takes the shard default: 2048 bids
+	// per partition when sharded, no cap when unsharded.
+	ShardMaxBids int
 	// ShardQuorum is the minimum number of partitions that must
 	// produce an outcome for a sharded round to complete; a partition
 	// killed mid-round degrades the round to a fault-accounted partial
@@ -171,10 +166,9 @@ func (c *PlatformConfig) validate() error {
 		return fmt.Errorf("%w: Quorum=%d", ErrBadPlatform, c.Quorum)
 	case c.StartRound < 0:
 		return fmt.Errorf("%w: StartRound=%d", ErrBadPlatform, c.StartRound)
-	case c.Shards < 0 || c.ShardQueueDepth < 0 || c.ShardBatch < 0 || c.ShardMaxBids < 0:
-		return fmt.Errorf("%w: Shards=%d ShardQueueDepth=%d ShardBatch=%d ShardMaxBids=%d",
-			ErrBadPlatform, c.Shards, c.ShardQueueDepth, c.ShardBatch, c.ShardMaxBids)
-	case c.Shards > 1 && c.ShardQuorum > c.Shards:
+	case c.Shards < 0 || c.ShardMaxBids < 0:
+		return fmt.Errorf("%w: Shards=%d ShardMaxBids=%d", ErrBadPlatform, c.Shards, c.ShardMaxBids)
+	case c.ShardQuorum > max(c.Shards, 1):
 		return fmt.Errorf("%w: ShardQuorum=%d exceeds Shards=%d", ErrBadPlatform, c.ShardQuorum, c.Shards)
 	case c.MaxConns < 0:
 		return fmt.Errorf("%w: MaxConns=%d", ErrBadPlatform, c.MaxConns)
@@ -219,9 +213,9 @@ type RoundFaults struct {
 	// LosersUnnotified counts losers whose outcome notification failed
 	// (harmless: they time out on their own).
 	LosersUnnotified int `json:"losers_unnotified"`
-	// PartitionsLost counts shard partitions killed mid-round; the
-	// round completed as a partial outcome over the survivors. Always
-	// 0 for unsharded rounds.
+	// PartitionsLost counts auction partitions killed mid-round (see
+	// ShardChaos); a sharded round completes as a partial outcome over
+	// the survivors.
 	PartitionsLost int `json:"partitions_lost,omitempty"`
 }
 
@@ -265,7 +259,8 @@ type RoundReport struct {
 type Platform struct {
 	cfg PlatformConfig
 	met platformMetrics
-	// coord partitions sharded rounds; nil when Shards <= 1.
+	// coord runs every round's auction: Shards partitions, or one for
+	// an unsharded platform.
 	coord *shard.Coordinator
 	// connsActive tracks concurrently serviced connections for the
 	// MaxConns admission check; the telemetry gauge mirrors it (the
@@ -278,12 +273,6 @@ type Platform struct {
 	// skip-begun-rounds resume rule.
 	roundMu   sync.Mutex
 	nextRound int
-	// auctionMu guards auction, the reusable DP auction rebuilt in
-	// place each round (core.Auction.Rebuild) so consecutive rounds
-	// stop paying New's allocations. A concurrent round attempt that
-	// cannot take the lock falls back to a fresh construction.
-	auctionMu sync.Mutex
-	auction   *core.Auction
 	// statusMu guards status, the live round/phase position published
 	// to the operator console.
 	statusMu sync.Mutex
@@ -325,7 +314,7 @@ func (p *Platform) Status() RoundStatus {
 // ShardStats returns the live per-partition stats, nil when the
 // platform runs unsharded.
 func (p *Platform) ShardStats() []shard.PartitionStats {
-	if p.coord == nil {
+	if p.coord.Partitions() == 1 {
 		return nil
 	}
 	return p.coord.Stats()
@@ -352,35 +341,31 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		//mcslint:allow MCS-DET002 fallback seed for callers that supplied none; the chosen value is logged and exported via mcs_protocol_seed_info so the run stays replayable after the fact
 		cfg.Seed = time.Now().UnixNano()
 	}
+	coord, err := shard.NewCoordinator(shard.Config{
+		Partitions:          max(cfg.Shards, 1),
+		MaxBidsPerPartition: cfg.ShardMaxBids,
+		Quorum:              cfg.ShardQuorum,
+		NumTasks:            cfg.NumTasks,
+		Thresholds:          cfg.Thresholds,
+		Epsilon:             cfg.Epsilon,
+		CMin:                cfg.CMin,
+		CMax:                cfg.CMax,
+		PriceGrid:           cfg.PriceGrid,
+		Skills:              shard.SkillFunc(cfg.Skills),
+		Accountant:          cfg.Accountant,
+		Events:              cfg.Events,
+		Telemetry:           cfg.Telemetry,
+		Chaos:               cfg.ShardChaos,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPlatform, err)
+	}
 	p := &Platform{
 		cfg:       cfg,
 		met:       newPlatformMetrics(cfg.Telemetry),
+		coord:     coord,
 		nextRound: cfg.StartRound,
 		status:    RoundStatus{Round: cfg.StartRound, Phase: PhaseIdle},
-	}
-	if cfg.Shards > 1 {
-		coord, err := shard.NewCoordinator(shard.Config{
-			Partitions:          cfg.Shards,
-			QueueDepth:          cfg.ShardQueueDepth,
-			BatchSize:           cfg.ShardBatch,
-			MaxBidsPerPartition: cfg.ShardMaxBids,
-			Quorum:              cfg.ShardQuorum,
-			NumTasks:            cfg.NumTasks,
-			Thresholds:          cfg.Thresholds,
-			Epsilon:             cfg.Epsilon,
-			CMin:                cfg.CMin,
-			CMax:                cfg.CMax,
-			PriceGrid:           cfg.PriceGrid,
-			Skills:              shard.SkillFunc(cfg.Skills),
-			Accountant:          cfg.Accountant,
-			Events:              cfg.Events,
-			Telemetry:           cfg.Telemetry,
-			Chaos:               cfg.ShardChaos,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPlatform, err)
-		}
-		p.coord = coord
 	}
 	cfg.Events.Info("platform.seed", evlog.Int64("seed", cfg.Seed))
 	// An int64 seed exceeds float64's exact-integer range, so the value
@@ -428,7 +413,13 @@ type session struct {
 // RunRound accepts bids on the listener for the configured window, runs
 // the DP-hSRC auction, collects winner labels, aggregates and settles.
 // The listener is not closed; callers own its lifecycle. ctx cancels
-// the round early.
+// the round early. A Platform runs one round at a time: RunRound and
+// the campaign loops must not be called concurrently on it.
+//
+// The listener must support accept deadlines (SetDeadline, as
+// *net.TCPListener does): the window closes by setting one in the
+// past. A listener without it, or whose deadline cannot be cleared,
+// fails the round with ErrBadPlatform before a round index is claimed.
 //
 // The round either completes with at least cfg.Quorum bids or fails
 // with a typed error (ErrNoBids, ErrQuorumNotMet, core.ErrInfeasible,
@@ -439,11 +430,28 @@ func (p *Platform) RunRound(ctx context.Context, ln net.Listener) (RoundReport, 
 	return rep, err
 }
 
+// deadlineListener is a listener whose blocked Accept can be woken by
+// setting an accept deadline in the past: net.TCPListener, the
+// internal/faultnet wrapper, and the in-memory listeners the tests and
+// the load generator use.
+type deadlineListener interface {
+	net.Listener
+	SetDeadline(time.Time) error
+}
+
 // runRoundCollecting is RunRound plus the raw label reports, which the
 // multi-round campaign feeds to truth discovery. It wraps roundPhases
 // with the round-level telemetry: one span tree, the end-to-end
 // latency, and the final outcome tally.
 func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (RoundReport, []crowd.Report, error) {
+	dl, ok := ln.(deadlineListener)
+	if !ok {
+		return RoundReport{}, nil, fmt.Errorf("%w: listener %T has no SetDeadline to close the bid window", ErrBadPlatform, ln)
+	}
+	// Clear the past deadline a previous round's close left set.
+	if err := dl.SetDeadline(time.Time{}); err != nil {
+		return RoundReport{}, nil, fmt.Errorf("%w: clearing the accept deadline: %v", ErrBadPlatform, err)
+	}
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
 	round := p.claimRound()
@@ -459,7 +467,7 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	defer p.setStatus(round, PhaseIdle)
 	root := p.cfg.Tracer.StartSpan("round")
 	ev.Info("round.start", evlog.Int64("span", root.ID()), evlog.Int("round", round))
-	rep, reports, err := p.roundPhases(ctx, ln, round, root)
+	rep, reports, err := p.roundPhases(ctx, dl, round, root)
 	rep.Round = round
 	root.End()
 	p.met.roundSeconds.Observe(reg.Since(start))
@@ -528,7 +536,7 @@ func degradeReason(err error) string {
 // labels, aggregate — each timed into mcs_protocol_phase_seconds and
 // traced as a child of root. round is the campaign-wide index that
 // roots this round's mechanism randomness.
-func (p *Platform) roundPhases(ctx context.Context, ln net.Listener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
+func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
 	// phaseDone times a phase into the histogram and mirrors it as a
@@ -548,22 +556,19 @@ func (p *Platform) roundPhases(ctx context.Context, ln net.Listener, round int, 
 		// Refuse up front when the budget cannot cover this round: a
 		// doomed round must not even collect bids. The actual debit
 		// happens later, at the moment the price draw is committed, so
-		// rounds that degrade beforehand spend nothing. A sharded
-		// round's merged debit is the parallel composition of the
-		// partition epsilons — exactly cfg.Epsilon — so the same check
-		// covers both paths.
+		// rounds that degrade beforehand spend nothing. The round's
+		// debit is the parallel composition of the partition epsilons —
+		// exactly cfg.Epsilon however many partitions there are.
 		if rem := p.cfg.Accountant.Remaining(); rem+1e-12 < p.cfg.Epsilon {
 			return RoundReport{}, nil, fmt.Errorf("%w: remaining %v cannot cover epsilon %v",
 				mechanism.ErrBudgetExhausted, rem, p.cfg.Epsilon)
 		}
 	}
-	if p.coord != nil {
-		// Open the shard ingest queues before the bid window; the
-		// deferred close is idempotent and guarantees the partition
-		// collectors drain on every exit path, including degradations.
-		p.coord.BeginRound(round)
-		defer p.coord.CloseRound()
-	}
+	// Open the partitions to bids before the window; the deferred close
+	// is idempotent and stops admissions on every exit path, including
+	// degradations.
+	p.coord.BeginRound(round)
+	defer p.coord.CloseRound()
 
 	p.setStatus(round, PhaseCollectBids)
 	collectStart := reg.Now()
@@ -599,25 +604,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln net.Listener, round int, 
 	p.setStatus(round, PhaseAuction)
 	auctionStart := reg.Now()
 	auctionSpan := root.StartChild("auction")
-	var (
-		outcome      core.Outcome
-		skills       [][]float64
-		winnerPrices []float64
-		shardOut     *shard.RoundOutcome
-	)
-	if p.coord != nil {
-		outcome, skills, winnerPrices, shardOut, err = p.runShardedAuctionPhase(ctx, sessions, round, auctionSpan.ID(), &faults)
-	} else {
-		var inst core.Instance
-		outcome, inst, err = p.runAuctionPhase(sessions, round, auctionSpan.ID())
-		skills = inst.Skills
-		// Single auction: every winner is paid the one sampled
-		// clearing price.
-		winnerPrices = make([]float64, len(sessions))
-		for _, w := range outcome.Winners {
-			winnerPrices[w] = outcome.Price
-		}
-	}
+	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round, auctionSpan.ID(), &faults)
 	phaseDone("auction", auctionSpan, p.met.phaseAuction, auctionStart)
 	if err != nil {
 		return RoundReport{Faults: faults, Sharding: shardOut}, nil, err
@@ -733,86 +720,34 @@ func (p *Platform) roundPhases(ctx context.Context, ln net.Listener, round int, 
 	return report, reports, nil
 }
 
-// runAuctionPhase assembles the instance from the accepted bids, debits
-// the privacy accountant, and runs the DP-hSRC auction. The price draw
-// is the privacy-relevant release: the accountant is debited exactly
-// once, immediately before it. The mechanism randomness is rooted at
-// RoundSeed(cfg.Seed, round), so every round draws a distinct stream
-// and a recovered campaign re-derives the same stream for the same
-// round index. spanID labels the phase's events for log<->trace
-// correlation.
-func (p *Platform) runAuctionPhase(sessions []*session, round int, spanID int64) (core.Outcome, core.Instance, error) {
-	inst, err := p.buildInstance(sessions)
-	if err != nil {
-		return core.Outcome{}, core.Instance{}, err
-	}
-	auction, release, err := p.acquireAuction(inst)
-	if err != nil {
-		return core.Outcome{}, core.Instance{}, fmt.Errorf("protocol: building auction: %w", err)
-	}
-	defer release()
-	if p.cfg.Accountant != nil {
-		if err := p.cfg.Accountant.Spend(p.cfg.Epsilon); err != nil {
-			return core.Outcome{}, core.Instance{}, err
-		}
-	}
-	outcome := auction.Run(rand.New(rand.NewSource(RoundSeed(p.cfg.Seed, round))))
-	// The drawn price is the mechanism's DP-sanctioned release; it still
-	// travels wrapped so the stream stays uniformly redaction-typed.
-	p.cfg.Events.Debug("round.price_drawn",
-		evlog.Int64("span", spanID),
-		evlog.Aggregate("clearing_price", outcome.Price),
-		evlog.Int("winners", len(outcome.Winners)))
-	return outcome, inst, nil
-}
-
-// acquireAuction returns a built auction over inst plus a release
-// func. The common sequential-round case takes the platform's reusable
-// auction and rebuilds it in place — Rebuild is bitwise-identical to a
-// fresh New, so round outcomes (and resumed campaigns, which start
-// from a cold auction) are unaffected. If another round holds the
-// reusable auction, or a rebuild fails (leaving it unusable until the
-// next successful build), the caller gets a fresh construction.
-func (p *Platform) acquireAuction(inst core.Instance) (*core.Auction, func(), error) {
-	if p.auctionMu.TryLock() {
-		if p.auction == nil {
-			a, err := core.New(inst,
-				core.WithTelemetry(p.cfg.Telemetry),
-				core.WithEventLog(p.cfg.Events))
-			if err != nil {
-				p.auctionMu.Unlock()
-				return nil, nil, err
-			}
-			p.auction = a
-			return a, p.auctionMu.Unlock, nil
-		}
-		if err := p.auction.Rebuild(inst); err != nil {
-			p.auction = nil
-			p.auctionMu.Unlock()
-			return nil, nil, err
-		}
-		return p.auction, p.auctionMu.Unlock, nil
-	}
-	a, err := core.New(inst,
-		core.WithTelemetry(p.cfg.Telemetry),
-		core.WithEventLog(p.cfg.Events))
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, func() {}, nil
-}
-
-// runShardedAuctionPhase closes the shard round and merges the
-// partition auctions (see shard.Coordinator.RunRound), then maps the
-// merged outcome back onto session indices: Outcome.Winners are the
-// winning sessions in index order and winnerPrices carries each
-// winner's own partition clearing price (the amount it is notified of
-// and paid). Killed partitions are tolerated faults, accounted under
+// runAuctionPhase closes the round to bids and runs the partition
+// auctions (see shard.Coordinator.RunRound), which debit the privacy
+// accountant exactly once, immediately before the price draws. The
+// mechanism randomness is rooted at RoundSeed(cfg.Seed, round), so
+// every round draws a distinct stream and a recovered campaign
+// re-derives the same stream for the same round index. The result is
+// mapped back onto session indices, with winnerPrices carrying the
+// amount each winner is notified of and paid and skills the
+// aggregation row of each winner:
+//
+//   - unsharded, the lone partition's draw is the round's Outcome:
+//     winners in the auction's selection order, all paid its clearing
+//     price, and no Sharding outcome;
+//   - sharded, Outcome.Winners are the winning sessions in index order
+//     with Price 0, each winner is paid its own partition's clearing
+//     price, and the merged outcome is returned for RoundReport.Sharding.
+//
+// Killed partitions are tolerated faults, accounted under
 // RoundFaults.PartitionsLost with one round.fault event each, exactly
-// like the per-session fault classes.
-func (p *Platform) runShardedAuctionPhase(ctx context.Context, sessions []*session, round int, spanID int64, faults *RoundFaults) (core.Outcome, [][]float64, []float64, *shard.RoundOutcome, error) {
+// like the per-session fault classes. spanID labels the phase's events
+// for log<->trace correlation.
+func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, round int, spanID int64, faults *RoundFaults) (core.Outcome, [][]float64, []float64, *shard.RoundOutcome, error) {
 	ev := p.cfg.Events
 	so, err := p.coord.RunRound(ctx, RoundSeed(p.cfg.Seed, round))
+	var merged *shard.RoundOutcome
+	if p.coord.Partitions() > 1 {
+		merged = &so
+	}
 	for _, pr := range so.Partitions {
 		if pr.Status != shard.StatusKilled {
 			continue
@@ -825,36 +760,46 @@ func (p *Platform) runShardedAuctionPhase(ctx context.Context, sessions []*sessi
 			evlog.Int("partition", pr.Partition))
 	}
 	if err != nil {
-		return core.Outcome{}, nil, nil, &so, err
+		return core.Outcome{}, nil, nil, merged, err
 	}
 
-	index := make(map[string]int, len(sessions))
-	skills := make([][]float64, len(sessions))
-	for i, s := range sessions {
-		index[s.workerID] = i
-		skills[i] = p.cfg.Skills(s.workerID, p.cfg.NumTasks)
-	}
-	// Merged winners arrive sorted by worker ID and sessions are
-	// sorted the same way, so the mapped indices come out ascending —
-	// the deterministic order the report contract requires.
+	// Merged winners are sorted by worker ID, like the sessions, so
+	// their indices come out ascending — the deterministic order the
+	// report contract requires. An unsharded round reports its lone
+	// partition's draw instead: its price, its winners in selection
+	// order.
 	outcome := core.Outcome{Feasible: true, TotalPayment: so.TotalPayment}
+	winners := so.Winners
+	if merged == nil {
+		lone := so.Partitions[0]
+		outcome.Price = lone.Price
+		winners = make([]shard.Winner, len(lone.Winners))
+		for k, id := range lone.Winners {
+			winners[k] = shard.Winner{WorkerID: id, Price: lone.Price}
+		}
+	}
 	winnerPrices := make([]float64, len(sessions))
-	for _, w := range so.Winners {
-		i, ok := index[w.WorkerID]
-		if !ok {
+	// Only winners report labels, so only their rows are aggregated:
+	// the rows their partition instances already hold.
+	skills := make([][]float64, len(sessions))
+	for _, w := range winners {
+		i := sort.Search(len(sessions), func(i int) bool { return sessions[i].workerID >= w.WorkerID })
+		if i == len(sessions) || sessions[i].workerID != w.WorkerID {
 			// A winner the session table does not know would be a
 			// routing bug; fail loudly rather than mis-pay.
-			return core.Outcome{}, nil, nil, &so, fmt.Errorf("protocol: sharded winner %q has no session", w.WorkerID)
+			return core.Outcome{}, nil, nil, merged, fmt.Errorf("protocol: winner %q has no session", w.WorkerID)
 		}
 		outcome.Winners = append(outcome.Winners, i)
 		winnerPrices[i] = w.Price
+		skills[i] = p.coord.SkillRow(w.WorkerID)
 	}
-	sort.Ints(outcome.Winners)
+	// The drawn price is the mechanism's DP-sanctioned release; it still
+	// travels wrapped so the stream stays uniformly redaction-typed.
 	ev.Debug("round.price_drawn",
 		evlog.Int64("span", spanID),
 		evlog.Aggregate("clearing_price", outcome.Price),
 		evlog.Int("winners", len(outcome.Winners)))
-	return outcome, skills, winnerPrices, &so, nil
+	return outcome, skills, winnerPrices, merged, nil
 }
 
 // acquireConn reserves one connection slot, returning false when
@@ -877,22 +822,11 @@ func (p *Platform) releaseConn() {
 	p.met.connsActive.Add(-1)
 }
 
-// deadlineListener is a listener whose blocked Accept can be woken by
-// setting an accept deadline in the past — net.TCPListener implements
-// it, as do the in-memory listeners the tests and the load generator
-// use. Wrapper listeners that hide the method (embedding the plain
-// net.Listener interface, as internal/faultnet does) fall back to the
-// self-connection poke.
-type deadlineListener interface {
-	net.Listener
-	SetDeadline(time.Time) error
-}
-
 // collectBids accepts connections and performs the hello/announce/bid
 // handshake until the bid window closes, MinWorkers is reached, or ctx
 // is cancelled. Individual handshake failures are tolerated and
 // tallied, never fatal. spanID labels the phase's events.
-func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int64) ([]*session, RoundFaults, error) {
+func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID int64) ([]*session, RoundFaults, error) {
 	ev := p.cfg.Events
 	windowCtx, cancel := context.WithTimeout(ctx, p.cfg.BidWindow)
 	defer cancel()
@@ -905,31 +839,15 @@ func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int6
 		wg       sync.WaitGroup
 	)
 
-	// Unblock Accept when the window ends. A deadline-capable listener
-	// is woken directly: SetDeadline applies to an Accept that is
-	// already blocked, so setting a deadline in the past makes it
-	// return a timeout immediately, with no network traffic. Only
-	// listeners without deadline support fall back to poking Accept
-	// awake with a self-connection.
+	// Unblock Accept when the window ends: SetDeadline applies to an
+	// Accept that is already blocked, so setting a deadline in the past
+	// makes it return a timeout immediately, with no network traffic.
 	acceptDone := make(chan struct{})
-	dl, hasDeadline := ln.(deadlineListener)
-	if hasDeadline {
-		// Clear the past deadline a previous round's close left set.
-		_ = dl.SetDeadline(time.Time{})
-		go func() {
-			defer close(acceptDone)
-			<-windowCtx.Done()
-			_ = dl.SetDeadline(time.Unix(1, 0))
-		}()
-	} else {
-		go func() {
-			defer close(acceptDone)
-			<-windowCtx.Done()
-			if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
-				_ = conn.Close()
-			}
-		}()
-	}
+	go func() {
+		defer close(acceptDone)
+		<-windowCtx.Done()
+		_ = ln.SetDeadline(time.Unix(1, 0))
+	}()
 
 	for {
 		select {
@@ -985,8 +903,7 @@ func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int6
 				_ = raw.Close()
 				p.releaseConn()
 				// Failures after the window closed are not faults: they
-				// are sessions the close itself cut — including the
-				// watchdog's own self-connection poke.
+				// are sessions the close itself cut.
 				if windowCtx.Err() == nil {
 					mu.Lock()
 					faults.HandshakesFailed++
@@ -1024,25 +941,22 @@ func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int6
 				p.releaseConn()
 				return
 			}
-			if p.coord != nil {
-				// Sharded ingest: the bid is admitted to its partition's
-				// bounded queue before the session registers, so a
-				// registered session IS an admitted bid — accepted bids
-				// are never dropped by backpressure later.
-				if serr := p.coord.Submit(shard.Bid{WorkerID: s.workerID, Bundle: s.bundle, Price: s.price}); serr != nil {
-					faults.HandshakesFailed++
-					mu.Unlock()
-					p.met.bidsRejected.Inc()
-					ev.Warn("round.fault",
-						evlog.String("kind", "handshake_failed"),
-						evlog.Int64("span", spanID),
-						evlog.String("cause", "shard_overloaded"),
-						evlog.String("worker", s.workerID))
-					_ = s.conn.SendError(fmt.Errorf("%w: %s", shard.ErrOverloaded, s.workerID))
-					_ = s.conn.Close()
-					p.releaseConn()
-					return
-				}
+			// The bid is admitted to its partition before the session
+			// registers, so a registered session IS an admitted bid —
+			// accepted bids are never dropped by backpressure later.
+			if serr := p.coord.Submit(shard.Bid{WorkerID: s.workerID, Bundle: s.bundle, Price: s.price}); serr != nil {
+				faults.HandshakesFailed++
+				mu.Unlock()
+				p.met.bidsRejected.Inc()
+				ev.Warn("round.fault",
+					evlog.String("kind", "handshake_failed"),
+					evlog.Int64("span", spanID),
+					evlog.String("cause", "shard_overloaded"),
+					evlog.String("worker", s.workerID))
+				_ = s.conn.SendError(fmt.Errorf("%w: %s", shard.ErrOverloaded, s.workerID))
+				_ = s.conn.Close()
+				p.releaseConn()
+				return
 			}
 			seen[s.workerID] = true
 			sessions = append(sessions, s)
@@ -1098,29 +1012,4 @@ func (p *Platform) handshake(raw net.Conn) (*session, error) {
 		bundle:   bid.Bundle,
 		price:    bid.Price,
 	}, nil
-}
-
-// buildInstance assembles the auction instance from accepted bids and
-// the platform's skill records.
-func (p *Platform) buildInstance(sessions []*session) (core.Instance, error) {
-	inst := core.Instance{
-		NumTasks:   p.cfg.NumTasks,
-		Thresholds: append([]float64(nil), p.cfg.Thresholds...),
-		Epsilon:    p.cfg.Epsilon,
-		CMin:       p.cfg.CMin,
-		CMax:       p.cfg.CMax,
-		PriceGrid:  append([]float64(nil), p.cfg.PriceGrid...),
-	}
-	for _, s := range sessions {
-		inst.Workers = append(inst.Workers, core.Worker{
-			ID:     s.workerID,
-			Bundle: append([]int(nil), s.bundle...),
-			Bid:    s.price,
-		})
-		inst.Skills = append(inst.Skills, p.cfg.Skills(s.workerID, p.cfg.NumTasks))
-	}
-	if err := inst.Validate(); err != nil {
-		return core.Instance{}, fmt.Errorf("protocol: assembled instance invalid: %w", err)
-	}
-	return inst, nil
 }

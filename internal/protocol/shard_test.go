@@ -11,8 +11,8 @@ package protocol
 //   - no accepted bid is ever lost: every registered session's bid is
 //     admitted to a partition before the worker hears "accepted";
 //   - the connection limit rejects typed, and the end-of-window wakeup
-//     uses accept deadlines (no self-connection poke) whenever the
-//     listener supports them.
+//     is an accept deadline that opens no connection; a listener that
+//     cannot take one is refused typed.
 
 import (
 	"bytes"
@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/dphsrc/dphsrc/internal/crowd"
+	"github.com/dphsrc/dphsrc/internal/faultnet"
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/shard"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -345,7 +346,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 }
 
 // opaqueListener hides everything but the net.Listener interface —
-// no SetDeadline promotion, like a faultnet wrapper.
+// no SetDeadline promotion.
 type opaqueListener struct {
 	inner net.Listener
 }
@@ -354,62 +355,94 @@ func (l *opaqueListener) Accept() (net.Conn, error) { return l.inner.Accept() }
 func (l *opaqueListener) Close() error              { return l.inner.Close() }
 func (l *opaqueListener) Addr() net.Addr            { return l.inner.Addr() }
 
-// TestWindowCloseWithoutPoke: on a deadline-capable listener the
-// end-of-window wakeup must not open any connection — a zero-worker
-// round accepts exactly zero connections.
+// TestWindowCloseWithoutPoke: the end-of-window wakeup is an accept
+// deadline and opens no connection — a zero-worker round accepts
+// exactly zero connections and closes promptly, on a plain TCP
+// listener and through faultnet's wrapper alike.
 func TestWindowCloseWithoutPoke(t *testing.T) {
-	o := shardedOpts(909, 0)
-	o.window = 300 * time.Millisecond
-	cfg := chaosPlatformConfig(o)
-	tln, err := net.Listen("tcp", "127.0.0.1:0")
+	inj, err := faultnet.New(faultnet.Plan{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tln.Close()
-	ln := &countingListener{TCPListener: tln.(*net.TCPListener)}
-	platform, err := NewPlatform(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, roundErr := platform.RunRound(ctx, ln)
-	if !errors.Is(roundErr, ErrNoBids) {
-		t.Fatalf("zero-worker round error = %v, want ErrNoBids", roundErr)
-	}
-	if got := ln.accepts.Load(); got != 0 {
-		t.Fatalf("deadline-capable listener accepted %d connections; the poke is only a fallback", got)
-	}
-	if elapsed := time.Since(start); elapsed > o.window+2*time.Second {
-		t.Fatalf("round took %v, deadline wakeup did not fire", elapsed)
+	for _, tc := range []struct {
+		name string
+		wrap func(net.Listener) net.Listener
+	}{
+		{"tcp", func(ln net.Listener) net.Listener { return ln }},
+		{"faultnet", inj.Listener},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := shardedOpts(909, 0)
+			o.window = 300 * time.Millisecond
+			cfg := chaosPlatformConfig(o)
+			tln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tln.Close()
+			counted := &countingListener{TCPListener: tln.(*net.TCPListener)}
+			platform, err := NewPlatform(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			start := time.Now()
+			_, roundErr := platform.RunRound(ctx, tc.wrap(counted))
+			if !errors.Is(roundErr, ErrNoBids) {
+				t.Fatalf("zero-worker round error = %v, want ErrNoBids", roundErr)
+			}
+			if got := counted.accepts.Load(); got != 0 {
+				t.Fatalf("listener accepted %d connections; the window close must not connect", got)
+			}
+			if elapsed := time.Since(start); elapsed > o.window+2*time.Second {
+				t.Fatalf("round took %v, deadline wakeup did not fire", elapsed)
+			}
+		})
 	}
 }
 
-// TestWindowClosePokeFallback: a listener that hides SetDeadline still
-// closes its window promptly via the self-connection poke.
+// TestWindowClosePokeFallback: a listener that cannot take an accept
+// deadline — one that hides SetDeadline, or a faultnet wrapper around
+// one — is refused typed and at once, before the round claims an
+// index: the next round on a capable listener still gets StartRound.
 func TestWindowClosePokeFallback(t *testing.T) {
 	o := shardedOpts(910, 0)
 	o.window = 300 * time.Millisecond
 	cfg := chaosPlatformConfig(o)
+	cfg.StartRound = 7
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tln.Close()
+	inj, err := faultnet.New(faultnet.Plan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	platform, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	start := time.Now()
-	_, roundErr := platform.RunRound(ctx, &opaqueListener{inner: tln})
+	opaque := &opaqueListener{inner: tln}
+	for _, ln := range []net.Listener{opaque, inj.Listener(opaque)} {
+		start := time.Now()
+		_, roundErr := platform.RunRound(ctx, ln)
+		if !errors.Is(roundErr, ErrBadPlatform) {
+			t.Fatalf("%T: round error = %v, want ErrBadPlatform", ln, roundErr)
+		}
+		if elapsed := time.Since(start); elapsed >= o.window {
+			t.Fatalf("%T: refusal took %v; it must not open the bid window", ln, elapsed)
+		}
+	}
+	rep, roundErr := platform.RunRound(ctx, tln)
 	if !errors.Is(roundErr, ErrNoBids) {
 		t.Fatalf("zero-worker round error = %v, want ErrNoBids", roundErr)
 	}
-	if elapsed := time.Since(start); elapsed > o.window+3*time.Second {
-		t.Fatalf("round took %v; poke fallback did not wake Accept", elapsed)
+	if rep.Round != cfg.StartRound {
+		t.Fatalf("first served round has index %d, want %d: a refused round claimed one", rep.Round, cfg.StartRound)
 	}
 }
 

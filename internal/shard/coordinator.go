@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -10,45 +11,44 @@ import (
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
-// partition is one auction partition's per-round state. bids is owned
-// by the collector goroutine until its done channel closes (which
-// CloseRound awaits), after which the coordinator reads it freely.
-type partition struct {
-	idx  int
-	q    *queue
-	done chan struct{}
-	bids []Bid
-}
-
 // Coordinator routes bids to partitions for one round at a time and
 // merges the partition auctions at round close. Submit is safe for
-// concurrent use; BeginRound / CloseRound / RunRound are the round
-// lifecycle and are called from the platform's round loop.
+// concurrent use; BeginRound / CloseRound / RunRound / SkillRow are the
+// round lifecycle and are called one round at a time from the
+// platform's round loop.
 type Coordinator struct {
 	cfg Config
 	met shardMetrics
 
-	mu     sync.Mutex
-	round  int
-	open   bool
-	closed bool
-	parts  []*partition
+	// mu guards the round lifecycle and the bid buffers: Submit appends
+	// under it, so no admission straddles a close or lands in the next
+	// round. Once RunRound has closed the round, the buffers are read
+	// without it until the next BeginRound.
+	mu    sync.Mutex
+	round int
+	begun bool
+	open  bool
+	// queues[i] is partition i's bid buffer, reused across rounds.
+	queues []*queue
 
 	// stats[i] is partition i's cumulative counters across every round
 	// served, read lock-free by the operator console while rounds run.
 	stats []partStat
 
 	// reuse[i] is partition i's auction from a previous round, rebuilt
-	// in place (core.Auction.Rebuild) instead of reconstructed. Each
+	// in place (core.Auction.Rebuild) instead of reconstructed, and
+	// rows[i] the skill rows of the round's built instance, aligned
+	// with its sorted bids (nil until it is built). Within a round each
 	// entry is touched only by the goroutine building partition i
-	// within RunRound's build barrier, and RunRound itself is called
-	// from the platform's (single) round loop, so no extra locking is
-	// needed.
+	// inside RunRound's build barrier, and rounds run one at a time, so
+	// no extra locking is needed.
 	reuse []*core.Auction
+	rows  [][][]float64
 }
 
 // NewCoordinator validates the configuration, applies defaults
-// (QueueDepth 64, BatchSize 32, Quorum 1), and returns a Coordinator.
+// (QueueDepth 64, BatchSize 32, Quorum 1, and the admission cap
+// described on Config.MaxBidsPerPartition), and returns a Coordinator.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -59,17 +59,23 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.MaxBidsPerPartition == 0 {
+	if cfg.MaxBidsPerPartition == 0 && cfg.Partitions > 1 {
 		cfg.MaxBidsPerPartition = cfg.QueueDepth * cfg.BatchSize
 	}
 	if cfg.Quorum < 1 {
 		cfg.Quorum = 1
 	}
+	queues := make([]*queue, cfg.Partitions)
+	for i := range queues {
+		queues[i] = newQueue(cfg.MaxBidsPerPartition)
+	}
 	return &Coordinator{
-		cfg:   cfg,
-		met:   newShardMetrics(cfg.Telemetry, cfg.Partitions),
-		stats: make([]partStat, cfg.Partitions),
-		reuse: make([]*core.Auction, cfg.Partitions),
+		cfg:    cfg,
+		met:    newShardMetrics(cfg.Telemetry, cfg.Partitions),
+		queues: queues,
+		stats:  make([]partStat, cfg.Partitions),
+		reuse:  make([]*core.Auction, cfg.Partitions),
+		rows:   make([][][]float64, cfg.Partitions),
 	}, nil
 }
 
@@ -82,15 +88,15 @@ type partStat struct {
 }
 
 // PartitionStats is one partition's live view for the operator
-// console: the current round's queue occupancy plus cumulative
-// admissions, backpressure rejections, and chaos kills.
+// console: the current round's admissions plus cumulative admissions,
+// backpressure rejections, and chaos kills.
 type PartitionStats struct {
 	Partition int `json:"partition"`
 	// Pending is the current round's admitted-bid count, zero between
 	// rounds.
 	Pending int `json:"pending"`
-	// QueueDepth and BatchSize echo the configured bounds so the
-	// console can render occupancy against capacity.
+	// QueueDepth and BatchSize echo the configured values whose
+	// product is the default admission cap.
 	QueueDepth int   `json:"queue_depth"`
 	BatchSize  int   `json:"batch_size"`
 	Admitted   int64 `json:"admitted_total"`
@@ -101,9 +107,7 @@ type PartitionStats struct {
 // Stats returns every partition's live stats, in partition order.
 func (c *Coordinator) Stats() []PartitionStats {
 	c.mu.Lock()
-	parts := c.parts
-	open := c.open
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	out := make([]PartitionStats, c.cfg.Partitions)
 	for i := range out {
 		out[i] = PartitionStats{
@@ -114,8 +118,8 @@ func (c *Coordinator) Stats() []PartitionStats {
 			Overloads:  c.stats[i].overloads.Load(),
 			Killed:     c.stats[i].killed.Load(),
 		}
-		if open && parts != nil {
-			out[i].Pending = parts[i].q.count()
+		if c.open {
+			out[i].Pending = len(c.queues[i].bids)
 		}
 	}
 	return out
@@ -124,97 +128,82 @@ func (c *Coordinator) Stats() []PartitionStats {
 // Partitions returns the configured partition count.
 func (c *Coordinator) Partitions() int { return c.cfg.Partitions }
 
-// BeginRound opens a fresh round: new bounded queues, one collector
-// goroutine per partition. An unclosed previous round is drained
-// first so collectors never leak across rounds.
+// BeginRound opens a round: every partition's buffer is emptied and
+// admissions open.
 func (c *Coordinator) BeginRound(round int) {
-	c.CloseRound()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.round = round
-	c.parts = make([]*partition, c.cfg.Partitions)
-	for i := range c.parts {
-		p := &partition{
-			idx:  i,
-			q:    newQueue(c.cfg.QueueDepth, c.cfg.BatchSize, c.cfg.MaxBidsPerPartition),
-			done: make(chan struct{}),
-		}
-		c.parts[i] = p
-		go func(p *partition) {
-			defer close(p.done)
-			// The loop's stop path is the queue close: CloseRound
-			// closes the channel and awaits done before any read of
-			// p.bids, which is the synchronization barrier.
-			for batch := range p.q.ch {
-				c.met.batches.Inc()
-				p.bids = append(p.bids, batch...)
-			}
-		}(p)
+	for i, q := range c.queues {
+		q.reset()
+		c.rows[i] = nil
 	}
+	c.round = round
+	c.begun = true
 	c.open = true
-	c.closed = false
 }
 
 // Submit routes one accepted bid to its consistent-hash partition.
-// ErrOverloaded is the backpressure rejection (queue or admission cap
-// full): the bid was NOT admitted and the caller must reject it to the
-// worker. ErrRoundClosed reports a submit outside an open round.
+// ErrOverloaded is the backpressure rejection (the partition's
+// admission cap is reached): the bid was NOT admitted and the caller
+// must reject it to the worker. ErrRoundClosed reports a submit
+// outside an open round.
 func (c *Coordinator) Submit(b Bid) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !c.open {
-		c.mu.Unlock()
 		return ErrRoundClosed
 	}
-	p := c.parts[PartitionFor(b.WorkerID, c.cfg.Partitions)]
-	c.mu.Unlock()
-	if err := p.q.put(b); err != nil {
-		if err != ErrRoundClosed {
-			c.met.overloads.Inc()
-			c.stats[p.idx].overloads.Add(1)
-		}
+	i := PartitionFor(b.WorkerID, c.cfg.Partitions)
+	if err := c.queues[i].put(b); err != nil {
+		c.met.overloads.Inc()
+		c.stats[i].overloads.Add(1)
 		return err
 	}
-	c.met.bidsPerShard[p.idx].Inc()
-	c.stats[p.idx].admitted.Add(1)
+	c.met.bidsPerShard[i].Inc()
+	c.stats[i].admitted.Add(1)
 	return nil
 }
 
-// CloseRound stops admissions, flushes every partition queue, and
-// waits for the collectors to drain. Idempotent; safe to call on a
+// CloseRound stops admissions. Idempotent; safe to call on a
 // coordinator whose round never began.
 func (c *Coordinator) CloseRound() {
 	c.mu.Lock()
-	if c.closed || c.parts == nil {
-		c.closed = true
-		c.open = false
-		c.mu.Unlock()
-		return
-	}
 	c.open = false
-	c.closed = true
-	parts := c.parts
 	c.mu.Unlock()
-	for _, p := range parts {
-		p.q.close()
-		<-p.done
-	}
 }
 
-// builtPartition is one partition's state after the build step.
+// SkillRow returns the skill row the round's partition instance holds
+// for workerID — the one Config.Skills lookup made for its bid — or nil
+// when the worker did not bid or its partition built no instance. It
+// reads what RunRound built, so call it from the round loop after
+// RunRound.
+func (c *Coordinator) SkillRow(workerID string) []float64 {
+	i := PartitionFor(workerID, c.cfg.Partitions)
+	bids, rows := c.queues[i].bids, c.rows[i]
+	k := sort.Search(len(rows), func(k int) bool { return bids[k].WorkerID >= workerID })
+	if k < len(rows) && bids[k].WorkerID == workerID {
+		return rows[k]
+	}
+	return nil
+}
+
+// builtPartition is one partition's state after the build step; err
+// is the build failure behind StatusInfeasible.
 type builtPartition struct {
 	status string
 	bids   []Bid
 	a      *core.Auction
+	err    error
 }
 
 // buildPartition sorts the partition's admitted bids, consults the
 // chaos seam, and builds (but does not run) its core auction. A kill
 // or cancellation surfaces as StatusKilled, an uncoverable bid set as
 // StatusInfeasible — both degrade the partition, never the process.
-func (c *Coordinator) buildPartition(ctx context.Context, round int, p *partition) builtPartition {
-	bids := p.bids
+func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtPartition {
+	bids := c.queues[idx].bids
 	sortBids(bids)
-	if c.cfg.Chaos != nil && c.cfg.Chaos(round, p.idx) {
+	if c.cfg.Chaos != nil && c.cfg.Chaos(round, idx) {
 		return builtPartition{status: StatusKilled, bids: bids}
 	}
 	if ctxErr(ctx) != nil {
@@ -225,15 +214,16 @@ func (c *Coordinator) buildPartition(ctx context.Context, round int, p *partitio
 	}
 	inst, err := c.cfg.buildInstance(bids)
 	if err != nil {
-		return builtPartition{status: StatusInfeasible, bids: bids}
+		return builtPartition{status: StatusInfeasible, bids: bids, err: err}
 	}
-	if prev := c.reuse[p.idx]; prev != nil {
+	c.rows[idx] = inst.Skills
+	if prev := c.reuse[idx]; prev != nil {
 		// Rebuild in place: bitwise-identical to a fresh New, without
 		// its per-round allocations. A failed rebuild leaves the
 		// auction unusable, so drop it for reconstruction next round.
 		if err := prev.Rebuild(inst); err != nil {
-			c.reuse[p.idx] = nil
-			return builtPartition{status: StatusInfeasible, bids: bids}
+			c.reuse[idx] = nil
+			return builtPartition{status: StatusInfeasible, bids: bids, err: fmt.Errorf("shard: building auction: %w", err)}
 		}
 		return builtPartition{status: StatusOK, bids: bids, a: prev}
 	}
@@ -241,31 +231,33 @@ func (c *Coordinator) buildPartition(ctx context.Context, round int, p *partitio
 		core.WithTelemetry(c.cfg.Telemetry),
 		core.WithEventLog(c.cfg.Events))
 	if err != nil {
-		return builtPartition{status: StatusInfeasible, bids: bids}
+		return builtPartition{status: StatusInfeasible, bids: bids, err: fmt.Errorf("shard: building auction: %w", err)}
 	}
-	c.reuse[p.idx] = a
+	c.reuse[idx] = a
 	return builtPartition{status: StatusOK, bids: bids, a: a}
 }
 
 // RunRound closes the round (if still open), builds every partition's
 // auction concurrently, debits the accountant once with the
 // parallel-composed epsilon over the surviving partitions, then draws
-// each survivor's clearing price from its derived seed and merges the
+// each survivor's clearing price (see drawOutcome) and merges the
 // outcomes deterministically (partition order; winners sorted by
 // worker ID).
 //
 // Failure modes: ErrNoPartitions when nothing survived,
 // ErrPartitionQuorum when fewer than Quorum partitions produced
 // outcomes (both graceful degradations — no budget is spent), and the
-// accountant's own refusal. The partial RoundOutcome accompanies every
-// error so the caller can fault-account the lost partitions.
+// accountant's own refusal. A lone partition is the whole round, so
+// when its build fails the round fails with that build error instead
+// (core.ErrInfeasible for an uncoverable bid set). The partial
+// RoundOutcome accompanies every error so the caller can fault-account
+// the lost partitions.
 func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutcome, error) {
-	c.CloseRound()
 	c.mu.Lock()
-	parts := c.parts
-	round := c.round
+	c.open = false
+	begun, round := c.begun, c.round
 	c.mu.Unlock()
-	if parts == nil {
+	if !begun {
 		return RoundOutcome{}, ErrRoundClosed
 	}
 	reg := c.cfg.Telemetry
@@ -274,23 +266,24 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 
 	// Build phase: every partition concurrently. The results slice is
 	// index-owned per goroutine and the WaitGroup is the barrier.
-	built := make([]builtPartition, len(parts))
+	n := c.cfg.Partitions
+	built := make([]builtPartition, n)
 	var wg sync.WaitGroup
-	for i := range parts {
+	for i := range built {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			built[i] = c.buildPartition(ctx, round, parts[i])
+			built[i] = c.buildPartition(ctx, round, i)
 		}(i)
 	}
 	wg.Wait()
 
-	out := RoundOutcome{Round: round, Partitions: make([]PartitionReport, len(parts))}
+	out := RoundOutcome{Round: round, Partitions: make([]PartitionReport, n)}
 	survivors := 0
 	for i, b := range built {
 		out.Partitions[i] = PartitionReport{
 			Partition: i,
-			Bidders:   parts[i].q.count(),
+			Bidders:   len(c.queues[i].bids),
 			Status:    b.status,
 		}
 		out.Bidders += out.Partitions[i].Bidders
@@ -311,6 +304,9 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 
 	if survivors == 0 {
 		c.emitRound(&out)
+		if n == 1 && built[0].err != nil {
+			return out, built[0].err
+		}
 		return out, ErrNoPartitions
 	}
 	if survivors < c.cfg.Quorum {
@@ -321,7 +317,7 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 
 	// One debit for the whole merged round: the partitions hold
 	// disjoint worker sets, so parallel composition charges the max of
-	// their (uniform) epsilons — the same float the unsharded round
+	// their (uniform) epsilons — the same float a single auction
 	// debits, immediately before the price draws it covers.
 	out.Epsilon = mergeEpsilon(c.cfg.Epsilon, survivors)
 	if c.cfg.Accountant != nil {
@@ -332,13 +328,12 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 	}
 
 	// Draw phase: sequential in partition order so the merged outcome
-	// is deterministic; each partition's price comes from its own
-	// derived seed.
+	// is deterministic.
 	for i, b := range built {
 		if b.status != StatusOK {
 			continue
 		}
-		oc := drawOutcome(b.a, roundSeed, i)
+		oc := drawOutcome(b.a, roundSeed, i, n)
 		rep := &out.Partitions[i]
 		rep.Price = oc.Price
 		rep.TotalPayment = oc.TotalPayment

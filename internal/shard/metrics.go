@@ -11,11 +11,9 @@ import (
 type shardMetrics struct {
 	// mcs_shard_bids_total{shard=...}: admitted bids per partition.
 	bidsPerShard []*telemetry.Counter
-	// mcs_shard_overloads_total: submissions rejected by backpressure
-	// (full queue or per-round admission cap).
+	// mcs_shard_overloads_total: submissions rejected by the
+	// per-round admission cap.
 	overloads *telemetry.Counter
-	// mcs_shard_batches_total: batches drained by partition collectors.
-	batches *telemetry.Counter
 	// mcs_shard_partitions_total{status=...}: partition outcomes per
 	// merged round.
 	partOK         *telemetry.Counter
@@ -35,8 +33,6 @@ func newShardMetrics(reg *telemetry.Registry, partitions int) shardMetrics {
 	m := shardMetrics{
 		overloads: reg.Counter("mcs_shard_overloads_total",
 			"Bid submissions rejected by partition backpressure."),
-		batches: reg.Counter("mcs_shard_batches_total",
-			"Bid batches drained by partition collectors."),
 		partOK:         reg.Counter(`mcs_shard_partitions_total{status="ok"}`, partHelp),
 		partKilled:     reg.Counter(`mcs_shard_partitions_total{status="killed"}`, partHelp),
 		partInfeasible: reg.Counter(`mcs_shard_partitions_total{status="infeasible"}`, partHelp),

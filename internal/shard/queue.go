@@ -1,87 +1,33 @@
 package shard
 
-import "sync"
-
-// queue is one partition's bounded batch-ingest queue. Submissions
-// append to a pending batch under the mutex; a full batch is flushed
-// to the buffered channel with a non-blocking send, so a consumer that
-// cannot keep up surfaces as ErrOverloaded at the producer instead of
-// unbounded buffering. close flushes the remainder and closes the
-// channel, which is the collector goroutine's stop signal.
+// queue is one partition's bid buffer for the open round, guarded by
+// the coordinator's mutex. Submissions append until the per-round
+// admission cap refuses them with ErrOverloaded, the only
+// backpressure. The buffer persists across rounds: reset empties it
+// and keeps its capacity.
 type queue struct {
-	mu        sync.Mutex
-	batchSize int
-	maxBids   int
-	accepted  int
-	pending   []Bid
-	ch        chan []Bid
-	closed    bool
+	maxBids int // 0 = uncapped
+	bids    []Bid
 }
 
-func newQueue(depth, batchSize, maxBids int) *queue {
-	return &queue{
-		batchSize: batchSize,
-		maxBids:   maxBids,
-		pending:   make([]Bid, 0, batchSize),
-		ch:        make(chan []Bid, depth),
-	}
+func newQueue(maxBids int) *queue {
+	return &queue{maxBids: maxBids}
 }
 
-// put admits one bid, flushing a full batch. It returns ErrRoundClosed
-// after close, and ErrOverloaded when either the per-round admission
-// cap is reached or the batch channel is full — in both cases the bid
-// is NOT admitted, so the caller can reject it to the worker and the
-// accepted count stays exact.
+// put admits one bid, or returns ErrOverloaded when the admission cap
+// is reached; a refused bid is NOT admitted, so the caller can reject
+// it to the worker and the accepted count stays exact.
 func (q *queue) put(b Bid) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrRoundClosed
-	}
-	if q.accepted >= q.maxBids {
+	if q.maxBids > 0 && len(q.bids) >= q.maxBids {
 		return ErrOverloaded
 	}
-	q.pending = append(q.pending, b)
-	if len(q.pending) >= q.batchSize {
-		select {
-		//mcslint:allow MCS-CON003 select-with-default never blocks: a full channel rejects the bid (backpressure) instead of waiting
-		case q.ch <- q.pending:
-			q.pending = make([]Bid, 0, q.batchSize)
-		default:
-			// Backpressure: drop the just-appended bid so the
-			// rejection is exact, and leave the rest pending for the
-			// next flush attempt.
-			q.pending = q.pending[:len(q.pending)-1]
-			return ErrOverloaded
-		}
-	}
-	q.accepted++
+	q.bids = append(q.bids, b)
 	return nil
 }
 
-// count returns how many bids were admitted so far.
-func (q *queue) count() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.accepted
-}
-
-// close flushes the pending remainder and closes the channel. The
-// final flush is a blocking send performed outside the mutex: the
-// collector is draining the channel continuously and never takes the
-// queue mutex, so the send always completes. Idempotent.
-func (q *queue) close() {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.closed = true
-	rest := q.pending
-	q.pending = nil
-	q.mu.Unlock()
-	if len(rest) > 0 {
-		q.ch <- rest
-	}
-	close(q.ch)
+// reset empties the buffer for a new round, dropping the previous
+// round's bids so their bundles can be collected.
+func (q *queue) reset() {
+	clear(q.bids)
+	q.bids = q.bids[:0]
 }

@@ -7,10 +7,10 @@
 //     their worker ID (PartitionFor), so the assignment is stable,
 //     uniform, and moves only ~1/(n+1) of the population when a
 //     partition is added;
-//   - each partition ingests bids through a bounded batch queue:
-//     submissions are coalesced into batches instead of handled
-//     one-object-per-bid, and a full queue pushes back with
-//     ErrOverloaded rather than buffering without bound;
+//   - each partition appends admitted bids to a buffer it reuses
+//     across rounds, up to a per-round admission cap: a full partition
+//     pushes back with ErrOverloaded rather than buffering without
+//     bound;
 //   - at round close every partition builds and runs its own core
 //     auction concurrently, and the per-partition outcomes are merged
 //     in partition order into one deterministic RoundOutcome;
@@ -18,7 +18,10 @@
 //     once, with privacy.ParallelComposedEpsilon of the per-partition
 //     epsilons: partitions hold disjoint worker sets, so parallel
 //     composition applies and the debit equals the single uniform
-//     epsilon — bit-for-bit the float the unsharded round spends;
+//     epsilon — bit-for-bit the float a single auction spends;
+//   - a lone partition is a whole unsharded round: it is uncapped by
+//     default, draws from the round seed itself, and its build error
+//     is the round's error;
 //   - a partition killed mid-round (the Chaos seam; see
 //     faultnet.PartitionPlan) degrades the round to a fault-accounted
 //     partial outcome over the surviving partitions instead of failing
@@ -48,9 +51,9 @@ var (
 	// ErrBadConfig reports an invalid coordinator configuration.
 	ErrBadConfig = errors.New("shard: invalid configuration")
 	// ErrOverloaded is the backpressure rejection: the target
-	// partition's bounded queue (or its per-round admission cap) is
-	// full. The caller should reject the bid to the worker rather than
-	// buffer it — an accepted bid is never dropped.
+	// partition's per-round admission cap is reached. The caller
+	// should reject the bid to the worker rather than buffer it — an
+	// accepted bid is never dropped.
 	ErrOverloaded = errors.New("shard: partition overloaded")
 	// ErrRoundClosed reports a Submit outside an open round.
 	ErrRoundClosed = errors.New("shard: round not accepting bids")
@@ -85,15 +88,16 @@ type KillFunc func(round, partition int) bool
 type Config struct {
 	// Partitions is the number of auction partitions (>= 1).
 	Partitions int
-	// QueueDepth is each partition's bounded ingest capacity in
-	// batches; 0 defaults to 64. When a partition's queue is full,
-	// Submit returns ErrOverloaded instead of buffering.
+	// QueueDepth and BatchSize size the default admission cap,
+	// QueueDepth*BatchSize bids per partition per round; 0 defaults
+	// them to 64 and 32.
 	QueueDepth int
-	// BatchSize is how many bids coalesce into one queue batch; 0
-	// defaults to 32.
-	BatchSize int
+	BatchSize  int
 	// MaxBidsPerPartition caps admissions per partition per round (the
-	// per-shard connection limit); 0 derives QueueDepth*BatchSize.
+	// per-shard connection limit): Submit refuses further bids with
+	// ErrOverloaded instead of buffering them. 0 derives
+	// QueueDepth*BatchSize, except that a lone partition, which holds
+	// the whole round, is uncapped.
 	MaxBidsPerPartition int
 	// Quorum is the minimum number of partitions that must produce an
 	// outcome for the merged round to complete; values below 1 mean 1.
@@ -165,8 +169,8 @@ type PartitionReport struct {
 	Partition int `json:"partition"`
 	// Bidders is how many bids the partition admitted this round.
 	Bidders int `json:"bidders"`
-	// Winners lists the partition's winning worker IDs in sorted
-	// order; empty unless Status is "ok".
+	// Winners lists the partition's winning worker IDs in the order
+	// its auction selected them; empty unless Status is "ok".
 	Winners []string `json:"winners,omitempty"`
 	// Price is the partition's sampled clearing price (a sanctioned
 	// DP release of the partition's own mechanism); 0 unless "ok".
@@ -251,9 +255,15 @@ func mergeEpsilon(eps float64, survivors int) float64 {
 	return privacy.ParallelComposedEpsilon(per...)
 }
 
-// drawOutcome runs one built partition auction with its derived seed.
-func drawOutcome(a *core.Auction, roundSeed int64, idx int) core.Outcome {
-	return a.Run(rand.New(rand.NewSource(partitionSeed(roundSeed, idx))))
+// drawOutcome runs partition idx's built auction. Each of several
+// partitions draws from its own derived seed; a lone partition draws
+// from the round seed itself, so an unsharded round samples exactly
+// the stream a single auction seeded with it would.
+func drawOutcome(a *core.Auction, roundSeed int64, idx, partitions int) core.Outcome {
+	if partitions > 1 {
+		roundSeed = partitionSeed(roundSeed, idx)
+	}
+	return a.Run(rand.New(rand.NewSource(roundSeed)))
 }
 
 // sortBids orders a partition's admitted bids by worker ID so the

@@ -8,6 +8,8 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -69,43 +71,10 @@ func TestPartitionForMonotone(t *testing.T) {
 	}
 }
 
-// --- bounded queue ------------------------------------------------------
-
-func TestQueueBackpressure(t *testing.T) {
-	// depth 1, batch 2, no consumer: w0+w1 flush into the channel,
-	// w2 stays pending, and w3 — completing a batch with nowhere to
-	// flush it — must be rejected, not buffered and not blocked on.
-	q := newQueue(1, 2, 100)
-	for i := 0; i < 3; i++ {
-		if err := q.put(Bid{WorkerID: fmt.Sprintf("w%d", i)}); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	if err := q.put(Bid{WorkerID: "w3"}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("full-channel flush = %v, want ErrOverloaded", err)
-	}
-	if got := q.count(); got != 3 {
-		t.Fatalf("accepted = %d, want 3 (rejected bid must not count)", got)
-	}
-}
-
-func TestQueueOverloadExact(t *testing.T) {
-	// No consumer, depth 1, batch 1: first put fills the channel, the
-	// second must be rejected and NOT counted.
-	q := newQueue(1, 1, 100)
-	if err := q.put(Bid{WorkerID: "a"}); err != nil {
-		t.Fatalf("first put: %v", err)
-	}
-	if err := q.put(Bid{WorkerID: "b"}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second put = %v, want ErrOverloaded", err)
-	}
-	if got := q.count(); got != 1 {
-		t.Fatalf("accepted = %d after rejection, want 1", got)
-	}
-}
+// --- bid buffer ---------------------------------------------------------
 
 func TestQueueAdmissionCap(t *testing.T) {
-	q := newQueue(64, 4, 3)
+	q := newQueue(3)
 	for i := 0; i < 3; i++ {
 		if err := q.put(Bid{WorkerID: fmt.Sprintf("w%d", i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
@@ -114,33 +83,43 @@ func TestQueueAdmissionCap(t *testing.T) {
 	if err := q.put(Bid{WorkerID: "w3"}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-cap put = %v, want ErrOverloaded", err)
 	}
-	q.close()
-	if err := q.put(Bid{WorkerID: "w4"}); !errors.Is(err, ErrRoundClosed) {
-		t.Fatalf("post-close put = %v, want ErrRoundClosed", err)
+	if got := len(q.bids); got != 3 {
+		t.Fatalf("accepted = %d, want 3 (rejected bid must not count)", got)
+	}
+	q.reset()
+	if got := len(q.bids); got != 0 {
+		t.Fatalf("accepted = %d after reset, want 0", got)
+	}
+	if err := q.put(Bid{WorkerID: "w4"}); err != nil {
+		t.Fatalf("put after reset: %v", err)
 	}
 }
 
-// TestQueueCloseFlushesRemainder checks no accepted bid is lost when
-// the round closes with a partial batch pending.
-func TestQueueCloseFlushesRemainder(t *testing.T) {
-	q := newQueue(8, 4, 100)
-	var got []Bid
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for batch := range q.ch {
-			got = append(got, batch...)
-		}
-	}()
-	for i := 0; i < 7; i++ { // one full batch + 3 pending
-		if err := q.put(Bid{WorkerID: fmt.Sprintf("w%d", i)}); err != nil {
-			t.Fatalf("put %d: %v", i, err)
+// TestIngestSingleProcAdmitsToCap is the ingest regression: with one
+// P and one submitting goroutine, nothing else gets to run while bids
+// arrive, so admission must not depend on another goroutine draining
+// the partition. Every bid up to the cap is admitted and the next one
+// is refused.
+func TestIngestSingleProcAdmitsToCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const bids = 3000
+	cfg := testConfig(1)
+	cfg.MaxBidsPerPartition = bids
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.BeginRound(1)
+	for i := 0; i < bids; i++ {
+		if err := c.Submit(Bid{WorkerID: fmt.Sprintf("w-%05d", i)}); err != nil {
+			t.Fatalf("bid %d: %v", i, err)
 		}
 	}
-	q.close()
-	<-done
-	if len(got) != 7 {
-		t.Fatalf("collector drained %d bids, want 7", len(got))
+	if err := c.Submit(Bid{WorkerID: "over"}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("bid over the cap = %v, want ErrOverloaded", err)
+	}
+	if got := c.Stats()[0].Pending; got != bids {
+		t.Fatalf("pending = %d, want %d", got, bids)
 	}
 }
 
@@ -444,6 +423,91 @@ func TestCoordinatorTelemetry(t *testing.T) {
 	}
 	if got := reg.Counter(`mcs_shard_partitions_total{status="killed"}`, "").Value(); got != int64(out.Killed) {
 		t.Fatalf("killed counter %v != outcome killed %d", got, out.Killed)
+	}
+}
+
+// TestLonePartitionIsTheRound: a one-partition coordinator admits past
+// the sharded default cap, draws from the round seed itself — the
+// single auction over its sorted bids — and hands back the skill rows
+// its instance holds.
+func TestLonePartitionIsTheRound(t *testing.T) {
+	cfg := testConfig(1)
+	bids := testBids(2100, cfg.NumTasks) // over the 64*32 sharded default
+	const seed = 78
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.BeginRound(1)
+	for _, b := range bids {
+		if err := c.Submit(b); err != nil {
+			t.Fatalf("Submit(%s): %v", b.WorkerID, err)
+		}
+	}
+	out, err := c.RunRound(context.Background(), seed)
+	if err != nil {
+		t.Fatalf("RunRound: %v", err)
+	}
+
+	sorted := append([]Bid(nil), bids...)
+	sortBids(sorted)
+	inst, err := cfg.buildInstance(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.New(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Run(rand.New(rand.NewSource(seed)))
+	if derived := a.Run(rand.New(rand.NewSource(partitionSeed(seed, 0)))); derived.Price == want.Price {
+		t.Fatalf("fixture: seed %d and its partition seed draw the same price %v", seed, want.Price)
+	}
+	rep := out.Partitions[0]
+	if rep.Price != want.Price || len(rep.Winners) != len(want.Winners) {
+		t.Fatalf("partition drew price %v with %d winners, round-seed draw is %v with %d",
+			rep.Price, len(rep.Winners), want.Price, len(want.Winners))
+	}
+	for k, w := range want.Winners {
+		if rep.Winners[k] != sorted[w].WorkerID {
+			t.Fatalf("winner %d is %s, want %s in selection order", k, rep.Winners[k], sorted[w].WorkerID)
+		}
+	}
+	for _, id := range rep.Winners {
+		if got, want := c.SkillRow(id), testSkills(id, cfg.NumTasks); !slices.Equal(got, want) {
+			t.Fatalf("SkillRow(%s) = %v, want %v", id, got, want)
+		}
+	}
+	if row := c.SkillRow("never-bid"); row != nil {
+		t.Fatalf("SkillRow of a worker who did not bid = %v, want nil", row)
+	}
+}
+
+// TestLonePartitionBuildErrorIsTheRounds: when a lone partition cannot
+// build, the round fails with the build error itself (typed
+// core.ErrInfeasible) and spends nothing; several partitions that all
+// fail still report ErrNoPartitions.
+func TestLonePartitionBuildErrorIsTheRounds(t *testing.T) {
+	for _, partitions := range []int{1, 2} {
+		cfg := testConfig(partitions)
+		for j := range cfg.Thresholds {
+			cfg.Thresholds[j] = 1e-9 // no bid set this small can cover
+		}
+		acct, err := mechanism.NewAccountant(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Accountant = acct
+		_, err = runOnce(t, cfg, testBids(40, cfg.NumTasks), 5)
+		if partitions == 1 && (!errors.Is(err, core.ErrInfeasible) || errors.Is(err, ErrNoPartitions)) {
+			t.Fatalf("lone partition: err = %v, want its build error core.ErrInfeasible", err)
+		}
+		if partitions > 1 && (!errors.Is(err, ErrNoPartitions) || errors.Is(err, core.ErrInfeasible)) {
+			t.Fatalf("%d partitions: err = %v, want bare ErrNoPartitions", partitions, err)
+		}
+		if acct.Spent() != 0 {
+			t.Fatalf("%d partitions: failed round spent %v", partitions, acct.Spent())
+		}
 	}
 }
 
