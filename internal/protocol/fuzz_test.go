@@ -35,30 +35,43 @@ func FuzzMessageDecode(f *testing.F) {
 	})
 }
 
-// FuzzConnRecv streams arbitrary bytes into a live Conn: Recv must
-// return a message or an error, never hang past its deadline or panic.
+// FuzzConnRecv streams arbitrary bytes into a live Conn, read both as
+// any message (Recv) and as a worker reads an announce: each must
+// return a value or an error, never hang past its deadline or panic.
 func FuzzConnRecv(f *testing.F) {
 	f.Add([]byte(`{"type":"hello","worker_id":"w"}` + "\n"))
 	f.Add([]byte("\x00\x01\x02"))
 	f.Add([]byte(`{"type":`))
+	reads := map[string]func(*Conn) error{
+		"Recv": func(c *Conn) error {
+			_, err := c.Recv()
+			return err
+		},
+		"expectAnnounce": func(c *Conn) error {
+			_, err := c.expectAnnounce()
+			return err
+		},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		client, server := net.Pipe()
-		defer client.Close()
-		defer server.Close()
-		go func() {
-			_, _ = client.Write(data)
+		for name, read := range reads {
+			client, server := net.Pipe()
+			go func() {
+				_, _ = client.Write(data)
+				_ = client.Close()
+			}()
+			conn := NewConn(server, 500*time.Millisecond)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = read(conn)
+			}()
+			select {
+			case <-done:
+			case <-time.After(3 * time.Second):
+				t.Fatalf("%s hung past its deadline", name)
+			}
 			_ = client.Close()
-		}()
-		conn := NewConn(server, 500*time.Millisecond)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_, _ = conn.Recv()
-		}()
-		select {
-		case <-done:
-		case <-time.After(3 * time.Second):
-			t.Fatal("Recv hung past its deadline")
+			_ = server.Close()
 		}
 	})
 }

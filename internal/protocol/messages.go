@@ -47,9 +47,11 @@ type LabelReport struct {
 	Label int8 `json:"label"`
 }
 
-// Message is the single wire envelope; unused fields are omitted per
-// type. A one-struct envelope keeps decoding trivial and avoids
-// double-unmarshalling through raw JSON.
+// Message is the wire envelope every frame is encoded from; unused
+// fields are omitted per type. Every frame decodes into it too, except
+// the announce on the worker side, which decodes into announceTerms so
+// the thresholds and price grid no bid depends on are skipped, not
+// parsed.
 type Message struct {
 	Type Type `json:"type"`
 
@@ -83,6 +85,49 @@ type Message struct {
 	Err string `json:"err,omitempty"`
 }
 
+// checkBundle reports why bundle is not a valid bid bundle over
+// numTasks tasks: it must be non-empty and strictly ascending (sorted,
+// unique) over tasks in [0, numTasks), as core.Validate requires of
+// every bidder. A worker that has not seen the announce yet passes
+// math.MaxInt.
+func checkBundle(bundle []int, numTasks int) error {
+	if len(bundle) == 0 {
+		return errors.New("empty bundle")
+	}
+	for k, task := range bundle {
+		switch {
+		case task < 0 || task >= numTasks:
+			return fmt.Errorf("bundle task %d out of range", task)
+		case k > 0 && task < bundle[k-1]:
+			return errors.New("bundle not sorted")
+		case k > 0 && task == bundle[k-1]:
+			return fmt.Errorf("bundle has duplicate task %d", task)
+		}
+	}
+	return nil
+}
+
+// announceTerms is the part of a TypeAnnounce frame a worker acts on:
+// the task count its bundle must fit and the cost range its bid is
+// clamped to. Type and Err keep Expect's verdicts for the frame.
+type announceTerms struct {
+	Type     Type    `json:"type"`
+	Err      string  `json:"err"`
+	NumTasks int     `json:"num_tasks"`
+	CMin     float64 `json:"cmin"`
+	CMax     float64 `json:"cmax"`
+}
+
+// encodeFrame encodes m as one wire frame: json.Marshal plus the
+// newline, byte-identical to what Send writes for m.
+func encodeFrame(m Message) ([]byte, error) {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: encode %s: %w", m.Type, err)
+	}
+	return append(b, '\n'), nil
+}
+
 // Errors surfaced by the conn layer.
 var (
 	ErrUnexpectedType = errors.New("protocol: unexpected message type")
@@ -108,12 +153,18 @@ func NewConn(raw net.Conn, timeout time.Duration) *Conn {
 	}
 }
 
+// armWrite sets the per-message write deadline.
+func (c *Conn) armWrite() error {
+	if c.timeout > 0 {
+		return c.raw.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
+	return nil
+}
+
 // Send writes one message.
 func (c *Conn) Send(m Message) error {
-	if c.timeout > 0 {
-		if err := c.raw.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
-		}
+	if err := c.armWrite(); err != nil {
+		return err
 	}
 	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("protocol: send %s: %w", m.Type, err)
@@ -121,16 +172,37 @@ func (c *Conn) Send(m Message) error {
 	return nil
 }
 
-// Recv reads the next message.
-func (c *Conn) Recv() (Message, error) {
+// sendFrame writes a frame built by encodeFrame in one Write, under
+// the same deadline as Send. The frame may be shared between
+// connections: transports must not modify it (io.Writer's rule).
+func (c *Conn) sendFrame(t Type, frame []byte) error {
+	if err := c.armWrite(); err != nil {
+		return err
+	}
+	if _, err := c.raw.Write(frame); err != nil {
+		return fmt.Errorf("protocol: send %s: %w", t, err)
+	}
+	return nil
+}
+
+// recv decodes the next frame into v.
+func (c *Conn) recv(v any) error {
 	if c.timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return Message{}, err
+			return err
 		}
 	}
+	if err := c.dec.Decode(v); err != nil {
+		return fmt.Errorf("protocol: recv: %w", err)
+	}
+	return nil
+}
+
+// Recv reads the next message.
+func (c *Conn) Recv() (Message, error) {
 	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return Message{}, fmt.Errorf("protocol: recv: %w", err)
+	if err := c.recv(&m); err != nil {
+		return Message{}, err
 	}
 	return m, nil
 }
@@ -142,13 +214,35 @@ func (c *Conn) Expect(want Type) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if m.Type == TypeError {
-		return Message{}, fmt.Errorf("%w: %s", ErrRemote, m.Err)
-	}
-	if m.Type != want {
-		return Message{}, fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, m.Type, want)
+	if err := checkType(m.Type, want, m.Err); err != nil {
+		return Message{}, err
 	}
 	return m, nil
+}
+
+// expectAnnounce is Expect(TypeAnnounce) decoding only the terms a
+// worker acts on.
+func (c *Conn) expectAnnounce() (announceTerms, error) {
+	var a announceTerms
+	if err := c.recv(&a); err != nil {
+		return announceTerms{}, err
+	}
+	if err := checkType(a.Type, TypeAnnounce, a.Err); err != nil {
+		return announceTerms{}, err
+	}
+	return a, nil
+}
+
+// checkType is Expect's verdict on a frame of type got carrying the
+// error reason remoteErr.
+func checkType(got, want Type, remoteErr string) error {
+	if got == TypeError {
+		return fmt.Errorf("%w: %s", ErrRemote, remoteErr)
+	}
+	if got != want {
+		return fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, got, want)
+	}
+	return nil
 }
 
 // Close closes the underlying connection.

@@ -262,6 +262,9 @@ type Platform struct {
 	// coord runs every round's auction: Shards partitions, or one for
 	// an unsharded platform.
 	coord *shard.Coordinator
+	// frames holds the frames that never change within a campaign,
+	// encoded once by NewPlatform.
+	frames platformFrames
 	// connsActive tracks concurrently serviced connections for the
 	// MaxConns admission check; the telemetry gauge mirrors it (the
 	// atomic is authoritative because nil-registry gauges cannot be
@@ -277,6 +280,43 @@ type Platform struct {
 	// to the operator console.
 	statusMu sync.Mutex
 	status   RoundStatus
+}
+
+// platformFrames are the platform's constant frames. Every connection
+// writes the same bytes, concurrently, so they are read-only once
+// built: a transport that modified a frame it was handed would corrupt
+// every later connection's copy.
+type platformFrames struct {
+	// announce carries the tasks and auction parameters of every
+	// handshake.
+	announce []byte
+	// lost is a loser's outcome.
+	lost []byte
+	// done closes every settled conversation.
+	done []byte
+}
+
+// newPlatformFrames encodes cfg's constant frames. An announce that
+// cannot be encoded (a NaN or infinite threshold or grid price) is a
+// configuration error: it would fail every handshake.
+func newPlatformFrames(cfg *PlatformConfig) (platformFrames, error) {
+	announce, err := encodeFrame(Message{
+		Type:            TypeAnnounce,
+		NumTasks:        cfg.NumTasks,
+		Thresholds:      cfg.Thresholds,
+		Epsilon:         cfg.Epsilon,
+		CMin:            cfg.CMin,
+		CMax:            cfg.CMax,
+		PriceGrid:       cfg.PriceGrid,
+		BidWindowMillis: cfg.BidWindow.Milliseconds(),
+	})
+	if err != nil {
+		return platformFrames{}, fmt.Errorf("%w: %v", ErrBadPlatform, err)
+	}
+	// Neither frame carries a configured value, so neither can fail.
+	lost, _ := encodeFrame(Message{Type: TypeOutcome})
+	done, _ := encodeFrame(Message{Type: TypeDone})
+	return platformFrames{announce: announce, lost: lost, done: done}, nil
 }
 
 // RoundStatus is the platform's live position in the round lifecycle,
@@ -341,6 +381,10 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		//mcslint:allow MCS-DET002 fallback seed for callers that supplied none; the chosen value is logged and exported via mcs_protocol_seed_info so the run stays replayable after the fact
 		cfg.Seed = time.Now().UnixNano()
 	}
+	frames, err := newPlatformFrames(&cfg)
+	if err != nil {
+		return nil, err
+	}
 	coord, err := shard.NewCoordinator(shard.Config{
 		Partitions:          max(cfg.Shards, 1),
 		MaxBidsPerPartition: cfg.ShardMaxBids,
@@ -364,6 +408,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		cfg:       cfg,
 		met:       newPlatformMetrics(cfg.Telemetry),
 		coord:     coord,
+		frames:    frames,
 		nextRound: cfg.StartRound,
 		status:    RoundStatus{Round: cfg.StartRound, Phase: PhaseIdle},
 	}
@@ -633,7 +678,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		if winners[i] {
 			continue
 		}
-		if err := s.conn.Send(Message{Type: TypeOutcome, Won: false}); err != nil {
+		if err := s.conn.sendFrame(TypeOutcome, p.frames.lost); err != nil {
 			faults.LosersUnnotified++
 			p.met.faultLoserUnnotified.Inc()
 			ev.Warn("round.fault",
@@ -642,7 +687,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 				evlog.String("worker", s.workerID))
 			continue
 		}
-		_ = s.conn.Send(Message{Type: TypeDone})
+		_ = s.conn.sendFrame(TypeDone, p.frames.done)
 	}
 
 	// Winners: request labels, collect, settle — concurrently, so one
@@ -695,7 +740,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 			}
 			perWinner[i] = got
 			_ = s.conn.Send(Message{Type: TypePayment, Amount: winnerPrices[i]})
-			_ = s.conn.Send(Message{Type: TypeDone})
+			_ = s.conn.sendFrame(TypeDone, p.frames.done)
 		}(i, sessions[i])
 	}
 	wg.Wait()
@@ -986,24 +1031,19 @@ func (p *Platform) handshake(raw net.Conn) (*session, error) {
 	if hello.WorkerID == "" {
 		return nil, conn.SendError(errors.New("protocol: empty worker id"))
 	}
-	announce := Message{
-		Type:            TypeAnnounce,
-		NumTasks:        p.cfg.NumTasks,
-		Thresholds:      p.cfg.Thresholds,
-		Epsilon:         p.cfg.Epsilon,
-		CMin:            p.cfg.CMin,
-		CMax:            p.cfg.CMax,
-		PriceGrid:       p.cfg.PriceGrid,
-		BidWindowMillis: p.cfg.BidWindow.Milliseconds(),
-	}
-	if err := conn.Send(announce); err != nil {
+	if err := conn.sendFrame(TypeAnnounce, p.frames.announce); err != nil {
 		return nil, err
 	}
 	bid, err := conn.Expect(TypeBid)
 	if err != nil {
 		return nil, err
 	}
-	if len(bid.Bundle) == 0 || bid.Price < p.cfg.CMin || bid.Price > p.cfg.CMax {
+	// The bid is checked here as the auction core would check it, so one
+	// malformed bid costs its own session, not the assembled round.
+	if err := checkBundle(bid.Bundle, p.cfg.NumTasks); err != nil {
+		return nil, conn.SendError(fmt.Errorf("protocol: invalid bid from %s: %v", hello.WorkerID, err))
+	}
+	if bid.Price < p.cfg.CMin || bid.Price > p.cfg.CMax {
 		return nil, conn.SendError(fmt.Errorf("protocol: invalid bid from %s", hello.WorkerID))
 	}
 	return &session{

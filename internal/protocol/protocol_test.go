@@ -3,8 +3,10 @@ package protocol
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +224,9 @@ func TestPlatformConfigValidation(t *testing.T) {
 		{"epsilon", func(c *PlatformConfig) { c.Epsilon = 0 }},
 		{"grid", func(c *PlatformConfig) { c.PriceGrid = nil }},
 		{"window", func(c *PlatformConfig) { c.BidWindow = 0 }},
+		// Values the announce frame cannot encode.
+		{"NaN threshold", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, math.NaN(), 0.3, 0.3} }},
+		{"+Inf grid", func(c *PlatformConfig) { c.PriceGrid = append(core.PriceGridRange(10, 30, 1), math.Inf(1)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,11 +241,16 @@ func TestPlatformConfigValidation(t *testing.T) {
 
 func TestWorkerConfigValidation(t *testing.T) {
 	ctx := context.Background()
+	labels := func(int) crowd.Label { return crowd.Positive }
 	cases := []WorkerConfig{
 		{},
 		{ID: "w"},
 		{ID: "w", Bundle: []int{0}},
-		{ID: "w", Bundle: []int{0}, Labels: func(int) crowd.Label { return crowd.Positive }, Cost: -1},
+		{ID: "w", Bundle: []int{0}, Labels: labels, Cost: -1},
+		// The bundle must be sorted and unique over non-negative tasks.
+		{ID: "w", Bundle: []int{1, 0}, Labels: labels, Cost: 1},
+		{ID: "w", Bundle: []int{2, 2}, Labels: labels, Cost: 1},
+		{ID: "w", Bundle: []int{-1, 0}, Labels: labels, Cost: 1},
 	}
 	for i, cfg := range cases {
 		if _, err := Participate(ctx, "127.0.0.1:1", cfg); !errors.Is(err, ErrBadWorker) {
@@ -281,6 +291,15 @@ func TestConnExpectErrors(t *testing.T) {
 	go func() { _ = c1.Send(Message{Type: TypeError, Err: "boom"}) }()
 	if _, err := c2.Expect(TypeBid); !errors.Is(err, ErrRemote) {
 		t.Errorf("want ErrRemote, got %v", err)
+	}
+	// The worker's reduced announce decode gives the same verdicts.
+	go func() { _ = c1.Send(Message{Type: TypeHello, WorkerID: "x"}) }()
+	if _, err := c2.expectAnnounce(); !errors.Is(err, ErrUnexpectedType) {
+		t.Errorf("announce: want ErrUnexpectedType, got %v", err)
+	}
+	go func() { _ = c1.Send(Message{Type: TypeError, Err: "boom"}) }()
+	if _, err := c2.expectAnnounce(); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("announce: want ErrRemote carrying the reason, got %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"time"
 
@@ -25,7 +27,9 @@ type LabelFunc func(task int) crowd.Label
 type WorkerConfig struct {
 	// ID identifies the worker to the platform.
 	ID string
-	// Bundle is the worker's interested task set (sorted, unique).
+	// Bundle is the worker's interested task set: non-empty, sorted and
+	// unique over non-negative task indices, or Participate fails with
+	// ErrBadWorker.
 	Bundle []int
 	// Cost is the worker's true cost; under the mechanism's approximate
 	// truthfulness the client bids it directly.
@@ -50,11 +54,13 @@ type WorkerConfig struct {
 
 // validate checks the configuration.
 func (c *WorkerConfig) validate() error {
-	switch {
-	case c.ID == "":
+	if c.ID == "" {
 		return fmt.Errorf("%w: empty id", ErrBadWorker)
-	case len(c.Bundle) == 0:
-		return fmt.Errorf("%w: empty bundle", ErrBadWorker)
+	}
+	if err := checkBundle(c.Bundle, math.MaxInt); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadWorker, err)
+	}
+	switch {
 	case c.Labels == nil:
 		return fmt.Errorf("%w: nil LabelFunc", ErrBadWorker)
 	case c.Cost < 0:
@@ -103,13 +109,19 @@ func Participate(ctx context.Context, addr string, cfg WorkerConfig) (WorkerRepo
 	}
 
 	attempts := cfg.Retry.attempts()
-	rng := cfg.Retry.jitterRNG(cfg.ID)
+	// The jitter stream is seeded at the first retry, not up front:
+	// seeding math/rand allocates about 5 KB, and most calls never
+	// retry. The seed is the same, so every wait is too.
+	var rng *rand.Rand
 	retries := cfg.Telemetry.Counter("mcs_protocol_worker_retries_total",
 		"Worker reconnection attempts after transient transport failures.")
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			retries.Inc()
+			if rng == nil {
+				rng = cfg.Retry.jitterRNG(cfg.ID)
+			}
 			wait := cfg.Retry.backoff(attempt, rng)
 			select {
 			case <-time.After(wait):
@@ -166,7 +178,7 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	if err := conn.Send(Message{Type: TypeHello, WorkerID: cfg.ID}); err != nil {
 		return WorkerReport{}, err
 	}
-	announce, err := conn.Expect(TypeAnnounce)
+	announce, err := conn.expectAnnounce()
 	if err != nil {
 		return WorkerReport{}, err
 	}
