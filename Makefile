@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-sarif test race test-e2e test-recovery fuzz-smoke bench bench-diff bench-diff-core
+.PHONY: all build vet fmt-check lint lint-sarif test race test-e2e test-recovery fuzz-smoke bench bench-diff bench-diff-core
 
 all: build vet lint test
 
@@ -10,6 +10,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: lists every tracked Go file gofmt would rewrite and
+# fails if there is any.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Domain-aware static analysis: determinism, dp-leak, float-safety,
 # errcheck-lite, concurrency-safety and durability-ordering diagnostics

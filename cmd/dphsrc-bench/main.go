@@ -20,7 +20,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/experiment"
+	"github.com/dphsrc/dphsrc/internal/plot"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
 )
 
 func main() {
@@ -51,7 +53,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := dphsrc.ExperimentConfig{
+	cfg := experiment.Config{
 		Seed:          *seed,
 		Scale:         *scale,
 		OptimalBudget: *budget,
@@ -68,13 +70,13 @@ func run(args []string) error {
 
 	type figRunner struct {
 		name string
-		fn   func(dphsrc.ExperimentConfig) (dphsrc.FigureResult, error)
+		fn   func(experiment.Config) (experiment.FigureResult, error)
 	}
 	for _, fr := range []figRunner{
-		{"fig1", dphsrc.Figure1},
-		{"fig2", dphsrc.Figure2},
-		{"fig3", dphsrc.Figure3},
-		{"fig4", dphsrc.Figure4},
+		{"fig1", experiment.Figure1},
+		{"fig2", experiment.Figure2},
+		{"fig3", experiment.Figure3},
+		{"fig4", experiment.Figure4},
 	} {
 		if !all && !want[fr.name] {
 			continue
@@ -85,7 +87,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", fr.name, err)
 		}
-		files, err := dphsrc.WriteFigure(*outDir, res)
+		files, err := experiment.WriteFigure(*outDir, res)
 		if err != nil {
 			return fmt.Errorf("%s: writing: %w", fr.name, err)
 		}
@@ -99,11 +101,11 @@ func run(args []string) error {
 	if all || want["table2"] {
 		start := time.Now()
 		fmt.Println("running table2...")
-		res, err := dphsrc.Table2(cfg)
+		res, err := experiment.Table2(cfg)
 		if err != nil {
 			return fmt.Errorf("table2: %w", err)
 		}
-		files, err := dphsrc.WriteTable2(*outDir, res)
+		files, err := experiment.WriteTable2(*outDir, res)
 		if err != nil {
 			return fmt.Errorf("table2: writing: %w", err)
 		}
@@ -114,11 +116,11 @@ func run(args []string) error {
 	if all || want["fig5"] {
 		start := time.Now()
 		fmt.Println("running fig5...")
-		res, err := dphsrc.Figure5(cfg)
+		res, err := experiment.Figure5(cfg)
 		if err != nil {
 			return fmt.Errorf("fig5: %w", err)
 		}
-		files, err := dphsrc.WriteFigure5(*outDir, res)
+		files, err := experiment.WriteFigure5(*outDir, res)
 		if err != nil {
 			return fmt.Errorf("fig5: writing: %w", err)
 		}
@@ -127,7 +129,7 @@ func run(args []string) error {
 	}
 
 	if *manifest != "" {
-		m := dphsrc.NewManifest("dphsrc-bench", dphsrc.TelemetryWallClock())
+		m := telemetry.NewManifest("dphsrc-bench", telemetry.WallClock())
 		fs.VisitAll(func(f *flag.Flag) { m.SetConfig(f.Name, f.Value.String()) })
 		m.AddSeed("root", *seed)
 		for _, path := range produced {
@@ -146,7 +148,7 @@ func run(args []string) error {
 
 // printSettings renders Table I.
 func printSettings() {
-	tbl := dphsrc.TextTable{
+	tbl := plot.Table{
 		Headers: []string{"Setting", "eps", "cmin", "cmax", "|bundle|", "theta", "delta", "N", "K"},
 		Rows: [][]string{
 			{"I", "0.1", "10", "60", "[10,20]", "[0.1,0.9]", "[0.1,0.2]", "[80,140]", "30"},

@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
 )
 
 func TestRunList(t *testing.T) {
@@ -32,7 +32,7 @@ func TestRunSmallFigure(t *testing.T) {
 			t.Errorf("%s missing or empty: %v", f, err)
 		}
 	}
-	m, err := dphsrc.ReadManifest(manifestPath)
+	m, err := telemetry.ReadManifest(manifestPath)
 	if err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}

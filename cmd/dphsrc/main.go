@@ -16,7 +16,8 @@ import (
 	"math/rand"
 	"os"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/workload"
 )
 
 func main() {
@@ -69,7 +70,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	auction, err := dphsrc.New(inst, dphsrc.WithRule(rule))
+	auction, err := core.New(inst, core.WithRule(rule))
 	if err != nil {
 		return fmt.Errorf("building auction: %w", err)
 	}
@@ -128,63 +129,61 @@ func run(args []string, out *os.File) error {
 }
 
 // loadInstance reads the instance from disk or generates one.
-func loadInstance(o options) (dphsrc.Instance, error) {
+func loadInstance(o options) (core.Instance, error) {
 	if o.instancePath != "" {
-		data, err := os.ReadFile(o.instancePath)
+		f, err := os.Open(o.instancePath)
 		if err != nil {
-			return dphsrc.Instance{}, err
+			return core.Instance{}, err
 		}
-		var inst dphsrc.Instance
-		if err := json.Unmarshal(data, &inst); err != nil {
-			return dphsrc.Instance{}, fmt.Errorf("parsing %s: %w", o.instancePath, err)
-		}
-		if err := inst.Validate(); err != nil {
-			return dphsrc.Instance{}, err
+		defer func() { _ = f.Close() }() // read-only; nothing to flush
+		inst, err := core.DecodeInstance(f)
+		if err != nil {
+			return core.Instance{}, fmt.Errorf("%s: %w", o.instancePath, err)
 		}
 		return inst, nil
 	}
 
-	var params dphsrc.WorkloadParams
+	var params workload.Params
 	switch o.setting {
 	case "I", "1":
 		n := o.n
 		if n == 0 {
 			n = 100
 		}
-		params = dphsrc.SettingI(n)
+		params = workload.SettingI(n)
 	case "II", "2":
 		k := o.k
 		if k == 0 {
 			k = 30
 		}
-		params = dphsrc.SettingII(k)
+		params = workload.SettingII(k)
 	case "III", "3":
 		n := o.n
 		if n == 0 {
 			n = 1000
 		}
-		params = dphsrc.SettingIII(n)
+		params = workload.SettingIII(n)
 	case "IV", "4":
 		k := o.k
 		if k == 0 {
 			k = 300
 		}
-		params = dphsrc.SettingIV(k)
+		params = workload.SettingIV(k)
 	default:
-		return dphsrc.Instance{}, fmt.Errorf("unknown setting %q (want I..IV)", o.setting)
+		return core.Instance{}, fmt.Errorf("unknown setting %q (want I..IV)", o.setting)
 	}
 	return params.Generate(rand.New(rand.NewSource(o.seed)))
 }
 
 // parseRule maps the flag value to a selection rule.
-func parseRule(s string) (dphsrc.SelectionRule, error) {
+func parseRule(s string) (core.SelectionRule, error) {
 	switch s {
 	case "greedy":
-		return dphsrc.RuleGreedy, nil
+		return core.RuleGreedy, nil
 	case "greedy-naive":
-		return dphsrc.RuleGreedyNaive, nil
+		return core.RuleGreedyNaive, nil
 	case "static":
-		return dphsrc.RuleStatic, nil
+		return core.RuleStatic, nil
 	default:
 		return 0, fmt.Errorf("unknown rule %q (want greedy, greedy-naive or static)", s)
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/core"
 )
 
 // captureRun executes run() with stdout redirected to a pipe and
@@ -56,10 +56,10 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunInstanceFromFile(t *testing.T) {
-	inst := dphsrc.Instance{
+	inst := core.Instance{
 		NumTasks:   2,
 		Thresholds: []float64{0.5, 0.5},
-		Workers: []dphsrc.Worker{
+		Workers: []core.Worker{
 			{ID: "a", Bundle: []int{0, 1}, Bid: 10},
 			{ID: "b", Bundle: []int{0, 1}, Bid: 12},
 		},
@@ -67,7 +67,7 @@ func TestRunInstanceFromFile(t *testing.T) {
 		Epsilon:   0.5,
 		CMin:      5,
 		CMax:      20,
-		PriceGrid: dphsrc.PriceGridRange(5, 20, 1),
+		PriceGrid: core.PriceGridRange(5, 20, 1),
 	}
 	data, err := json.Marshal(inst)
 	if err != nil {
@@ -113,13 +113,36 @@ func TestRunRejectsInvalidInstanceFile(t *testing.T) {
 	if _, err := captureRun(t, []string{"-instance", path}); err == nil {
 		t.Error("garbage accepted")
 	}
+	// A feasible instance, so only the data after it can fail the run.
+	data, err := json.Marshal(core.Instance{
+		NumTasks:   1,
+		Thresholds: []float64{0.5},
+		Workers: []core.Worker{
+			{ID: "a", Bundle: []int{0}, Bid: 10},
+			{ID: "b", Bundle: []int{0}, Bid: 12},
+		},
+		Skills:    [][]float64{{0.95}, {0.95}},
+		Epsilon:   0.5,
+		CMin:      5,
+		CMax:      20,
+		PriceGrid: core.PriceGridRange(5, 20, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, " trailing"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := captureRun(t, []string{"-instance", path}); err == nil {
+		t.Error("trailing data accepted")
+	}
 }
 
 func TestParseRule(t *testing.T) {
-	for s, want := range map[string]dphsrc.SelectionRule{
-		"greedy":       dphsrc.RuleGreedy,
-		"greedy-naive": dphsrc.RuleGreedyNaive,
-		"static":       dphsrc.RuleStatic,
+	for s, want := range map[string]core.SelectionRule{
+		"greedy":       core.RuleGreedy,
+		"greedy-naive": core.RuleGreedyNaive,
+		"static":       core.RuleStatic,
 	} {
 		got, err := parseRule(s)
 		if err != nil || got != want {

@@ -41,7 +41,12 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/experiment"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
+	"github.com/dphsrc/dphsrc/internal/workload"
 )
 
 type benchResult struct {
@@ -209,12 +214,12 @@ var auditedEpsilons = []float64{0.25, 1, 5, 45, 200, 1000}
 // accountant's exact ledger and the SHA-256 of every artifact written.
 // The manifest goes last, after all artifact bytes are final.
 func auditedSweep(fs *flag.FlagSet, workers int, benchOut, eventsOut, manifestOut string) error {
-	ev := dphsrc.NewEventLogger()
-	inst, err := dphsrc.SettingI(workers).Generate(rand.New(rand.NewSource(auditedSeed)))
+	ev := evlog.New()
+	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(auditedSeed)))
 	if err != nil {
 		return err
 	}
-	auction, err := dphsrc.New(inst, dphsrc.WithEventLog(ev))
+	auction, err := core.New(inst, core.WithEventLog(ev))
 	if err != nil {
 		return err
 	}
@@ -223,7 +228,7 @@ func auditedSweep(fs *flag.FlagSet, workers int, benchOut, eventsOut, manifestOu
 	for _, eps := range auditedEpsilons {
 		budget += eps
 	}
-	acct, err := dphsrc.NewAccountant(budget)
+	acct, err := mechanism.NewAccountant(budget)
 	if err != nil {
 		return err
 	}
@@ -245,7 +250,7 @@ func auditedSweep(fs *flag.FlagSet, workers int, benchOut, eventsOut, manifestOu
 	if manifestOut == "" {
 		return nil
 	}
-	m := dphsrc.NewManifest("mcs-bench", dphsrc.TelemetryWallClock())
+	m := telemetry.NewManifest("mcs-bench", telemetry.WallClock())
 	fs.VisitAll(func(f *flag.Flag) { m.SetConfig(f.Name, f.Value.String()) })
 	m.AddSeed("instance", auditedSeed)
 	m.AddEpsilons(auditedEpsilons...)
@@ -362,11 +367,11 @@ func absoluteGates(fresh benchFile) []string {
 // coreBenches is the original suite: auction construction and sampling
 // plus the telemetry nop-vs-live overhead pair.
 func coreBenches(workers int) ([]namedBench, error) {
-	inst, err := dphsrc.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
+	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
 	}
-	auction, err := dphsrc.New(inst)
+	auction, err := core.New(inst)
 	if err != nil {
 		return nil, err
 	}
@@ -374,29 +379,29 @@ func coreBenches(workers int) ([]namedBench, error) {
 	// The nop-vs-live pair quantifies what instrumented hot paths pay:
 	// the nop side must show allocs_per_op == 0 (the telemetry package's
 	// contract, also asserted by its tests).
-	var nopReg *dphsrc.TelemetryRegistry
-	liveReg := dphsrc.NewTelemetryRegistry()
+	var nopReg *telemetry.Registry
+	liveReg := telemetry.NewRegistry()
 	nopCounter := nopReg.Counter("mcs_bench_ops_total", "")
 	liveCounter := liveReg.Counter("mcs_bench_ops_total", "Benchmark ops.")
 
 	return []namedBench{
 		{"AuctionNew", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.New(inst); err != nil {
+				if _, err := core.New(inst); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"AuctionNewInstrumented", func(b *testing.B) {
-			reg := dphsrc.NewTelemetryRegistry()
+			reg := telemetry.NewRegistry()
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.New(inst, dphsrc.WithTelemetry(reg)); err != nil {
+				if _, err := core.New(inst, core.WithTelemetry(reg)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"AuctionRebuild", func(b *testing.B) {
-			a, err := dphsrc.New(inst)
+			a, err := core.New(inst)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -441,15 +446,15 @@ func coreBenches(workers int) ([]namedBench, error) {
 		// events: a nil logger must keep instrumented hot paths at
 		// 0 allocs/op (asserted by the tests here and in evlog itself).
 		{"EvlogEventNop", func(b *testing.B) {
-			var nopEv *dphsrc.EventLogger
+			var nopEv *evlog.Logger
 			for i := 0; i < b.N; i++ {
-				nopEv.Info("bench.tick", dphsrc.EventInt("i", i), dphsrc.EventRedacted("bid"))
+				nopEv.Info("bench.tick", evlog.Int("i", i), evlog.Redacted("bid"))
 			}
 		}},
 		{"EvlogEventLive", func(b *testing.B) {
-			liveEv := dphsrc.NewEventLogger()
+			liveEv := evlog.New()
 			for i := 0; i < b.N; i++ {
-				liveEv.Info("bench.tick", dphsrc.EventInt("i", i), dphsrc.EventRedacted("bid"))
+				liveEv.Info("bench.tick", evlog.Int("i", i), evlog.Redacted("bid"))
 			}
 		}},
 	}, nil
@@ -460,32 +465,32 @@ func coreBenches(workers int) ([]namedBench, error) {
 // reweight-vs-rebuild epsilon sweep, and the sequential-vs-parallel
 // Figure 4 payment sweep.
 func experimentBenches(workers int) ([]namedBench, error) {
-	inst, err := dphsrc.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
+	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
 	}
-	auction, err := dphsrc.New(inst)
+	auction, err := core.New(inst)
 	if err != nil {
 		return nil, err
 	}
 	support := auction.SupportPrices()
 	epsilons := []float64{0.25, 1, 5, 45, 200, 1000}
 
-	sweepCfg := func(parallelism int) dphsrc.ExperimentConfig {
-		return dphsrc.ExperimentConfig{Seed: 7, Scale: 0.06, Parallelism: parallelism}
+	sweepCfg := func(parallelism int) experiment.Config {
+		return experiment.Config{Seed: 7, Scale: 0.06, Parallelism: parallelism}
 	}
 
 	return []namedBench{
 		{"CoverGreedyLazy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.New(inst); err != nil {
+				if _, err := core.New(inst); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"CoverGreedyNaive", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.New(inst, dphsrc.WithRule(dphsrc.RuleGreedyNaive)); err != nil {
+				if _, err := core.New(inst, core.WithRule(core.RuleGreedyNaive)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -501,21 +506,21 @@ func experimentBenches(workers int) ([]namedBench, error) {
 			for i := 0; i < b.N; i++ {
 				cur := inst.Clone()
 				cur.Epsilon = epsilons[i%len(epsilons)]
-				if _, err := dphsrc.New(cur, dphsrc.WithPriceSet(support)); err != nil {
+				if _, err := core.New(cur, core.WithPriceSet(support)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"SweepFigure4Sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.Figure4(sweepCfg(1)); err != nil {
+				if _, err := experiment.Figure4(sweepCfg(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"SweepFigure4Parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dphsrc.Figure4(sweepCfg(runtime.GOMAXPROCS(0))); err != nil {
+				if _, err := experiment.Figure4(sweepCfg(runtime.GOMAXPROCS(0))); err != nil {
 					b.Fatal(err)
 				}
 			}

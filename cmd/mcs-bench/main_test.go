@@ -7,7 +7,8 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 func TestRunBadFlag(t *testing.T) {
@@ -132,7 +133,7 @@ func TestAuditedSweepProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := dphsrc.ReadManifest(manifestPath)
+	m, err := telemetry.ReadManifest(manifestPath)
 	if err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}
@@ -150,11 +151,11 @@ func TestAuditedSweepProvenance(t *testing.T) {
 
 	// The folded event stream and the manifest's accountant snapshot
 	// are two records of the same float additions in the same order.
-	events, err := dphsrc.ReadEventsFile(eventsPath)
+	events, err := evlog.ReadFile(eventsPath)
 	if err != nil {
 		t.Fatalf("events stream invalid: %v", err)
 	}
-	led, err := dphsrc.FoldBudget(events)
+	led, err := evlog.FoldBudget(events)
 	if err != nil {
 		t.Fatal(err)
 	}

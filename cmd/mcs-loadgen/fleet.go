@@ -10,7 +10,12 @@ import (
 	"sync"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/crowd"
+	"github.com/dphsrc/dphsrc/internal/protocol"
+	"github.com/dphsrc/dphsrc/internal/stats"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
+	"github.com/dphsrc/dphsrc/internal/workload"
 )
 
 // ErrBadFleet reports an invalid fleet configuration.
@@ -33,7 +38,7 @@ type FleetConfig struct {
 	// Window is the span the fleet's arrivals spread over.
 	Window time.Duration
 	// Curve shapes the arrivals (uniform, burst, ramp, poisson).
-	Curve dphsrc.ArrivalCurve
+	Curve workload.ArrivalCurve
 	// Seed roots every draw the fleet makes: arrival offsets, bundles,
 	// costs, and sensing noise. Identical seeds replay identical
 	// fleets.
@@ -47,7 +52,7 @@ type FleetConfig struct {
 	// wait; zero keeps the client default.
 	IOTimeout time.Duration
 	// Retry shapes the workers' reconnection policy.
-	Retry dphsrc.RetryPolicy
+	Retry protocol.RetryPolicy
 	// SlowFrac is the fraction of workers whose connections stall
 	// SlowDelay before every write (slow-client chaos).
 	SlowFrac float64
@@ -57,11 +62,11 @@ type FleetConfig struct {
 	// fails outright, forcing the retry path (reconnect-storm chaos).
 	StormFrac float64
 	// Dialer is the transport seam; nil uses a plain net.Dialer.
-	Dialer dphsrc.ContextDialer
+	Dialer protocol.ContextDialer
 	// Events, when non-nil, receives fleet.* summary events.
-	Events *dphsrc.EventLogger
+	Events *evlog.Logger
 	// Telemetry, when non-nil, counts worker retries.
-	Telemetry *dphsrc.TelemetryRegistry
+	Telemetry *telemetry.Registry
 }
 
 func (c *FleetConfig) validate() error {
@@ -126,7 +131,7 @@ type workerPlan struct {
 // planFleet draws every worker's identity from one seeded stream.
 func planFleet(cfg *FleetConfig) ([]workerPlan, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	offsets, err := dphsrc.Arrivals(rng, cfg.Workers, cfg.Window, cfg.Curve)
+	offsets, err := workload.Arrivals(rng, cfg.Workers, cfg.Window, cfg.Curve)
 	if err != nil {
 		return nil, err
 	}
@@ -185,14 +190,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 	if err != nil {
 		return FleetResult{}, err
 	}
-	truth := dphsrc.TrueLabels(rand.New(rand.NewSource(cfg.Seed^0x5eed)), 1<<16)
-	var base dphsrc.ContextDialer = cfg.Dialer
+	truth := crowd.TrueLabels(rand.New(rand.NewSource(cfg.Seed^0x5eed)), 1<<16)
+	var base protocol.ContextDialer = cfg.Dialer
 	if base == nil {
 		base = &net.Dialer{}
 	}
 
 	type workerResult struct {
-		report dphsrc.WorkerReport
+		report protocol.WorkerReport
 		err    error
 		lat    float64
 		ran    bool
@@ -213,11 +218,11 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 			}
 			obs := rand.New(rand.NewSource(p.obsSeed))
 			var obsMu sync.Mutex
-			wcfg := dphsrc.WorkerConfig{
+			wcfg := protocol.WorkerConfig{
 				ID:     p.id,
 				Bundle: p.bundle,
 				Cost:   p.cost,
-				Labels: func(task int) dphsrc.Label {
+				Labels: func(task int) crowd.Label {
 					l := truth[task%len(truth)]
 					obsMu.Lock()
 					flip := obs.Float64() >= cfg.Accuracy
@@ -236,7 +241,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 			defer cancel()
 			//mcslint:allow MCS-DET002 per-worker dial-to-settlement latency is measured output
 			t0 := time.Now()
-			report, err := dphsrc.Participate(wctx, cfg.Addr, wcfg)
+			report, err := protocol.Participate(wctx, cfg.Addr, wcfg)
 			//mcslint:allow MCS-DET002 per-worker dial-to-settlement latency is measured output
 			results[i] = workerResult{report: report, err: err, lat: time.Since(t0).Seconds(), ran: true}
 		}(i)
@@ -258,7 +263,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 				res.TotalPaid += r.report.Payment
 			}
 			res.latenciesSec = append(res.latenciesSec, r.lat)
-		case errors.Is(r.err, dphsrc.ErrRejected), errors.Is(r.err, dphsrc.ErrRemote):
+		case errors.Is(r.err, protocol.ErrRejected), errors.Is(r.err, protocol.ErrRemote):
 			res.Rejected++
 		default:
 			res.Failed++
@@ -272,25 +277,25 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 			sum += x
 		}
 		res.Latency = LatencySummary{
-			P50:  dphsrc.Quantile(xs, 0.50),
-			P90:  dphsrc.Quantile(xs, 0.90),
-			P99:  dphsrc.Quantile(xs, 0.99),
+			P50:  stats.Quantile(xs, 0.50),
+			P90:  stats.Quantile(xs, 0.90),
+			P99:  stats.Quantile(xs, 0.99),
 			Max:  xs[len(xs)-1],
 			Mean: sum / float64(len(xs)),
 		}
 	}
 	if cfg.Events != nil {
 		cfg.Events.Info("fleet.done",
-			dphsrc.EventInt("workers", res.Workers),
-			dphsrc.EventInt("completed", res.Completed),
-			dphsrc.EventInt("won", res.Won),
-			dphsrc.EventInt("rejected", res.Rejected),
-			dphsrc.EventInt("failed", res.Failed),
-			dphsrc.EventInt("attempts", res.Attempts),
-			dphsrc.EventFloat("p50_seconds", res.Latency.P50),
-			dphsrc.EventFloat("p99_seconds", res.Latency.P99),
+			evlog.Int("workers", res.Workers),
+			evlog.Int("completed", res.Completed),
+			evlog.Int("won", res.Won),
+			evlog.Int("rejected", res.Rejected),
+			evlog.Int("failed", res.Failed),
+			evlog.Int("attempts", res.Attempts),
+			evlog.Float("p50_seconds", res.Latency.P50),
+			evlog.Float("p99_seconds", res.Latency.P99),
 			//mcslint:allow MCS-DET002 fleet wall time is measured output
-			dphsrc.EventSeconds("wall", time.Since(start)))
+			evlog.Seconds("wall", time.Since(start)))
 	}
 	return res, nil
 }
@@ -299,7 +304,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 // storm worker's first dial fails outright (modeling a herd that lost
 // its first connection and reconnects together), and a slow worker's
 // writes each stall for delay.
-func chaosDialer(base dphsrc.ContextDialer, slow bool, delay time.Duration, storm bool) dphsrc.ContextDialer {
+func chaosDialer(base protocol.ContextDialer, slow bool, delay time.Duration, storm bool) protocol.ContextDialer {
 	if !slow && !storm {
 		return base
 	}
@@ -307,7 +312,7 @@ func chaosDialer(base dphsrc.ContextDialer, slow bool, delay time.Duration, stor
 }
 
 type traitDialer struct {
-	base  dphsrc.ContextDialer
+	base  protocol.ContextDialer
 	slow  bool
 	delay time.Duration
 

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
+	"github.com/dphsrc/dphsrc/internal/protocol"
+	"github.com/dphsrc/dphsrc/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ func (l *pipeListener) SetDeadline(t time.Time) error {
 }
 
 // DialContext hands the server half to Accept and returns the client half,
-// satisfying dphsrc.ContextDialer.
+// satisfying protocol.ContextDialer.
 func (l *pipeListener) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
@@ -178,7 +181,7 @@ const tenThousand = 10000
 // runTenThousandFleet drives the acceptance fleet through one round on a
 // platform with the given shard count and per-partition admission cap,
 // and requires every worker to be admitted and settled.
-func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, dphsrc.RoundReport, FleetResult) {
+func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, protocol.RoundReport, FleetResult) {
 	t.Helper()
 	n := tenThousand
 	if raceEnabled || testing.Short() {
@@ -194,19 +197,19 @@ func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, dphsrc.RoundRe
 	for j := range thresholds {
 		thresholds[j] = 0.3
 	}
-	acct, err := dphsrc.NewAccountant(10)
+	acct, err := mechanism.NewAccountant(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ln := newPipeListener()
 	defer ln.Close()
-	platform, err := dphsrc.NewPlatform(dphsrc.PlatformConfig{
+	platform, err := protocol.NewPlatform(protocol.PlatformConfig{
 		NumTasks:   tasks,
 		Thresholds: thresholds,
 		Epsilon:    eps,
 		CMin:       5,
 		CMax:       30,
-		PriceGrid:  dphsrc.PriceGridRange(5, 30, 0.5),
+		PriceGrid:  core.PriceGridRange(5, 30, 0.5),
 		Skills:     testSkills,
 		BidWindow:  2 * time.Minute,
 		MinWorkers: n, // close the window as soon as the whole fleet has bid
@@ -222,7 +225,7 @@ func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, dphsrc.RoundRe
 		t.Fatal(err)
 	}
 	type roundRes struct {
-		rep dphsrc.RoundReport
+		rep protocol.RoundReport
 		err error
 	}
 	resCh := make(chan roundRes, 1)
@@ -238,7 +241,7 @@ func runTenThousandFleet(t *testing.T, shards, maxBids int) (int, dphsrc.RoundRe
 		CMin:      5,
 		CMax:      30,
 		Window:    1 * time.Second,
-		Curve:     dphsrc.ArrivalBurst,
+		Curve:     workload.ArrivalBurst,
 		Seed:      7,
 		Accuracy:  0.9,
 		Timeout:   3 * time.Minute,
@@ -286,13 +289,13 @@ func TestFleetChaosTraits(t *testing.T) {
 	}
 	ln := newPipeListener()
 	defer ln.Close()
-	platform, err := dphsrc.NewPlatform(dphsrc.PlatformConfig{
+	platform, err := protocol.NewPlatform(protocol.PlatformConfig{
 		NumTasks:   tasks,
 		Thresholds: thresholds,
 		Epsilon:    0.5,
 		CMin:       5,
 		CMax:       30,
-		PriceGrid:  dphsrc.PriceGridRange(5, 30, 0.5),
+		PriceGrid:  core.PriceGridRange(5, 30, 0.5),
 		Skills:     testSkills,
 		BidWindow:  time.Minute,
 		MinWorkers: n,
@@ -314,11 +317,11 @@ func TestFleetChaosTraits(t *testing.T) {
 		CMin:      5,
 		CMax:      30,
 		Window:    300 * time.Millisecond,
-		Curve:     dphsrc.ArrivalPoisson,
+		Curve:     workload.ArrivalPoisson,
 		Seed:      11,
 		Timeout:   time.Minute,
 		IOTimeout: time.Minute,
-		Retry:     dphsrc.RetryPolicy{MaxAttempts: 3},
+		Retry:     protocol.RetryPolicy{MaxAttempts: 3},
 		SlowFrac:  0.25,
 		SlowDelay: 2 * time.Millisecond,
 		StormFrac: 0.25,
@@ -347,7 +350,7 @@ func TestPlanFleetDeterministic(t *testing.T) {
 		CMin:      5,
 		CMax:      30,
 		Window:    time.Second,
-		Curve:     dphsrc.ArrivalRamp,
+		Curve:     workload.ArrivalRamp,
 		Seed:      99,
 		SlowFrac:  0.3,
 		StormFrac: 0.3,
@@ -416,7 +419,7 @@ func TestTraitDialerStorm(t *testing.T) {
 	}
 	_ = conn.Close()
 	// A plain worker passes through untouched.
-	if got := chaosDialer(ln, false, 0, false); got != dphsrc.ContextDialer(ln) {
+	if got := chaosDialer(ln, false, 0, false); got != protocol.ContextDialer(ln) {
 		t.Fatal("trait-free worker should use the base dialer directly")
 	}
 }

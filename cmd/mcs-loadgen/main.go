@@ -30,7 +30,12 @@ import (
 	"strings"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/console"
+	"github.com/dphsrc/dphsrc/internal/protocol"
+	"github.com/dphsrc/dphsrc/internal/stats"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
+	"github.com/dphsrc/dphsrc/internal/workload"
 )
 
 func main() {
@@ -103,11 +108,11 @@ func run(args []string) error {
 		return err
 	}
 
-	var evOpts []dphsrc.EventLoggerOption
+	var evOpts []evlog.Option
 	if !*quiet {
-		evOpts = append(evOpts, dphsrc.WithEventSink(os.Stderr))
+		evOpts = append(evOpts, evlog.WithSink(os.Stderr))
 	}
-	ev := dphsrc.NewEventLogger(evOpts...)
+	ev := evlog.New(evOpts...)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -128,21 +133,21 @@ func run(args []string) error {
 			CMin:      *cmin,
 			CMax:      *cmax,
 			Window:    *window,
-			Curve:     dphsrc.ArrivalCurve(*curve),
+			Curve:     workload.ArrivalCurve(*curve),
 			Seed:      *seed + int64(round),
 			Accuracy:  *accuracy,
 			Timeout:   *timeout,
 			IOTimeout: *ioTimeout,
-			Retry:     dphsrc.RetryPolicy{MaxAttempts: *retries},
+			Retry:     protocol.RetryPolicy{MaxAttempts: *retries},
 			SlowFrac:  *slowFrac,
 			SlowDelay: *slowDelay,
 			StormFrac: *stormFrac,
 			Events:    ev,
 		}
 		ev.Info("fleet.start",
-			dphsrc.EventInt("round", round),
-			dphsrc.EventInt("workers", *workers),
-			dphsrc.EventString("curve", *curve))
+			evlog.Int("round", round),
+			evlog.Int("workers", *workers),
+			evlog.String("curve", *curve))
 		res, err := RunFleet(ctx, cfg)
 		if err != nil {
 			return err
@@ -154,14 +159,14 @@ func run(args []string) error {
 			file.Console = append(file.Console, sample)
 			if sample.Error != "" {
 				ev.Warn("console.poll_failed",
-					dphsrc.EventInt("round", round),
-					dphsrc.EventString("error", sample.Error))
+					evlog.Int("round", round),
+					evlog.String("error", sample.Error))
 			} else {
 				ev.Info("console.polled",
-					dphsrc.EventInt("round", round),
-					dphsrc.EventInt64("console_rounds", sample.ConsoleRounds),
-					dphsrc.EventInt64("lag_rounds", sample.LagRounds),
-					dphsrc.EventString("phase", sample.Phase))
+					evlog.Int("round", round),
+					evlog.Int64("console_rounds", sample.ConsoleRounds),
+					evlog.Int64("lag_rounds", sample.LagRounds),
+					evlog.String("phase", sample.Phase))
 			}
 		}
 	}
@@ -183,7 +188,7 @@ func run(args []string) error {
 		}
 	}
 	if *manifestOut != "" {
-		m := dphsrc.NewManifest("mcs-loadgen", dphsrc.TelemetryWallClock())
+		m := telemetry.NewManifest("mcs-loadgen", telemetry.WallClock())
 		fs.VisitAll(func(f *flag.Flag) { m.SetConfig(f.Name, f.Value.String()) })
 		m.AddSeed("fleet", *seed)
 		for _, artifact := range []string{*out, *eventsOut} {
@@ -218,7 +223,7 @@ func pollConsole(baseURL string, round int) consoleSample {
 		s.Error = fmt.Sprintf("console returned status %d", resp.StatusCode)
 		return s
 	}
-	var o dphsrc.ConsoleOverview
+	var o console.Overview
 	if err := json.NewDecoder(resp.Body).Decode(&o); err != nil {
 		s.Error = err.Error()
 		return s
@@ -241,9 +246,9 @@ func summarize(lat []float64) LatencySummary {
 		sum += x
 	}
 	return LatencySummary{
-		P50:  dphsrc.Quantile(xs, 0.50),
-		P90:  dphsrc.Quantile(xs, 0.90),
-		P99:  dphsrc.Quantile(xs, 0.99),
+		P50:  stats.Quantile(xs, 0.50),
+		P90:  stats.Quantile(xs, 0.90),
+		P99:  stats.Quantile(xs, 0.99),
 		Max:  xs[len(xs)-1],
 		Mean: sum / float64(len(xs)),
 	}

@@ -41,7 +41,13 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/console"
+	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
+	"github.com/dphsrc/dphsrc/internal/protocol"
+	"github.com/dphsrc/dphsrc/internal/store"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 func main() {
@@ -88,26 +94,26 @@ func run(args []string) error {
 	// The event logger is the daemon's only log: every operational line
 	// is a structured, redaction-typed event. By default it streams
 	// JSONL to stderr; -events-out persists the same stream to a file.
-	var evOpts []dphsrc.EventLoggerOption
+	var evOpts []evlog.Option
 	if !*quiet {
-		evOpts = append(evOpts, dphsrc.WithEventSink(os.Stderr))
+		evOpts = append(evOpts, evlog.WithSink(os.Stderr))
 	}
 	// The console's drill-down view tails the same event stream through
 	// a bounded ring attached to the logger; it must be wired in before
 	// the first event is emitted so the ring misses nothing.
-	var tailBuf *dphsrc.EventTailBuffer
+	var tailBuf *evlog.TailBuffer
 	if *consoleAdr != "" {
-		tailBuf = dphsrc.NewEventTailBuffer(0)
-		evOpts = append(evOpts, dphsrc.WithEventTail(tailBuf))
+		tailBuf = evlog.NewTailBuffer(0)
+		evOpts = append(evOpts, evlog.WithTail(tailBuf))
 	}
-	ev := dphsrc.NewEventLogger(evOpts...)
+	ev := evlog.New(evOpts...)
 
 	var (
-		reg    *dphsrc.TelemetryRegistry
-		tracer *dphsrc.TelemetryTracer
+		reg    *telemetry.Registry
+		tracer *telemetry.Tracer
 	)
 	if *metricsAdr != "" || *consoleAdr != "" {
-		reg = dphsrc.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 	}
 	if *metricsAdr != "" {
 		_, closeSrv, err := startHTTPServer("telemetry", *metricsAdr, telemetryMux(reg, ev), ev)
@@ -118,9 +124,9 @@ func run(args []string) error {
 	}
 	if *traceOut != "" {
 		if reg == nil {
-			reg = dphsrc.NewTelemetryRegistry()
+			reg = telemetry.NewRegistry()
 		}
-		tracer = dphsrc.NewTelemetryTracer()
+		tracer = telemetry.NewTracer()
 	}
 
 	// Durable state: open (or create) the state directory and recover
@@ -129,33 +135,33 @@ func run(args []string) error {
 	// cumulative spend, the skill store its learned accuracies, and the
 	// campaign its round counter and base seed.
 	var (
-		st        *dphsrc.StateStore
-		persisted dphsrc.PersistedState
+		st        *store.FileStore
+		persisted store.State
 	)
 	if *stateDir != "" {
 		var err error
-		st, err = dphsrc.OpenStateStore(*stateDir, dphsrc.StateSnapshotEvery(*snapEvery))
+		st, err = store.Open(*stateDir, store.SnapshotEvery(*snapEvery))
 		if err != nil {
 			return fmt.Errorf("opening state dir: %w", err)
 		}
 		defer func() { _ = st.Close() }()
 		persisted = st.State()
 		ev.Info("state.recovered",
-			dphsrc.EventString("dir", *stateDir),
-			dphsrc.EventFloat("spent", persisted.Budget.Spent),
-			dphsrc.EventInt64("releases", persisted.Budget.Releases),
-			dphsrc.EventInt("skills", len(persisted.Skills)),
-			dphsrc.EventInt("next_round", persisted.Campaign.NextRound),
-			dphsrc.EventInt64("torn_bytes", st.RecoveredTornBytes))
+			evlog.String("dir", *stateDir),
+			evlog.Float("spent", persisted.Budget.Spent),
+			evlog.Int64("releases", persisted.Budget.Releases),
+			evlog.Int("skills", len(persisted.Skills)),
+			evlog.Int("next_round", persisted.Campaign.NextRound),
+			evlog.Int64("torn_bytes", st.RecoveredTornBytes))
 	}
 
-	var acct *dphsrc.Accountant
+	var acct *mechanism.Accountant
 	if *budget > 0 {
 		var err error
 		if st != nil {
-			acct, err = dphsrc.RestoreAccountant(*budget, persisted.Budget)
+			acct, err = mechanism.RestoreAccountant(*budget, persisted.Budget)
 		} else {
-			acct, err = dphsrc.NewAccountant(*budget)
+			acct, err = mechanism.NewAccountant(*budget)
 		}
 		if err != nil {
 			return err
@@ -184,16 +190,16 @@ func run(args []string) error {
 	// campaign updates between rounds; the one-shot in-memory path keeps
 	// the original hash-simulated skills.
 	multi := roundsTotal > 1 || st != nil
-	var skills *dphsrc.SkillStore
+	var skills *protocol.SkillStore
 	if multi {
 		def := (*skillLo + *skillHi) / 2
 		if st != nil {
-			skills = dphsrc.NewSkillStoreFromState(def, persisted.Skills)
+			skills = protocol.NewSkillStoreFromState(def, persisted.Skills)
 			if err := skills.ObserveStore(st); err != nil {
 				return err
 			}
 		} else {
-			skills = dphsrc.NewSkillStore(def)
+			skills = protocol.NewSkillStore(def)
 		}
 	}
 
@@ -201,13 +207,13 @@ func run(args []string) error {
 	for j := range thresholds {
 		thresholds[j] = *delta
 	}
-	cfg := dphsrc.PlatformConfig{
+	cfg := protocol.PlatformConfig{
 		NumTasks:   *tasks,
 		Thresholds: thresholds,
 		Epsilon:    *eps,
 		CMin:       *cmin,
 		CMax:       *cmax,
-		PriceGrid:  dphsrc.PriceGridRange(*cmin, *cmax, 0.5),
+		PriceGrid:  core.PriceGridRange(*cmin, *cmax, 0.5),
 		Skills:     hashedSkills(*skillLo, *skillHi),
 		BidWindow:  *window,
 		MinWorkers: *minWorkers,
@@ -230,7 +236,7 @@ func run(args []string) error {
 	if st != nil {
 		cfg.Checkpoints = st
 	}
-	platform, err := dphsrc.NewPlatform(cfg)
+	platform, err := protocol.NewPlatform(cfg)
 	if err != nil {
 		return err
 	}
@@ -241,10 +247,10 @@ func run(args []string) error {
 	// recovered durable state — behind one HTTP address. It shares the
 	// graceful-shutdown path with the telemetry endpoint.
 	if *consoleAdr != "" {
-		ccfg := dphsrc.ConsoleConfig{
-			Status: func() dphsrc.ConsoleStatus {
+		ccfg := console.Config{
+			Status: func() console.Status {
 				s := platform.Status()
-				return dphsrc.ConsoleStatus{Round: s.Round, Phase: s.Phase}
+				return console.Status{Round: s.Round, Phase: s.Phase}
 			},
 			Metrics:     reg,
 			Events:      tailBuf,
@@ -257,7 +263,7 @@ func run(args []string) error {
 			ccfg.StoreState = st.State
 		}
 		_, closeConsole, err := startHTTPServer("console", *consoleAdr,
-			dphsrc.NewConsoleServer(ccfg).Handler(), ev)
+			console.New(ccfg).Handler(), ev)
 		if err != nil {
 			return err
 		}
@@ -270,9 +276,9 @@ func run(args []string) error {
 	}
 	defer func() { _ = ln.Close() }() // exit path; RunRound already returned
 	ev.Info("platform.listening",
-		dphsrc.EventString("addr", ln.Addr().String()),
-		dphsrc.EventInt("tasks", *tasks),
-		dphsrc.EventSeconds("window", *window))
+		evlog.String("addr", ln.Addr().String()),
+		evlog.Int("tasks", *tasks),
+		evlog.Seconds("window", *window))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -281,14 +287,14 @@ func run(args []string) error {
 		// Export whatever spans the round produced, even when it fails.
 		defer func() {
 			if err := writeTrace(*traceOut, tracer); err != nil {
-				ev.Error("trace.write_failed", dphsrc.EventString("error", err.Error()))
+				ev.Error("trace.write_failed", evlog.String("error", err.Error()))
 			}
 		}()
 	}
 
 	var (
-		report   dphsrc.RoundReport
-		campaign dphsrc.ProtocolCampaignReport
+		report   protocol.RoundReport
+		campaign protocol.CampaignReport
 		roundErr error
 	)
 	if multi {
@@ -303,7 +309,7 @@ func run(args []string) error {
 	// is exactly what a SIGKILLed process relies on.
 	if st != nil {
 		if err := st.Snapshot(); err != nil {
-			ev.Error("state.snapshot_failed", dphsrc.EventString("error", err.Error()))
+			ev.Error("state.snapshot_failed", evlog.String("error", err.Error()))
 		}
 	}
 
@@ -315,7 +321,7 @@ func run(args []string) error {
 		}
 	}
 	if *manifestOut != "" {
-		if err := writeManifest(*manifestOut, fs, platform, acct, reg, *eventsOut, *traceOut, roundErr); err != nil {
+		if err := writeManifest(*manifestOut, fs, platform, acct, *eventsOut, *traceOut, roundErr); err != nil {
 			return fmt.Errorf("writing manifest: %w", err)
 		}
 	}
@@ -360,9 +366,9 @@ func run(args []string) error {
 // configuration, the resolved mechanism seed, the epsilon, and a
 // content-hash index over the artifacts the run produced. The manifest
 // is written last so every artifact hash is final.
-func writeManifest(path string, fs *flag.FlagSet, platform *dphsrc.Platform, acct *dphsrc.Accountant,
-	reg *dphsrc.TelemetryRegistry, eventsOut, traceOut string, roundErr error) error {
-	m := dphsrc.NewManifest("mcs-platform", dphsrc.TelemetryWallClock())
+func writeManifest(path string, fs *flag.FlagSet, platform *protocol.Platform, acct *mechanism.Accountant,
+	eventsOut, traceOut string, roundErr error) error {
+	m := telemetry.NewManifest("mcs-platform", telemetry.WallClock())
 	fs.VisitAll(func(f *flag.Flag) {
 		m.SetConfig(f.Name, f.Value.String())
 	})
@@ -387,18 +393,17 @@ func writeManifest(path string, fs *flag.FlagSet, platform *dphsrc.Platform, acc
 			return err
 		}
 	}
-	_ = reg // metrics are scrape-only; no artifact to hash
 	return m.WriteFile(path)
 }
 
 // telemetryMux serves the registry's Prometheus text exposition at
 // /metrics and the standard pprof profiles under /debug/pprof/.
-func telemetryMux(reg *dphsrc.TelemetryRegistry, ev *dphsrc.EventLogger) http.Handler {
+func telemetryMux(reg *telemetry.Registry, ev *evlog.Logger) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
-			ev.Warn("telemetry.scrape_failed", dphsrc.EventString("error", err.Error()))
+			ev.Warn("telemetry.scrape_failed", evlog.String("error", err.Error()))
 		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -414,7 +419,7 @@ func telemetryMux(reg *dphsrc.TelemetryRegistry, ev *dphsrc.EventLogger) http.Ha
 // synchronously so a bad address fails the command instead of dying
 // inside a background goroutine; the returned func shuts the server
 // down gracefully, letting in-flight requests finish.
-func startHTTPServer(name, addr string, handler http.Handler, ev *dphsrc.EventLogger) (string, func(), error) {
+func startHTTPServer(name, addr string, handler http.Handler, ev *evlog.Logger) (string, func(), error) {
 	hln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("%s listener: %w", name, err)
@@ -422,10 +427,10 @@ func startHTTPServer(name, addr string, handler http.Handler, ev *dphsrc.EventLo
 	srv := &http.Server{Handler: handler}
 	go func() {
 		if err := srv.Serve(hln); err != nil && err != http.ErrServerClosed {
-			ev.Error(name+".server_error", dphsrc.EventString("error", err.Error()))
+			ev.Error(name+".server_error", evlog.String("error", err.Error()))
 		}
 	}()
-	ev.Info(name+".serving", dphsrc.EventString("addr", hln.Addr().String()))
+	ev.Info(name+".serving", evlog.String("addr", hln.Addr().String()))
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -438,7 +443,7 @@ func startHTTPServer(name, addr string, handler http.Handler, ev *dphsrc.EventLo
 }
 
 // writeTrace exports the tracer's span tree as indented JSON to path.
-func writeTrace(path string, tracer *dphsrc.TelemetryTracer) error {
+func writeTrace(path string, tracer *telemetry.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -452,7 +457,7 @@ func writeTrace(path string, tracer *dphsrc.TelemetryTracer) error {
 
 // hashedSkills derives a deterministic per-worker skill row from the
 // worker's ID, simulating the platform's historical skill store.
-func hashedSkills(lo, hi float64) dphsrc.SkillFunc {
+func hashedSkills(lo, hi float64) protocol.SkillFunc {
 	return func(workerID string, numTasks int) []float64 {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(workerID))

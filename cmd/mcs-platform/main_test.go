@@ -9,7 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 func TestHashedSkillsDeterministicPerWorker(t *testing.T) {
@@ -55,7 +56,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestTelemetryServerServesMetricsAndPprof(t *testing.T) {
-	reg := dphsrc.NewTelemetryRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("mcs_smoke_total", "Smoke counter.").Add(3)
 	addr, closeSrv, err := startHTTPServer("telemetry", "127.0.0.1:0", telemetryMux(reg, nil), nil)
 	if err != nil {
@@ -93,7 +94,7 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 		t.Fatal("round with no workers should degrade")
 	}
 
-	events, err := dphsrc.ReadEventsFile(eventsPath)
+	events, err := evlog.ReadFile(eventsPath)
 	if err != nil {
 		t.Fatalf("events stream invalid: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 		}
 	}
 
-	m, err := dphsrc.ReadManifest(manifestPath)
+	m, err := telemetry.ReadManifest(manifestPath)
 	if err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 }
 
 func TestWriteTraceProducesJSON(t *testing.T) {
-	tracer := dphsrc.NewTelemetryTracer()
+	tracer := telemetry.NewTracer()
 	sp := tracer.StartSpan("round")
 	sp.StartChild("collect-bids").End()
 	sp.End()

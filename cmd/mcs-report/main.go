@@ -30,7 +30,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 func main() {
@@ -87,16 +88,16 @@ func run(args []string, stdout io.Writer) error {
 
 // report is the renderer-neutral model both output formats share.
 type report struct {
-	Manifest *dphsrc.Manifest
+	Manifest *telemetry.Manifest
 	// Checks is the artifact verification outcome, aligned with
 	// Manifest.Artifacts.
-	Checks []dphsrc.ArtifactCheck
+	Checks []telemetry.ArtifactCheck
 	// Events is the decoded stream; nil when no stream was found.
-	Events []dphsrc.Event
+	Events []evlog.Event
 	// EventsPath is where the stream came from, for attribution.
 	EventsPath string
 	// Ledger is the fold of the stream's budget events.
-	Ledger dphsrc.BudgetLedger
+	Ledger evlog.BudgetLedger
 	// Metrics is the raw exposition text, "" when not provided.
 	Metrics string
 	// Problems lists every verification failure -check gates on.
@@ -104,7 +105,7 @@ type report struct {
 }
 
 func buildReport(manifestPath, eventsPath, metricsPath string) (*report, error) {
-	m, err := dphsrc.ReadManifest(manifestPath)
+	m, err := telemetry.ReadManifest(manifestPath)
 	if err != nil {
 		return nil, err
 	}
@@ -130,13 +131,13 @@ func buildReport(manifestPath, eventsPath, metricsPath string) (*report, error) 
 		}
 	}
 	if eventsPath != "" {
-		events, err := dphsrc.ReadEventsFile(eventsPath)
+		events, err := evlog.ReadFile(eventsPath)
 		if err != nil {
 			return nil, fmt.Errorf("events %s: %w", eventsPath, err)
 		}
 		rep.Events = events
 		rep.EventsPath = eventsPath
-		led, err := dphsrc.FoldBudget(events)
+		led, err := evlog.FoldBudget(events)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +204,7 @@ type kv struct {
 	Count int
 }
 
-func summarizeEvents(events []dphsrc.Event) eventSummary {
+func summarizeEvents(events []evlog.Event) eventSummary {
 	s := eventSummary{Total: len(events)}
 	if len(events) == 0 {
 		return s

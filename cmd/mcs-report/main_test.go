@@ -6,21 +6,23 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
+	"github.com/dphsrc/dphsrc/internal/telemetry"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 // writeBundle produces a small but complete provenance bundle in dir:
 // an event stream with metered budget activity, a side artifact, and a
 // manifest hashing both. It returns the manifest path and the
 // accountant so tests can derive the expected ledger.
-func writeBundle(t *testing.T, dir string, mutate func(*dphsrc.Manifest)) string {
+func writeBundle(t *testing.T, dir string, mutate func(*telemetry.Manifest)) string {
 	t.Helper()
-	ev := dphsrc.NewEventLogger()
-	ev.Info("round.start", dphsrc.EventInt("round", 1))
-	ev.Warn("round.fault", dphsrc.EventString("kind", "duplicate_bid"))
-	ev.Info("bid.accepted", dphsrc.EventString("worker", "w1"), dphsrc.EventRedacted("bid"))
+	ev := evlog.New()
+	ev.Info("round.start", evlog.Int("round", 1))
+	ev.Warn("round.fault", evlog.String("kind", "duplicate_bid"))
+	ev.Info("bid.accepted", evlog.String("worker", "w1"), evlog.Redacted("bid"))
 
-	acct, err := dphsrc.NewAccountant(1.5)
+	acct, err := mechanism.NewAccountant(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func writeBundle(t *testing.T, dir string, mutate func(*dphsrc.Manifest)) string
 		t.Fatal(err)
 	}
 
-	m := dphsrc.NewManifest("mcs-report-test", nil)
+	m := telemetry.NewManifest("mcs-report-test", nil)
 	m.SetConfig("rounds", "1")
 	m.AddSeed("instance", 9)
 	m.AddEpsilons(0.5, 1)
@@ -137,7 +139,7 @@ func TestCheckFailsOnTamperedArtifact(t *testing.T) {
 
 func TestCheckFailsOnLedgerDrift(t *testing.T) {
 	dir := t.TempDir()
-	manifestPath := writeBundle(t, dir, func(m *dphsrc.Manifest) {
+	manifestPath := writeBundle(t, dir, func(m *telemetry.Manifest) {
 		// A manifest that claims less spend than the events record is
 		// exactly the lie the reconciliation exists to catch.
 		b := *m.Budget

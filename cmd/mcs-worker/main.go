@@ -21,7 +21,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/dphsrc/dphsrc"
+	"github.com/dphsrc/dphsrc/internal/crowd"
+	"github.com/dphsrc/dphsrc/internal/faultnet"
+	"github.com/dphsrc/dphsrc/internal/protocol"
 )
 
 func main() {
@@ -66,9 +68,9 @@ func run(args []string) error {
 	// if observing the same physical world) and flip each observation
 	// with probability 1-accuracy.
 	truthRand := rand.New(rand.NewSource(*truthSeed))
-	truth := dphsrc.TrueLabels(truthRand, 1<<16)
+	truth := crowd.TrueLabels(truthRand, 1<<16)
 	obsRand := rand.New(rand.NewSource(hashID(*id)))
-	labels := func(task int) dphsrc.Label {
+	labels := func(task int) crowd.Label {
 		l := truth[task%len(truth)]
 		if obsRand.Float64() >= *accuracy {
 			l = -l
@@ -81,16 +83,16 @@ func run(args []string) error {
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 
-	cfg := dphsrc.WorkerConfig{
+	cfg := protocol.WorkerConfig{
 		ID:             *id,
 		Bundle:         bundle,
 		Cost:           *cost,
 		Labels:         labels,
-		Retry:          dphsrc.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBase},
+		Retry:          protocol.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBase},
 		AttemptTimeout: *attemptTimeout,
 	}
 	if *chaosDrop > 0 || *chaosDelay > 0 || *chaosCorrupt > 0 {
-		inj, err := dphsrc.NewFaultInjector(dphsrc.FaultPlan{
+		inj, err := faultnet.New(faultnet.Plan{
 			Seed:        *chaosSeed,
 			DropRate:    *chaosDrop,
 			DelayRate:   *chaosDelay,
@@ -99,10 +101,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg.Dialer = &dphsrc.FaultDialer{Injector: inj, Key: *id}
+		cfg.Dialer = &faultnet.Dialer{Injector: inj, Key: *id}
 	}
 
-	report, err := dphsrc.Participate(ctx, *addr, cfg)
+	report, err := protocol.Participate(ctx, *addr, cfg)
 	if err != nil {
 		return err
 	}

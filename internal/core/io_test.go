@@ -45,3 +45,24 @@ func TestDecodeRejects(t *testing.T) {
 		t.Errorf("invalid instance: got %v", err)
 	}
 }
+
+func TestDecodeRejectsTrailingInput(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(3)))
+	var one bytes.Buffer
+	if err := EncodeInstance(&one, inst); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string]string{
+		"trailing garbage":  one.String() + "trailing",
+		"second instance":   one.String() + one.String(),
+		"trailing brace":    one.String() + "}",
+		"unterminated rest": one.String() + `{"NumTasks"`,
+	} {
+		if _, err := DecodeInstance(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := DecodeInstance(strings.NewReader(one.String() + " \n\t\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}

@@ -584,12 +584,19 @@ func degradeReason(err error) string {
 func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
+	// Phase boundaries come from the registry's clock, or the event
+	// logger's when no registry is attached, so a round.phase event
+	// never reads a nil registry's zero as a duration.
+	now := reg.Now
+	if reg == nil {
+		now = ev.Now
+	}
 	// phaseDone times a phase into the histogram and mirrors it as a
 	// round.phase event carrying the phase's span ID and the round's
 	// root span ID, so a log line can be joined to the trace tree.
 	phaseDone := func(name string, span *telemetry.Span, h *telemetry.Histogram, start time.Time) {
 		span.End()
-		el := reg.Since(start)
+		el := now().Sub(start).Seconds()
 		h.Observe(el)
 		ev.Debug("round.phase",
 			evlog.String("phase", name),
@@ -616,7 +623,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	defer p.coord.CloseRound()
 
 	p.setStatus(round, PhaseCollectBids)
-	collectStart := reg.Now()
+	collectStart := now()
 	collectSpan := root.StartChild("collect-bids")
 	sessions, faults, err := p.collectBids(ctx, ln, collectSpan.ID())
 	phaseDone("collect-bids", collectSpan, p.met.phaseCollect, collectStart)
@@ -647,7 +654,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		evlog.Int("faults", faults.Total()))
 
 	p.setStatus(round, PhaseAuction)
-	auctionStart := reg.Now()
+	auctionStart := now()
 	auctionSpan := root.StartChild("auction")
 	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round, auctionSpan.ID(), &faults)
 	phaseDone("auction", auctionSpan, p.met.phaseAuction, auctionStart)
@@ -670,7 +677,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	}
 
 	p.setStatus(round, PhaseLabels)
-	labelsStart := reg.Now()
+	labelsStart := now()
 	labelsSpan := root.StartChild("labels")
 
 	// Notify losers and release them.
@@ -754,7 +761,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	report.Faults = faults
 
 	p.setStatus(round, PhaseAggregate)
-	aggStart := reg.Now()
+	aggStart := now()
 	aggSpan := root.StartChild("aggregate")
 	agg, err := crowd.WeightedAggregate(reports, skills, p.cfg.NumTasks)
 	phaseDone("aggregate", aggSpan, p.met.phaseAggregate, aggStart)

@@ -155,6 +155,77 @@ func TestFullRoundEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPhaseEventsTimedWithoutRegistry: a round with an event logger but
+// no metrics registry still times its phases, on the logger's clock.
+// Every round.phase event carries a real duration, and the four of them
+// fit inside the round's wall time.
+func TestPhaseEventsTimedWithoutRegistry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := testPlatformConfig(t)
+	if cfg.Telemetry != nil {
+		t.Fatal("test config must run without a registry")
+	}
+	platform, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	errCh := make(chan error, 1)
+	var wall time.Duration
+	go func() {
+		start := time.Now()
+		_, err := platform.RunRound(ctx, ln)
+		wall = time.Since(start)
+		errCh <- err
+	}()
+	runWorkers(ctx, t, ln.Addr().String(), 6)
+	if err := <-errCh; err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+
+	var buf strings.Builder
+	if err := cfg.Events.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := evlog.ReadJSONL(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := make(map[string]float64)
+	var (
+		n   int
+		sum float64
+	)
+	for _, e := range events {
+		if e.Name != "round.phase" {
+			continue
+		}
+		n++
+		phase, _ := e.Str("phase")
+		el, ok := e.Float("elapsed_seconds")
+		if !ok || el < 0 {
+			t.Errorf("phase %q elapsed_seconds = %v (present %v), want >= 0", phase, el, ok)
+		}
+		elapsed[phase] = el
+		sum += el
+	}
+	if n != 4 || len(elapsed) != 4 {
+		t.Fatalf("%d round.phase events for %v, want one per phase", n, elapsed)
+	}
+	if elapsed["collect-bids"] <= 0 {
+		t.Errorf("collect-bids elapsed %v, want > 0", elapsed["collect-bids"])
+	}
+	if sum > wall.Seconds() {
+		t.Errorf("phases sum to %vs, longer than the %vs round", sum, wall.Seconds())
+	}
+}
+
 func TestDuplicateWorkerRejected(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
