@@ -214,7 +214,11 @@ var auditedEpsilons = []float64{0.25, 1, 5, 45, 200, 1000}
 // accountant's exact ledger and the SHA-256 of every artifact written.
 // The manifest goes last, after all artifact bytes are final.
 func auditedSweep(fs *flag.FlagSet, workers int, benchOut, eventsOut, manifestOut string) error {
-	ev := evlog.New()
+	ev, closeEvents, err := evlog.Stream(eventsOut, nil)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = closeEvents() }() // early-return path; the exit path checks it
 	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(auditedSeed)))
 	if err != nil {
 		return err
@@ -242,10 +246,8 @@ func auditedSweep(fs *flag.FlagSet, workers int, benchOut, eventsOut, manifestOu
 		}
 	}
 
-	if eventsOut != "" {
-		if err := ev.WriteFile(eventsOut); err != nil {
-			return err
-		}
+	if err := closeEvents(); err != nil {
+		return fmt.Errorf("writing events: %w", err)
 	}
 	if manifestOut == "" {
 		return nil

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -108,11 +109,17 @@ func run(args []string) error {
 		return err
 	}
 
-	var evOpts []evlog.Option
+	// -events-out streams every event to its file as it is emitted,
+	// alongside stderr unless -quiet.
+	var stderr io.Writer
 	if !*quiet {
-		evOpts = append(evOpts, evlog.WithSink(os.Stderr))
+		stderr = os.Stderr
 	}
-	ev := evlog.New(evOpts...)
+	ev, closeEvents, err := evlog.Stream(*eventsOut, stderr)
+	if err != nil {
+		return fmt.Errorf("creating events file: %w", err)
+	}
+	defer func() { _ = closeEvents() }() // early-return path; the exit path checks it
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -182,10 +189,8 @@ func run(args []string) error {
 			return fmt.Errorf("writing benchmark record: %w", err)
 		}
 	}
-	if *eventsOut != "" {
-		if err := ev.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing events: %w", err)
-		}
+	if err := closeEvents(); err != nil {
+		return fmt.Errorf("writing events: %w", err)
 	}
 	if *manifestOut != "" {
 		m := telemetry.NewManifest("mcs-loadgen", telemetry.WallClock())

@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -93,20 +94,27 @@ func run(args []string) error {
 
 	// The event logger is the daemon's only log: every operational line
 	// is a structured, redaction-typed event. By default it streams
-	// JSONL to stderr; -events-out persists the same stream to a file.
-	var evOpts []evlog.Option
+	// JSONL to stderr; -events-out streams the same lines to a file.
+	// The console's drill-down view tails the stream through a bounded
+	// ring attached to the logger; it must be wired in before the first
+	// event is emitted so the ring misses nothing.
+	var (
+		stderr  io.Writer
+		evOpts  []evlog.Option
+		tailBuf *evlog.TailBuffer
+	)
 	if !*quiet {
-		evOpts = append(evOpts, evlog.WithSink(os.Stderr))
+		stderr = os.Stderr
 	}
-	// The console's drill-down view tails the same event stream through
-	// a bounded ring attached to the logger; it must be wired in before
-	// the first event is emitted so the ring misses nothing.
-	var tailBuf *evlog.TailBuffer
 	if *consoleAdr != "" {
 		tailBuf = evlog.NewTailBuffer(0)
 		evOpts = append(evOpts, evlog.WithTail(tailBuf))
 	}
-	ev := evlog.New(evOpts...)
+	ev, closeEvents, err := evlog.Stream(*eventsOut, stderr, evOpts...)
+	if err != nil {
+		return fmt.Errorf("creating events file: %w", err)
+	}
+	defer func() { _ = closeEvents() }() // early-return path; the exit path checks it
 
 	var (
 		reg    *telemetry.Registry
@@ -313,12 +321,11 @@ func run(args []string) error {
 		}
 	}
 
-	// Persist the event stream and manifest even for failed rounds: a
-	// failed run's provenance is exactly what the operator wants.
-	if *eventsOut != "" {
-		if err := ev.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing events: %w", err)
-		}
+	// Finish the event stream and write the manifest even for failed
+	// rounds: a failed run's provenance is exactly what the operator
+	// wants.
+	if err := closeEvents(); err != nil {
+		return fmt.Errorf("writing events: %w", err)
 	}
 	if *manifestOut != "" {
 		if err := writeManifest(*manifestOut, fs, platform, acct, *eventsOut, *traceOut, roundErr); err != nil {

@@ -125,6 +125,23 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 	}
 }
 
+// TestFailingEventsSinkFailsRun: an event that cannot be written to
+// -events-out fails the run with the write error rather than the
+// round's own degradation.
+func TestFailingEventsSinkFailsRun(t *testing.T) {
+	const full = "/dev/full" // every write fails with ENOSPC
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("no %s on this system", full)
+	}
+	err := run([]string{
+		"-addr", "127.0.0.1:0", "-window", "50ms", "-quiet",
+		"-events-out", full,
+	})
+	if err == nil || !strings.Contains(err.Error(), "writing events") {
+		t.Fatalf("run = %v, want the events write error", err)
+	}
+}
+
 func TestWriteTraceProducesJSON(t *testing.T) {
 	tracer := telemetry.NewTracer()
 	sp := tracer.StartSpan("round")

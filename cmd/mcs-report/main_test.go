@@ -17,7 +17,11 @@ import (
 // accountant so tests can derive the expected ledger.
 func writeBundle(t *testing.T, dir string, mutate func(*telemetry.Manifest)) string {
 	t.Helper()
-	ev := evlog.New()
+	eventsPath := filepath.Join(dir, "events.jsonl")
+	ev, closeEvents, err := evlog.Stream(eventsPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev.Info("round.start", evlog.Int("round", 1))
 	ev.Warn("round.fault", evlog.String("kind", "duplicate_bid"))
 	ev.Info("bid.accepted", evlog.String("worker", "w1"), evlog.Redacted("bid"))
@@ -36,8 +40,7 @@ func writeBundle(t *testing.T, dir string, mutate func(*telemetry.Manifest)) str
 		t.Fatal("overdraw accepted")
 	}
 
-	eventsPath := filepath.Join(dir, "events.jsonl")
-	if err := ev.WriteFile(eventsPath); err != nil {
+	if err := closeEvents(); err != nil {
 		t.Fatal(err)
 	}
 	sidePath := filepath.Join(dir, "notes.txt")

@@ -11,7 +11,7 @@
 // re-exports, from the library's internal packages:
 //
 //   - the mechanism, Algorithm 1, with its outcome check and instance
-//     codec (Instance, Auction, New, VerifyOutcome, DecodeInstance);
+//     decoder (Instance, Auction, New, VerifyOutcome, DecodeInstance);
 //   - the exact "Optimal" baseline solver used in the paper's
 //     evaluation (Optimal);
 //   - sensing and aggregation: label simulation, Lemma-1 weighted
@@ -20,9 +20,8 @@
 //   - the privacy measures: leakage, the Bayes-optimal distinguisher,
 //     composition and budget accounting (MeasureLeakage, EpsilonSweep,
 //     NewDistinguisher, NewAccountant);
-//   - the workloads: the Table-I settings, the geotagging road network
-//     and seeded randomness (SettingI..SettingIV, NewRoadNetwork,
-//     NewSeeder);
+//   - the workloads: the Table-I settings and seeded randomness
+//     (SettingI..SettingIV, NewSeeder);
 //   - the experiment runners that regenerate every figure and table of
 //     the paper (Figure1..Figure5, Table2);
 //   - the served round: the TCP platform and worker client for running
@@ -47,7 +46,6 @@ import (
 	"github.com/dphsrc/dphsrc/internal/core"
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/experiment"
-	"github.com/dphsrc/dphsrc/internal/geo"
 	"github.com/dphsrc/dphsrc/internal/ilp"
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/privacy"
@@ -114,10 +112,6 @@ var ErrInfeasible = core.ErrInfeasible
 // (coverage, individual rationality, payment consistency).
 var VerifyOutcome = core.VerifyOutcome
 
-// EncodeInstance writes a validated instance as JSON (the format
-// cmd/dphsrc reads with -instance).
-var EncodeInstance = core.EncodeInstance
-
 // DecodeInstance reads and validates one JSON instance, rejecting any
 // input that follows it.
 var DecodeInstance = core.DecodeInstance
@@ -150,8 +144,6 @@ type (
 	EMResult = crowd.EMResult
 	// EMOptions configures EstimateSkills.
 	EMOptions = crowd.EMOptions
-	// TwoCoinResult is the two-coin truth-discovery output.
-	TwoCoinResult = crowd.TwoCoinResult
 )
 
 // Label values.
@@ -182,9 +174,6 @@ var (
 	// EstimateSkills runs one-coin Dawid-Skene EM truth discovery to
 	// recover worker accuracies without ground truth.
 	EstimateSkills = crowd.EstimateSkills
-	// EstimateSkillsTwoCoin runs full Dawid-Skene EM with separate
-	// per-worker sensitivity and specificity, for biased workers.
-	EstimateSkillsTwoCoin = crowd.EstimateSkillsTwoCoin
 	// SkillMatrix expands per-worker accuracies to the theta matrix the
 	// auction consumes.
 	SkillMatrix = crowd.SkillMatrix
@@ -225,9 +214,6 @@ var (
 	// AdvantageBound is the cap epsilon-DP places on any
 	// single-observation attacker's advantage over random guessing.
 	AdvantageBound = privacy.AdvantageBound
-	// ComposedEpsilon is the basic sequential-composition budget k*eps
-	// for k repeated auction rounds on the same bids.
-	ComposedEpsilon = privacy.ComposedEpsilon
 	// RoundsToDistinguish is the number of repeated observations after
 	// which the composed DP bound first permits the target advantage.
 	RoundsToDistinguish = privacy.RoundsToDistinguish
@@ -239,19 +225,11 @@ var (
 	ErrBudgetExhausted = mechanism.ErrBudgetExhausted
 )
 
-// Workloads (internal/workload, internal/geo, internal/stats).
+// Workloads (internal/workload, internal/stats).
 type (
 	// WorkloadParams describes one simulated instance family (a row of
 	// the paper's Table I).
 	WorkloadParams = workload.Params
-	// RoadNetwork is a grid road network whose segments are tasks: the
-	// paper's motivating geotagging scenario with spatially correlated
-	// bundles.
-	RoadNetwork = geo.RoadNetwork
-	// Commute is a worker's route (her bidding bundle).
-	Commute = geo.Commute
-	// GeoWorkloadParams configures road-network instance generation.
-	GeoWorkloadParams = geo.WorkloadParams
 	// Seeder derives independent child seeds from a root seed.
 	Seeder = stats.Seeder
 )
@@ -265,10 +243,6 @@ var (
 	SettingIII = workload.SettingIII
 	// SettingIV is Table I row IV: N=1000, K in [200,500].
 	SettingIV = workload.SettingIV
-	// NewRoadNetwork builds a grid road network of the given dimensions.
-	NewRoadNetwork = geo.NewRoadNetwork
-	// CoverageHeat counts how many bundles include each segment.
-	CoverageHeat = geo.CoverageHeat
 	// NewSeeder returns a Seeder rooted at the given seed.
 	NewSeeder = stats.NewSeeder
 )
@@ -311,7 +285,8 @@ type (
 	// SkillFunc supplies the platform's skill estimate for a worker.
 	SkillFunc = protocol.SkillFunc
 	// SkillStore is the platform's learning skill record, updated by
-	// truth discovery after every round (see Platform.RunCampaign).
+	// truth discovery after every round (see
+	// Platform.RunCampaignTolerant).
 	SkillStore = protocol.SkillStore
 	// WorkerConfig describes one participating worker client.
 	WorkerConfig = protocol.WorkerConfig

@@ -236,22 +236,3 @@ func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
 }
-
-// enclosingFuncs returns the stack of function declarations and
-// literals containing pos in file, outermost first.
-func enclosingFuncName(file *ast.File, pos token.Pos) string {
-	name := ""
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if pos < n.Pos() || pos >= n.End() {
-			return false // not an ancestor: prune
-		}
-		if fd, ok := n.(*ast.FuncDecl); ok {
-			name = fd.Name.Name
-		}
-		return true
-	})
-	return name
-}

@@ -459,7 +459,7 @@ func (tc *taintCtx) mask(expr ast.Expr, locals map[types.Object]taintMask, prune
 		}
 		return locals[obj]
 	case *ast.SelectorExpr:
-		if sensitiveSelectorInfo(tc.pkg.Info, tc.prog.policy, n) {
+		if readsSensitiveField(tc.pkg.Info, tc.prog.policy, n) {
 			return maskSource
 		}
 		return tc.mask(n.X, locals, pruneEvlog)
@@ -779,8 +779,9 @@ func pkgFuncCallInfo(info *types.Info, call *ast.CallExpr, pkgPath string) (stri
 	return sel.Sel.Name, true
 }
 
-// sensitiveSelectorInfo is Pass.sensitiveSelector without a Pass.
-func sensitiveSelectorInfo(info *types.Info, policy *Policy, sel *ast.SelectorExpr) bool {
+// readsSensitiveField reports whether sel reads a policy-declared
+// sensitive field (e.g. Worker.Bid, WorkerConfig.Cost, Message.Price).
+func readsSensitiveField(info *types.Info, policy *Policy, sel *ast.SelectorExpr) bool {
 	typeName := baseTypeName(info.TypeOf(sel.X))
 	if typeName == "" {
 		return false

@@ -168,16 +168,6 @@ func (p *Pass) leakCheckFunc(fd *ast.FuncDecl) {
 	})
 }
 
-// sensitiveSelector reports whether sel reads a policy-declared
-// sensitive field (e.g. Worker.Bid, WorkerConfig.Cost, Message.Price).
-func (p *Pass) sensitiveSelector(sel *ast.SelectorExpr) bool {
-	typeName := baseTypeName(p.Info.TypeOf(sel.X))
-	if typeName == "" {
-		return false
-	}
-	return p.Policy.Sensitive(typeName, sel.Sel.Name)
-}
-
 // printSink classifies call as a print/log sink and names it.
 func (p *Pass) printSink(call *ast.CallExpr) (string, bool) {
 	if name, ok := p.pkgFuncCall(call, "fmt"); ok {

@@ -256,7 +256,6 @@ func (p *Policy) IsDPRelease(name string) bool {
 //	internal/privacy         —     DPL001   FLT all    —         —          —
 //	internal/experiment      DET003 —       FLT001     —         ✓          —          (report emission must be order-stable)
 //	internal/workload        ✓     —        FLT all    —         —          —
-//	internal/geo             ✓     —        FLT all    —         —          —
 //	internal/plot            ✓     —        FLT all    —         —          —          (charts must render byte-stable)
 //	internal/console         ✓     DPL001   —          ✓         CON1-3     —          (golden pages must render byte-stable; no bid value may reach a response)
 //	internal/protocol        —     ✓+DPL003 FLT001     ✓         ✓          ✓          (evlog is the only sanctioned log sink)
@@ -288,10 +287,9 @@ func DefaultPolicy() *Policy {
 			{Match: "internal/crowd", Enable: floats},
 			{Match: "internal/privacy", Enable: append([]string{CodeLeakSink}, floats...)},
 			{Match: "internal/experiment", Enable: append([]string{CodeMapOrder, CodeFloatEq}, cons...)},
-			// Workload/geo generators and the plot renderer feed the
+			// The workload generators and the plot renderer feed the
 			// experiment pipeline: same reproducibility bar as stats.
 			{Match: "internal/workload", Enable: append(append([]string{}, det...), floats...)},
-			{Match: "internal/geo", Enable: append(append([]string{}, det...), floats...)},
 			{Match: "internal/plot", Enable: append(append([]string{}, det...), floats...)},
 			// The operator console serves HTML and JSON derived only from
 			// redaction-safe surfaces: leak-sink taint machine-catches a

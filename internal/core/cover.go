@@ -224,11 +224,9 @@ type gainItem struct {
 
 // gainHeap is a max-heap on gain with deterministic tie-breaking on the
 // earlier candidate rank (matching the first-max scan of a naive
-// argmax over the bid-sorted candidate list). The sift operations are
-// transliterated from container/heap so the element layout — and
-// therefore the exact sequence of lazy re-evaluations — is identical to
-// the previous heap.Interface implementation, while avoiding the
-// interface boxing that allocated on every Pop.
+// argmax over the bid-sorted candidate list). Ranks are unique, so the
+// order is strict and the root is the unique maximum whatever the
+// layout (TestPropertyGainHeapRootIgnoresLayout).
 type gainHeap []gainItem
 
 func (h gainHeap) less(a, b int) bool {
@@ -239,8 +237,7 @@ func (h gainHeap) less(a, b int) bool {
 	return h[a].rank < h[b].rank
 }
 
-// siftDown restores the heap property below i0 within h[:n], exactly
-// mirroring container/heap's down.
+// siftDown restores the heap property below i0 within h[:n].
 func (h gainHeap) siftDown(i0, n int) {
 	i := i0
 	for {
@@ -260,7 +257,7 @@ func (h gainHeap) siftDown(i0, n int) {
 	}
 }
 
-// initHeap establishes the heap property, mirroring container/heap.Init.
+// initHeap establishes the heap property.
 func (h gainHeap) initHeap() {
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
@@ -268,8 +265,7 @@ func (h gainHeap) initHeap() {
 	}
 }
 
-// popTop removes the root, mirroring container/heap.Pop's swap-to-tail
-// order so the post-pop layout matches the stdlib implementation.
+// popTop removes the root.
 func (h gainHeap) popTop() gainHeap {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]

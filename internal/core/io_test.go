@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -13,27 +14,17 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
 		inst := randomInstance(r)
-		var buf bytes.Buffer
-		if err := EncodeInstance(&buf, inst); err != nil {
+		raw, err := json.Marshal(inst)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeInstance(&buf)
+		got, err := DecodeInstance(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(inst, got) {
 			t.Fatalf("round trip changed the instance:\nin:  %+v\nout: %+v", inst, got)
 		}
-	}
-}
-
-func TestEncodeRejectsInvalid(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeInstance(&buf, Instance{}); !errors.Is(err, ErrNoWorkers) {
-		t.Errorf("want ErrNoWorkers, got %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Error("invalid instance partially encoded")
 	}
 }
 
@@ -47,22 +38,22 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingInput(t *testing.T) {
-	inst := randomInstance(rand.New(rand.NewSource(3)))
-	var one bytes.Buffer
-	if err := EncodeInstance(&one, inst); err != nil {
+	raw, err := json.Marshal(randomInstance(rand.New(rand.NewSource(3))))
+	if err != nil {
 		t.Fatal(err)
 	}
+	one := string(raw)
 	for name, in := range map[string]string{
-		"trailing garbage":  one.String() + "trailing",
-		"second instance":   one.String() + one.String(),
-		"trailing brace":    one.String() + "}",
-		"unterminated rest": one.String() + `{"NumTasks"`,
+		"trailing garbage":  one + "trailing",
+		"second instance":   one + one,
+		"trailing brace":    one + "}",
+		"unterminated rest": one + `{"NumTasks"`,
 	} {
 		if _, err := DecodeInstance(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := DecodeInstance(strings.NewReader(one.String() + " \n\t\n")); err != nil {
+	if _, err := DecodeInstance(strings.NewReader(one + " \n\t\n")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +168,87 @@ func TestVerifyOutcomeRejections(t *testing.T) {
 	if err := VerifyOutcome(inst, infeasible); err != nil {
 		t.Errorf("infeasible outcome should pass structural checks: %v", err)
 	}
+}
+
+// TestPropertyGainHeapRootIgnoresLayout: gainHeap.less is a strict
+// total order (gain, then a unique rank), so after initHeap, popTop or
+// a root update + siftDown the root is the unique maximum whatever the
+// array's layout. Every permutation of the items therefore drives the
+// same root sequence through the same operations, which keeps the lazy
+// greedy's re-evaluation sequence, and GainEvaluations with it, a
+// function of the candidates alone.
+func TestPropertyGainHeapRootIgnoresLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(307))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(7)
+		items := make([]gainItem, n)
+		for i, rank := range r.Perm(n) {
+			// Gains from {1, 2, 3}: ties are common, so rank decides.
+			items[i] = gainItem{worker: i, rank: rank, gain: float64(1 + r.Intn(3))}
+		}
+		opSeed := r.Int63()
+		want := rootSequence(items, opSeed)
+		perms := 0
+		forEachPermutation(items, func(perm []gainItem) {
+			perms++
+			if got := rootSequence(perm, opSeed); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: layout %v gives root ranks %v, want %v", trial, perm, got, want)
+			}
+		})
+		if perms != factorial(n) {
+			t.Fatalf("trial %d: visited %d permutations, want %d", trial, perms, factorial(n))
+		}
+	}
+}
+
+// rootSequence heapifies a copy of items and records the root's rank
+// after initHeap and after every operation until the heap empties. The
+// seeded stream picks each operation: popTop, or the lazy greedy's
+// stale-root step, which lowers the root's gain (never raises it, by
+// submodularity) and sifts it down.
+func rootSequence(items []gainItem, opSeed int64) []int {
+	h := append(gainHeap(nil), items...)
+	h.initHeap()
+	ops := rand.New(rand.NewSource(opSeed))
+	var seq []int
+	for len(h) > 0 {
+		seq = append(seq, h[0].rank)
+		if ops.Intn(2) == 0 {
+			h = h.popTop()
+			continue
+		}
+		h[0].gain = float64(ops.Intn(int(h[0].gain) + 1))
+		h.siftDown(0, len(h))
+	}
+	return seq
+}
+
+// forEachPermutation calls fn with every ordering of xs, permuting it
+// in place (Heap's algorithm); fn must not retain its argument.
+func forEachPermutation(xs []gainItem, fn func([]gainItem)) {
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			fn(xs)
+			return
+		}
+		for i := 0; i < k-1; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				xs[i], xs[k-1] = xs[k-1], xs[i]
+			} else {
+				xs[0], xs[k-1] = xs[k-1], xs[0]
+			}
+		}
+		gen(k - 1)
+	}
+	gen(len(xs))
+}
+
+func factorial(n int) int {
+	f := 1
+	for k := 2; k <= n; k++ {
+		f *= k
+	}
+	return f
 }

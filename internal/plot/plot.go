@@ -1,8 +1,7 @@
 // Package plot renders the experiment harness's figures without any
 // external plotting dependency: line charts with error bars as SVG
-// (the substitution for the paper's MATLAB figures), quick ASCII charts
-// for terminals, and aligned text/CSV tables. Only the standard library
-// is used.
+// (the substitution for the paper's MATLAB figures) and aligned
+// text/CSV tables. Only the standard library is used.
 package plot
 
 import (

@@ -101,27 +101,6 @@ func TestSVGDegenerateRanges(t *testing.T) {
 	}
 }
 
-func TestASCIIRenders(t *testing.T) {
-	c := sampleChart()
-	out, err := c.ASCII(60, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "o") || !strings.Contains(out, "x") {
-		t.Error("ASCII markers missing")
-	}
-	if !strings.Contains(out, "DP-hSRC") {
-		t.Error("ASCII legend missing")
-	}
-}
-
-func TestASCIIMinimumSize(t *testing.T) {
-	c := sampleChart()
-	if _, err := c.ASCII(1, 1); err != nil {
-		t.Fatalf("tiny size should be clamped, got %v", err)
-	}
-}
-
 func TestNiceTicks(t *testing.T) {
 	ticks := niceTicks(0, 100, 6)
 	if len(ticks) < 3 || len(ticks) > 12 {

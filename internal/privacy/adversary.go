@@ -146,18 +146,6 @@ func AdvantageBound(eps float64) float64 {
 	return (e - 1) / (2 * (e + 1))
 }
 
-// ComposedEpsilon returns the privacy budget consumed by k independent
-// runs of an epsilon-DP mechanism on the same data (basic sequential
-// composition): k*eps. A worker re-running the auction k times to
-// average out the noise faces exactly this degradation, which is why
-// the platform must account rounds against a global budget.
-func ComposedEpsilon(eps float64, rounds int) float64 {
-	if rounds <= 0 {
-		return 0
-	}
-	return float64(rounds) * eps
-}
-
 // RoundsToDistinguish returns how many repeated observations an
 // attacker needs before the composed advantage bound reaches the given
 // target advantage in (0, 1/2): the smallest k with

@@ -186,15 +186,6 @@ func randomFeasibleInstance(r *rand.Rand) core.Instance {
 	return inst
 }
 
-func TestComposedEpsilon(t *testing.T) {
-	if got := ComposedEpsilon(0.1, 10); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("composition = %v, want 1.0", got)
-	}
-	if ComposedEpsilon(0.1, 0) != 0 || ComposedEpsilon(0.1, -3) != 0 {
-		t.Error("non-positive rounds should compose to 0")
-	}
-}
-
 func TestRoundsToDistinguish(t *testing.T) {
 	k, err := RoundsToDistinguish(0.1, 0.25)
 	if err != nil {

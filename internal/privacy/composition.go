@@ -2,7 +2,7 @@ package privacy
 
 // ParallelComposedEpsilon returns the privacy budget consumed by
 // mechanisms run on disjoint subsets of the protected data — parallel
-// composition. Where sequential composition (ComposedEpsilon) charges
+// composition. Where sequential composition charges
 // the sum of the per-release epsilons because every release observes
 // the same bids, parallel composition charges only the maximum: each
 // worker's bid enters exactly one partition's mechanism, so from any

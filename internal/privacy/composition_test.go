@@ -57,9 +57,6 @@ func TestParallelComposedEpsilon(t *testing.T) {
 	if got := ParallelComposedEpsilon(per...); got != eps {
 		t.Fatalf("64 uniform partitions compose to %v, want exactly %v", got, eps)
 	}
-	if seq := ComposedEpsilon(eps, 64); seq != 64*eps {
-		t.Fatalf("sequential composition = %v, want %v", seq, 64*eps)
-	}
 }
 
 // TestAccountantZeroEpsilonSpend: non-positive spends are typed

@@ -152,38 +152,27 @@ type CampaignReport struct {
 	Rounds []RoundReport
 	// TotalPayment sums the platform's spend across rounds.
 	TotalPayment float64
-	// FailedRounds counts rounds skipped by RunCampaignTolerant after
-	// a degradation error (always zero under RunCampaign, which aborts
-	// on the first failure instead).
+	// FailedRounds counts rounds skipped after a degradation error.
 	FailedRounds int
 	// RoundErrors records the degradation error text per skipped round.
 	RoundErrors []string
 }
 
-// RunCampaign executes `rounds` sequential auction rounds on the
-// listener, updating the skill store from each round's reports before
-// the next begins. The platform must have been built with
+// RunCampaignTolerant executes `rounds` sequential auction rounds on
+// the listener, updating the skill store from each round's reports
+// before the next begins. The platform must have been built with
 // cfg.Skills = store.Func() for the learning to take effect; passing a
 // different store is allowed but pointless. Workers reconnect each
-// round. The first failed round aborts the campaign.
-func (p *Platform) RunCampaign(ctx context.Context, ln net.Listener, rounds int, store *SkillStore) (CampaignReport, error) {
-	return p.runCampaign(ctx, ln, rounds, store, false)
-}
-
-// RunCampaignTolerant is RunCampaign for lossy networks: a round that
-// fails with a degradation error (see IsDegraded — no bids, no quorum,
-// infeasible surviving bid set) is recorded in FailedRounds/RoundErrors
-// and skipped rather than aborting the whole campaign. Degraded rounds
-// spend no privacy budget, so skipping is safe under composition. Hard
-// failures — context cancellation, budget exhaustion, listener errors —
-// still abort.
+// round.
+//
+// It tolerates lossy networks: a round that fails with a degradation
+// error (see IsDegraded — no bids, no quorum, infeasible surviving bid
+// set) is recorded in FailedRounds/RoundErrors and skipped rather than
+// aborting the whole campaign. Degraded rounds spend no privacy
+// budget, so skipping is safe under composition. Hard failures —
+// context cancellation, budget exhaustion, listener errors — still
+// abort.
 func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rounds int, store *SkillStore) (CampaignReport, error) {
-	return p.runCampaign(ctx, ln, rounds, store, true)
-}
-
-// runCampaign is the campaign loop behind both entry points; tolerant
-// skips degraded rounds instead of aborting on them.
-func (p *Platform) runCampaign(ctx context.Context, ln net.Listener, rounds int, store *SkillStore, tolerant bool) (CampaignReport, error) {
 	if rounds <= 0 {
 		return CampaignReport{}, ErrNoRounds
 	}
@@ -198,7 +187,7 @@ func (p *Platform) runCampaign(ctx context.Context, ln net.Listener, rounds int,
 		}
 		rep, reports, err := p.runRoundCollecting(ctx, ln)
 		if err != nil {
-			if !tolerant || !IsDegraded(err) {
+			if !IsDegraded(err) {
 				return campaign, fmt.Errorf("protocol: round %d: %w", round+1, err)
 			}
 			campaign.FailedRounds++

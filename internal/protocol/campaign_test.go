@@ -100,7 +100,7 @@ func TestRunCampaignLearnsSkills(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		c, err := platform.RunCampaign(ctx, ln, rounds, store)
+		c, err := platform.RunCampaignTolerant(ctx, ln, rounds, store)
 		resCh <- result{c, err}
 	}()
 
@@ -164,12 +164,12 @@ func TestRunCampaignValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := platform.RunCampaign(context.Background(), nil, 0, nil); !errors.Is(err, ErrNoRounds) {
+	if _, err := platform.RunCampaignTolerant(context.Background(), nil, 0, nil); !errors.Is(err, ErrNoRounds) {
 		t.Errorf("zero rounds: got %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := platform.RunCampaign(ctx, nil, 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := platform.RunCampaignTolerant(ctx, nil, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: got %v", err)
 	}
 }

@@ -212,10 +212,7 @@ func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtP
 	if len(bids) == 0 {
 		return builtPartition{status: StatusEmpty}
 	}
-	inst, err := c.cfg.buildInstance(bids)
-	if err != nil {
-		return builtPartition{status: StatusInfeasible, bids: bids, err: err}
-	}
+	inst := c.cfg.buildInstance(bids)
 	c.rows[idx] = inst.Skills
 	if prev := c.reuse[idx]; prev != nil {
 		// Rebuild in place: bitwise-identical to a fresh New, without

@@ -221,28 +221,25 @@ func partitionSeed(roundSeed int64, idx int) int64 {
 }
 
 // buildInstance assembles one partition's core auction instance from
-// its admitted bids (already sorted by worker ID).
-func (c *Config) buildInstance(bids []Bid) (core.Instance, error) {
+// its admitted bids (already sorted by worker ID). The instance aliases
+// the config's thresholds and grid and the bids' bundles: core.New and
+// Auction.Rebuild validate it and build from their own deep copy.
+func (c *Config) buildInstance(bids []Bid) core.Instance {
 	inst := core.Instance{
 		NumTasks:   c.NumTasks,
-		Thresholds: append([]float64(nil), c.Thresholds...),
+		Thresholds: c.Thresholds,
 		Epsilon:    c.Epsilon,
 		CMin:       c.CMin,
 		CMax:       c.CMax,
-		PriceGrid:  append([]float64(nil), c.PriceGrid...),
+		PriceGrid:  c.PriceGrid,
+		Workers:    make([]core.Worker, 0, len(bids)),
+		Skills:     make([][]float64, 0, len(bids)),
 	}
 	for _, b := range bids {
-		inst.Workers = append(inst.Workers, core.Worker{
-			ID:     b.WorkerID,
-			Bundle: append([]int(nil), b.Bundle...),
-			Bid:    b.Price,
-		})
+		inst.Workers = append(inst.Workers, core.Worker{ID: b.WorkerID, Bundle: b.Bundle, Bid: b.Price})
 		inst.Skills = append(inst.Skills, c.Skills(b.WorkerID, c.NumTasks))
 	}
-	if err := inst.Validate(); err != nil {
-		return core.Instance{}, fmt.Errorf("shard: assembled instance invalid: %w", err)
-	}
-	return inst, nil
+	return inst
 }
 
 // mergeEpsilon is the merged round's debit: parallel composition over

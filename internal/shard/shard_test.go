@@ -451,11 +451,7 @@ func TestLonePartitionIsTheRound(t *testing.T) {
 
 	sorted := append([]Bid(nil), bids...)
 	sortBids(sorted)
-	inst, err := cfg.buildInstance(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := core.New(inst)
+	a, err := core.New(cfg.buildInstance(sorted))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,50 +146,3 @@ func TestTotalVariation(t *testing.T) {
 		t.Errorf("TV of identical = %v, want 0", same)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != 7 {
-		t.Errorf("bin counts sum to %d, want 7", sum)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Errorf("under/overflow = %d/%d, want 1/1", h.Underflow, h.Overflow)
-	}
-	if err := ValidatePMF(h.PMF()); err != nil {
-		t.Errorf("histogram PMF invalid: %v", err)
-	}
-	if h.String() == "" {
-		t.Error("histogram render empty")
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("bin 0 center = %v, want 1", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero bins": func() { NewHistogram(0, 1, 0) },
-		"hi <= lo":  func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -13,37 +12,15 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// AddAll folds every observation in xs into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
-// N returns the number of observations seen so far.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -59,68 +36,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation, or 0 for an empty accumulator.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 for an empty accumulator.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Summary snapshots the accumulator into an immutable Summary.
-func (a *Accumulator) Summary() Summary {
-	return Summary{
-		N:      a.n,
-		Mean:   a.mean,
-		StdDev: a.StdDev(),
-		Min:    a.min,
-		Max:    a.max,
-	}
-}
-
-// Summary is an immutable snapshot of descriptive statistics.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// String renders the summary as "mean ± std (n=N)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.4g (n=%d)", s.Mean, s.StdDev, s.N)
-}
-
-// SEM returns the standard error of the mean.
-func (s Summary) SEM() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.StdDev / math.Sqrt(float64(s.N))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval around the mean.
-func (s Summary) CI95() float64 { return 1.96 * s.SEM() }
-
-// Summarize computes a Summary of xs in one pass.
-func Summarize(xs []float64) Summary {
-	var a Accumulator
-	a.AddAll(xs)
-	return a.Summary()
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.

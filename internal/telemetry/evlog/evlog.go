@@ -193,6 +193,55 @@ func WithSink(w io.Writer) Option {
 	return func(l *Logger) { l.sink = w }
 }
 
+// Stream returns a logger that writes every event, as it is emitted,
+// to a JSONL file created at path and to stderr; an empty path or a nil
+// stderr leaves that output out. The file exists before the first
+// event and is written line by line, so it holds every event of the
+// run however many the bounded buffer drops — the path the commands'
+// -events-out flag takes.
+//
+// The returned close function detaches the file (later events still
+// reach stderr), closes it, and returns the first failure of the
+// stream: a sink write error (see Err) or the close error. Call it
+// before hashing the file into a manifest. Every call returns the
+// first call's result.
+func Stream(path string, stderr io.Writer, opts ...Option) (*Logger, func() error, error) {
+	var (
+		f    *os.File
+		sink = stderr
+	)
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return nil, nil, err
+		}
+		sink = f
+		if stderr != nil {
+			sink = io.MultiWriter(f, stderr)
+		}
+	}
+	l := New(append([]Option{WithSink(sink)}, opts...)...)
+	var (
+		once     sync.Once
+		closeErr error
+	)
+	closeFn := func() error {
+		once.Do(func() {
+			l.mu.Lock()
+			l.sink = stderr
+			closeErr = l.sinkErr
+			l.mu.Unlock()
+			if f != nil {
+				if err := f.Close(); closeErr == nil {
+					closeErr = err
+				}
+			}
+		})
+		return closeErr
+	}
+	return l, closeFn, nil
+}
+
 // New returns an empty logger.
 func New(opts ...Option) *Logger {
 	l := &Logger{
@@ -435,20 +484,4 @@ func (l *Logger) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteFile writes the retained events to path as JSONL.
-func (l *Logger) WriteFile(path string) error {
-	if l == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.WriteJSONL(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

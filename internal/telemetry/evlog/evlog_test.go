@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -205,6 +206,82 @@ func TestSinkWriteThroughAndStickyError(t *testing.T) {
 	}
 	if bad.Len() != 3 {
 		t.Fatal("sink error must not drop buffered events")
+	}
+}
+
+// TestStreamKeepsEveryEvent: the -events-out path writes events as
+// they are emitted, so a run past the retained buffer's bound still
+// leaves every event in its file and on stderr.
+func TestStreamKeepsEveryEvent(t *testing.T) {
+	const n = 70000 // past defaultMaxEvents
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var stderr bytes.Buffer
+	l, closeEvents, err := Stream(path, &stderr, WithClock(testClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		l.Info("tick", Int("i", i), Redacted("bid"))
+	}
+	if l.Dropped() != n-defaultMaxEvents {
+		t.Fatalf("retained buffer dropped %d, want %d", l.Dropped(), n-defaultMaxEvents)
+	}
+	if err := closeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("events file invalid: %v", err)
+	}
+	if len(events) != n || events[n-1].Seq != n {
+		t.Fatalf("events file holds %d events ending at seq %d, want %d", len(events), events[len(events)-1].Seq, n)
+	}
+	for i, e := range events {
+		if got, ok := e.Int("i"); !ok || got != int64(i) {
+			t.Fatalf("line %d carries i=%d, want %d", i+1, got, i)
+		}
+	}
+	if got := strings.Count(stderr.String(), "\n"); got != n {
+		t.Fatalf("stderr got %d lines, want %d", got, n)
+	}
+
+	// Closing detaches the file: later events reach stderr only.
+	l.Info("after.close")
+	if err := closeEvents(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+	if after, err := ReadFile(path); err != nil || len(after) != n {
+		t.Fatalf("file changed after close: %d events, %v", len(after), err)
+	}
+	if !strings.HasSuffix(stderr.String(), "\"event\":\"after.close\",\"fields\":{}}\n") {
+		t.Fatal("event after close missing from stderr")
+	}
+}
+
+// TestStreamSinkFailureFailsClose: a failed event write fails the
+// stream at close, and the file still holds every event.
+func TestStreamSinkFailureFailsClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	l, closeEvents, err := Stream(path, &errWriter{n: 1}, WithClock(testClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Info("ok")
+	l.Info("fails")
+	l.Info("after")
+	first := closeEvents()
+	if first == nil || !strings.Contains(first.Error(), "sink full") {
+		t.Fatalf("close = %v, want the sink error", first)
+	}
+	if again := closeEvents(); again != first {
+		t.Fatalf("second close = %v, want %v", again, first)
+	}
+	if events, err := ReadFile(path); err != nil || len(events) != 3 {
+		t.Fatalf("file holds %d events (%v), want 3", len(events), err)
+	}
+
+	if _, _, err := Stream(filepath.Join(t.TempDir(), "missing", "events.jsonl"), nil); err == nil {
+		t.Fatal("Stream into a missing directory succeeded")
 	}
 }
 
