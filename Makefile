@@ -65,8 +65,8 @@ bench:
 # gated benchmark (auction/cover/gain/sweep/rebuild/reweight) is more
 # than 25% slower or allocates 25% more per op, when AuctionNew
 # exceeds its absolute 300 allocs/op ceiling, or when the parallel
-# Figure 4 sweep loses its speedup over sequential (2x on 4+ cores,
-# 4x on 8+; skipped with a note on smaller machines). The 25%
+# Figure 4 sweep loses its speedup over sequential (1.3x on 2-3 cores,
+# 2x on 4+, 4x on 8+; skipped with a note on one core). The 25%
 # thresholds are coarse enough to hold on noisy shared runners.
 bench-diff:
 	$(GO) run ./cmd/mcs-bench -suite experiment -baseline BENCH_experiment.json > /dev/null

@@ -39,7 +39,8 @@ func TestGatedCoversHotPaths(t *testing.T) {
 
 // TestAbsoluteGates exercises the fixed-budget gates against synthetic
 // results: the AuctionNew allocation ceiling always applies; the sweep
-// speedup gate only fires on machines with at least 4 cores.
+// speedup gate fires on machines with at least 2 cores, where it needs
+// 1.3x below 4 cores.
 func TestAbsoluteGates(t *testing.T) {
 	ok := benchFile{Benchmarks: []benchResult{
 		{Name: "AuctionNew", NsPerOp: 1000, AllocsPerOp: auctionNewAllocCeiling},
@@ -59,12 +60,26 @@ func TestAbsoluteGates(t *testing.T) {
 		{Name: "SweepFigure4Parallel", NsPerOp: 999},
 	}}
 	failures := absoluteGates(slow)
-	if procs := runtime.GOMAXPROCS(0); procs >= 4 {
+	if procs := runtime.GOMAXPROCS(0); procs >= 2 {
 		if len(failures) != 1 {
 			t.Errorf("1.0x speedup on %d cores produced %v, want one failure", procs, failures)
 		}
 	} else if len(failures) != 0 {
 		t.Errorf("speedup gate fired on %d cores: %v (want skipped)", procs, failures)
+	}
+
+	// 1.35x clears the 2-3 core floor but not the 4-core gate.
+	fair := benchFile{Benchmarks: []benchResult{
+		{Name: "SweepFigure4Sequential", NsPerOp: 1350},
+		{Name: "SweepFigure4Parallel", NsPerOp: 1000},
+	}}
+	failures = absoluteGates(fair)
+	if procs := runtime.GOMAXPROCS(0); procs >= 4 {
+		if len(failures) != 1 {
+			t.Errorf("1.35x speedup on %d cores produced %v, want one failure", procs, failures)
+		}
+	} else if len(failures) != 0 {
+		t.Errorf("1.35x speedup on %d cores failed: %v", procs, failures)
 	}
 }
 

@@ -291,15 +291,6 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *traceOut != "" {
-		// Export whatever spans the round produced, even when it fails.
-		defer func() {
-			if err := writeTrace(*traceOut, tracer); err != nil {
-				ev.Error("trace.write_failed", evlog.String("error", err.Error()))
-			}
-		}()
-	}
-
 	var (
 		report   protocol.RoundReport
 		campaign protocol.CampaignReport
@@ -321,9 +312,14 @@ func run(args []string) error {
 		}
 	}
 
-	// Finish the event stream and write the manifest even for failed
-	// rounds: a failed run's provenance is exactly what the operator
-	// wants.
+	// Finish the trace and the event stream, then write the manifest
+	// that hashes them, even for failed rounds: a failed run's
+	// provenance is exactly what the operator wants.
+	if *traceOut != "" {
+		if err := writeTrace(*traceOut, tracer); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+	}
 	if err := closeEvents(); err != nil {
 		return fmt.Errorf("writing events: %w", err)
 	}

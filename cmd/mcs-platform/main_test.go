@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dphsrc/dphsrc/internal/protocol"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
@@ -80,18 +81,20 @@ func TestTelemetryServerServesMetricsAndPprof(t *testing.T) {
 // TestEventsAndManifestSurviveDegradedRound runs a round that degrades
 // (no bids inside a 50ms window) and asserts the provenance outputs are
 // still written: the event stream parses, records the degradation, and
-// the manifest's artifact hash over the events file matches disk.
+// the manifest's artifact hashes over the events and trace files match
+// disk.
 func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 	dir := t.TempDir()
 	eventsPath := filepath.Join(dir, "events.jsonl")
+	tracePath := filepath.Join(dir, "trace.json")
 	manifestPath := filepath.Join(dir, "manifest.json")
 	err := run([]string{
 		"-addr", "127.0.0.1:0", "-window", "50ms", "-quiet",
 		"-seed", "7",
-		"-events-out", eventsPath, "-manifest-out", manifestPath,
+		"-events-out", eventsPath, "-trace-out", tracePath, "-manifest-out", manifestPath,
 	})
-	if err == nil {
-		t.Fatal("round with no workers should degrade")
+	if err == nil || !protocol.IsDegraded(err) {
+		t.Fatalf("run = %v, want the round's degradation", err)
 	}
 
 	events, err := evlog.ReadFile(eventsPath)
@@ -118,6 +121,9 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 	if m.Config["round_error"] == "" {
 		t.Error("manifest missing round_error for a degraded round")
 	}
+	if len(m.Artifacts) != 2 {
+		t.Errorf("manifest artifacts = %+v, want the events and trace files", m.Artifacts)
+	}
 	for _, chk := range m.VerifyArtifacts(dir) {
 		if !chk.OK {
 			t.Errorf("artifact %s failed verification: %v", chk.Path, chk.Err)
@@ -126,19 +132,22 @@ func TestEventsAndManifestSurviveDegradedRound(t *testing.T) {
 }
 
 // TestFailingEventsSinkFailsRun: an event that cannot be written to
-// -events-out fails the run with the write error rather than the
-// round's own degradation.
+// -events-out, or a trace that cannot be written to -trace-out, fails
+// the run with the write error rather than the round's own
+// degradation.
 func TestFailingEventsSinkFailsRun(t *testing.T) {
 	const full = "/dev/full" // every write fails with ENOSPC
 	if _, err := os.Stat(full); err != nil {
 		t.Skipf("no %s on this system", full)
 	}
-	err := run([]string{
-		"-addr", "127.0.0.1:0", "-window", "50ms", "-quiet",
-		"-events-out", full,
-	})
-	if err == nil || !strings.Contains(err.Error(), "writing events") {
-		t.Fatalf("run = %v, want the events write error", err)
+	for flag, want := range map[string]string{"-events-out": "writing events", "-trace-out": "writing trace"} {
+		err := run([]string{
+			"-addr", "127.0.0.1:0", "-window", "50ms", "-quiet",
+			flag, full,
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %s: run = %v, want %q", flag, full, err, want)
+		}
 	}
 }
 

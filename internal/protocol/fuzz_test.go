@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,10 +39,14 @@ func FuzzMessageDecode(f *testing.F) {
 // FuzzConnRecv streams arbitrary bytes into a live Conn, read both as
 // any message (Recv) and as a worker reads an announce: each must
 // return a value or an error, never hang past its deadline or panic.
+// Each Conn then releases its codec to the pool the next one draws
+// from.
 func FuzzConnRecv(f *testing.F) {
 	f.Add([]byte(`{"type":"hello","worker_id":"w"}` + "\n"))
 	f.Add([]byte("\x00\x01\x02"))
 	f.Add([]byte(`{"type":`))
+	// One bid frame past the 1 MiB frame cap.
+	f.Add([]byte(`{"type":"bid","bundle":[` + strings.Repeat("0,", maxFrameBytes/2) + "0]}\n"))
 	reads := map[string]func(*Conn) error{
 		"Recv": func(c *Conn) error {
 			_, err := c.Recv()
@@ -72,6 +77,7 @@ func FuzzConnRecv(f *testing.F) {
 			}
 			_ = client.Close()
 			_ = server.Close()
+			conn.release()
 		}
 	})
 }

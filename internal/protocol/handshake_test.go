@@ -83,7 +83,7 @@ func announceShapes(t *testing.T) map[string]PlatformConfig {
 
 // readerConn decodes frames from b with no deadline.
 func readerConn(b []byte) *Conn {
-	return &Conn{dec: json.NewDecoder(bytes.NewReader(b))}
+	return &Conn{codec: bindCodec(bytes.NewReader(b), nil)}
 }
 
 // TestAnnounceFrameMatchesEncoder: the announce a handshake writes is

@@ -7,10 +7,13 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -128,45 +131,148 @@ func encodeFrame(m Message) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// maxFrameBytes caps one inbound frame at 1 MiB, the size of a WAL
+// record (store.MaxRecordBytes). The largest frame the protocol sends
+// is the announce, which NewPlatform holds under the cap. Without it,
+// one endless value from a peer grows the reader's buffer until the IO
+// timeout.
+const maxFrameBytes = 1 << 20
+
 // Errors surfaced by the conn layer.
 var (
 	ErrUnexpectedType = errors.New("protocol: unexpected message type")
 	ErrRemote         = errors.New("protocol: remote error")
+	// ErrFrameTooLarge fails a read whose frame runs past the 1 MiB
+	// frame cap.
+	ErrFrameTooLarge = errors.New("protocol: frame exceeds 1 MiB")
 )
 
+// codec is a connection's JSON state: a decoder and an encoder bound to
+// one connection at a time through wire, and the message scratch they
+// decode into and encode from. A fresh decoder grows its read buffer
+// from nothing for every connection, so codecs are pooled and keep
+// their buffers warm across connections (see Conn.release).
+type codec struct {
+	wire wire
+	dec  *json.Decoder
+	enc  *json.Encoder
+	// msg and terms are the scratch, so a frame allocates only the
+	// slices and strings it carries. Each decode zeroes its scratch
+	// first: the decoder leaves absent fields as they were and appends
+	// into a non-nil slice's backing array, which a previous frame's
+	// reader may still hold.
+	msg   Message
+	terms announceTerms
+}
+
+// wire binds a codec to its current connection: dec reads r through
+// it, counting each frame's bytes against maxFrameBytes, and enc
+// writes w.
+type wire struct {
+	r io.Reader
+	w io.Writer
+	// left is what the frame being decoded may still read.
+	left int
+}
+
+func (w *wire) Read(p []byte) (int, error) {
+	if w.left <= 0 {
+		return 0, ErrFrameTooLarge
+	}
+	if len(p) > w.left {
+		p = p[:w.left]
+	}
+	n, err := w.r.Read(p)
+	w.left -= n
+	return n, err
+}
+
+func (w *wire) Write(p []byte) (int, error) { return w.w.Write(p) }
+
+// codecs holds the codecs of connections that ended clean.
+var codecs = sync.Pool{New: func() any {
+	c := new(codec)
+	c.dec = json.NewDecoder(&c.wire)
+	c.enc = json.NewEncoder(&c.wire)
+	return c
+}}
+
+// bindCodec takes a codec from the pool and binds it to r and w.
+func bindCodec(r io.Reader, w io.Writer) *codec {
+	c := codecs.Get().(*codec)
+	c.wire = wire{r: r, w: w}
+	return c
+}
+
 // Conn wraps a net.Conn with JSON encoding and per-message deadlines.
+// A Conn belongs to one goroutine at a time; only Close may be called
+// from another, to unblock a read.
 type Conn struct {
-	raw net.Conn
-	enc *json.Encoder
-	dec *json.Decoder
+	raw   net.Conn
+	codec *codec
+	// failed records a read, decode or write error. Both json types keep
+	// such errors sticky, so a failed Conn's codec is never pooled.
+	failed bool
 	// timeout bounds each single Send/Recv; zero means no deadline.
 	timeout time.Duration
 }
 
 // NewConn wraps raw. timeout bounds every individual send and receive.
 func NewConn(raw net.Conn, timeout time.Duration) *Conn {
-	return &Conn{
-		raw:     raw,
-		enc:     json.NewEncoder(raw),
-		dec:     json.NewDecoder(raw),
-		timeout: timeout,
+	return &Conn{raw: raw, codec: bindCodec(raw, raw), timeout: timeout}
+}
+
+// release returns c's codec to the pool if c ended clean: no read,
+// decode or write error (a frame over the cap is one), and nothing but
+// whitespace left buffered. Only the owner may call it, after its last
+// read; never Close, which a watchdog may call while the owner is
+// blocked in a read. c must not be read or written afterwards.
+func (c *Conn) release() {
+	cd := c.codec
+	if cd == nil {
+		return
+	}
+	c.codec = nil
+	cd.wire, cd.msg, cd.terms = wire{}, Message{}, announceTerms{}
+	if !c.failed && drained(cd.dec) {
+		codecs.Put(cd)
 	}
 }
 
-// armWrite sets the per-message write deadline.
-func (c *Conn) armWrite() error {
-	if c.timeout > 0 {
-		return c.raw.SetWriteDeadline(time.Now().Add(c.timeout))
+// drained reports whether dec holds nothing but JSON whitespace past
+// the last value it decoded.
+func drained(dec *json.Decoder) bool {
+	r, ok := dec.Buffered().(*bytes.Reader)
+	if !ok {
+		return false
+	}
+	for r.Len() > 0 {
+		switch b, _ := r.ReadByte(); b {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// armWrite sets raw's per-message write deadline; a zero timeout sets
+// none.
+func armWrite(raw net.Conn, timeout time.Duration) error {
+	if timeout > 0 {
+		return raw.SetWriteDeadline(time.Now().Add(timeout))
 	}
 	return nil
 }
 
 // Send writes one message.
 func (c *Conn) Send(m Message) error {
-	if err := c.armWrite(); err != nil {
+	if err := armWrite(c.raw, c.timeout); err != nil {
 		return err
 	}
-	if err := c.enc.Encode(m); err != nil {
+	c.codec.msg = m
+	if err := c.codec.enc.Encode(&c.codec.msg); err != nil {
+		c.failed = true
 		return fmt.Errorf("protocol: send %s: %w", m.Type, err)
 	}
 	return nil
@@ -176,23 +282,35 @@ func (c *Conn) Send(m Message) error {
 // the same deadline as Send. The frame may be shared between
 // connections: transports must not modify it (io.Writer's rule).
 func (c *Conn) sendFrame(t Type, frame []byte) error {
-	if err := c.armWrite(); err != nil {
+	if err := writeFrame(c.raw, c.timeout, t, frame); err != nil {
+		c.failed = true
 		return err
 	}
-	if _, err := c.raw.Write(frame); err != nil {
+	return nil
+}
+
+// writeFrame is sendFrame on a bare connection, which the platform
+// turns away without binding a codec.
+func writeFrame(raw net.Conn, timeout time.Duration, t Type, frame []byte) error {
+	if err := armWrite(raw, timeout); err != nil {
+		return err
+	}
+	if _, err := raw.Write(frame); err != nil {
 		return fmt.Errorf("protocol: send %s: %w", t, err)
 	}
 	return nil
 }
 
-// recv decodes the next frame into v.
+// recv decodes the next frame into v, scratch the caller has zeroed.
 func (c *Conn) recv(v any) error {
 	if c.timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
 			return err
 		}
 	}
-	if err := c.dec.Decode(v); err != nil {
+	c.codec.wire.left = maxFrameBytes
+	if err := c.codec.dec.Decode(v); err != nil {
+		c.failed = true
 		return fmt.Errorf("protocol: recv: %w", err)
 	}
 	return nil
@@ -200,11 +318,12 @@ func (c *Conn) recv(v any) error {
 
 // Recv reads the next message.
 func (c *Conn) Recv() (Message, error) {
-	var m Message
-	if err := c.recv(&m); err != nil {
+	m := &c.codec.msg
+	*m = Message{}
+	if err := c.recv(m); err != nil {
 		return Message{}, err
 	}
-	return m, nil
+	return *m, nil
 }
 
 // Expect reads the next message and checks its type. A TypeError
@@ -223,14 +342,15 @@ func (c *Conn) Expect(want Type) (Message, error) {
 // expectAnnounce is Expect(TypeAnnounce) decoding only the terms a
 // worker acts on.
 func (c *Conn) expectAnnounce() (announceTerms, error) {
-	var a announceTerms
-	if err := c.recv(&a); err != nil {
+	a := &c.codec.terms
+	*a = announceTerms{}
+	if err := c.recv(a); err != nil {
 		return announceTerms{}, err
 	}
 	if err := checkType(a.Type, TypeAnnounce, a.Err); err != nil {
 		return announceTerms{}, err
 	}
-	return a, nil
+	return *a, nil
 }
 
 // checkType is Expect's verdict on a frame of type got carrying the

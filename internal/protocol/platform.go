@@ -294,11 +294,14 @@ type platformFrames struct {
 	lost []byte
 	// done closes every settled conversation.
 	done []byte
+	// overLimit turns away a connection over MaxConns.
+	overLimit []byte
 }
 
 // newPlatformFrames encodes cfg's constant frames. An announce that
-// cannot be encoded (a NaN or infinite threshold or grid price) is a
-// configuration error: it would fail every handshake.
+// cannot be encoded (a NaN or infinite threshold or grid price) or
+// that exceeds the frame cap is a configuration error: it would fail
+// every handshake.
 func newPlatformFrames(cfg *PlatformConfig) (platformFrames, error) {
 	announce, err := encodeFrame(Message{
 		Type:            TypeAnnounce,
@@ -313,10 +316,15 @@ func newPlatformFrames(cfg *PlatformConfig) (platformFrames, error) {
 	if err != nil {
 		return platformFrames{}, fmt.Errorf("%w: %v", ErrBadPlatform, err)
 	}
-	// Neither frame carries a configured value, so neither can fail.
+	if len(announce) > maxFrameBytes {
+		return platformFrames{}, fmt.Errorf("%w: announce of %d bytes exceeds the %d-byte frame cap",
+			ErrBadPlatform, len(announce), maxFrameBytes)
+	}
+	// No other frame carries a configured value, so none can fail.
 	lost, _ := encodeFrame(Message{Type: TypeOutcome})
 	done, _ := encodeFrame(Message{Type: TypeDone})
-	return platformFrames{announce: announce, lost: lost, done: done}, nil
+	overLimit, _ := encodeFrame(Message{Type: TypeError, Err: ErrTooManyConnections.Error()})
+	return platformFrames{announce: announce, lost: lost, done: done, overLimit: overLimit}, nil
 }
 
 // RoundStatus is the platform's live position in the round lifecycle,
@@ -632,8 +640,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	}
 	defer func() {
 		for _, s := range sessions {
-			_ = s.conn.Close()
-			p.releaseConn()
+			p.endSession(s)
 		}
 	}()
 	// Deterministic order: the auction's worker indices follow sorted
@@ -645,8 +652,9 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	case len(sessions) == 0:
 		return RoundReport{Faults: faults}, nil, ErrNoBids
 	case len(sessions) < p.cfg.Quorum:
-		return RoundReport{Faults: faults}, nil,
-			fmt.Errorf("%w: %d of %d required bids", ErrQuorumNotMet, len(sessions), p.cfg.Quorum)
+		err := fmt.Errorf("%w: %d of %d required bids", ErrQuorumNotMet, len(sessions), p.cfg.Quorum)
+		refuse(sessions, err)
+		return RoundReport{Faults: faults}, nil, err
 	}
 	ev.Info("round.bids_collected",
 		evlog.Int64("span", collectSpan.ID()),
@@ -659,6 +667,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round, auctionSpan.ID(), &faults)
 	phaseDone("auction", auctionSpan, p.met.phaseAuction, auctionStart)
 	if err != nil {
+		refuse(sessions, err)
 		return RoundReport{Faults: faults, Sharding: shardOut}, nil, err
 	}
 
@@ -772,6 +781,17 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	return report, reports, nil
 }
 
+// refuse tells every session why the round failed before its outcome:
+// one TypeError frame, encoded once, so Participate returns a permanent
+// ErrRemote instead of retrying a cut stream into the next round.
+func refuse(sessions []*session, cause error) {
+	// A frame of strings always encodes.
+	frame, _ := encodeFrame(Message{Type: TypeError, Err: cause.Error()})
+	for _, s := range sessions {
+		_ = s.conn.sendFrame(TypeError, frame)
+	}
+}
+
 // runAuctionPhase closes the round to bids and runs the partition
 // auctions (see shard.Coordinator.RunRound), which debit the privacy
 // accountant exactly once, immediately before the price draws. The
@@ -874,6 +894,14 @@ func (p *Platform) releaseConn() {
 	p.met.connsActive.Add(-1)
 }
 
+// endSession closes s's connection after its last read, returns its
+// codec and frees its connection slot.
+func (p *Platform) endSession(s *session) {
+	_ = s.conn.Close()
+	s.conn.release()
+	p.releaseConn()
+}
+
 // collectBids accepts connections and performs the hello/announce/bid
 // handshake until the bid window closes, MinWorkers is reached, or ctx
 // is cancelled. Individual handshake failures are tolerated and
@@ -942,7 +970,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 						evlog.Int64("span", spanID),
 						evlog.String("cause", "over_limit"))
 				}
-				_ = NewConn(raw, p.cfg.IOTimeout).SendError(ErrTooManyConnections)
+				_ = writeFrame(raw, p.cfg.IOTimeout, TypeError, p.frames.overLimit)
 				_ = raw.Close()
 			}()
 			continue
@@ -989,8 +1017,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 					evlog.Int64("span", spanID),
 					evlog.String("worker", s.workerID))
 				_ = s.conn.SendError(fmt.Errorf("%w: %s", ErrDuplicateBid, s.workerID))
-				_ = s.conn.Close()
-				p.releaseConn()
+				p.endSession(s)
 				return
 			}
 			// The bid is admitted to its partition before the session
@@ -1006,8 +1033,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 					evlog.String("cause", "shard_overloaded"),
 					evlog.String("worker", s.workerID))
 				_ = s.conn.SendError(fmt.Errorf("%w: %s", shard.ErrOverloaded, s.workerID))
-				_ = s.conn.Close()
-				p.releaseConn()
+				p.endSession(s)
 				return
 			}
 			seen[s.workerID] = true
@@ -1028,9 +1054,16 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 	}
 }
 
-// handshake runs hello -> announce -> bid on a fresh connection.
-func (p *Platform) handshake(raw net.Conn) (*session, error) {
+// handshake runs hello -> announce -> bid on a fresh connection. A
+// failed handshake releases its Conn; a session's owner releases it
+// after the session's last read.
+func (p *Platform) handshake(raw net.Conn) (_ *session, err error) {
 	conn := NewConn(raw, p.cfg.IOTimeout)
+	defer func() {
+		if err != nil {
+			conn.release()
+		}
+	}()
 	hello, err := conn.Expect(TypeHello)
 	if err != nil {
 		return nil, err

@@ -298,6 +298,13 @@ func TestPlatformConfigValidation(t *testing.T) {
 		// Values the announce frame cannot encode.
 		{"NaN threshold", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, math.NaN(), 0.3, 0.3} }},
 		{"+Inf grid", func(c *PlatformConfig) { c.PriceGrid = append(core.PriceGridRange(10, 30, 1), math.Inf(1)) }},
+		// An announce no worker could read under the frame cap.
+		{"announce over the frame cap", func(c *PlatformConfig) {
+			c.PriceGrid = make([]float64, maxFrameBytes/8)
+			for k := range c.PriceGrid {
+				c.PriceGrid[k] = 10 + 20*float64(k)/float64(len(c.PriceGrid))
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,6 +82,7 @@ func runShardedRound(t *testing.T, o chaosOpts, shards int, chaos shard.KillFunc
 				Cost:      6 + float64(i%20),
 				Labels:    func(task int) crowd.Label { return crowd.Positive },
 				IOTimeout: o.ioTimeout,
+				Retry:     o.retry,
 			})
 		}(i)
 	}
@@ -97,11 +98,13 @@ func runShardedRound(t *testing.T, o chaosOpts, shards int, chaos shard.KillFunc
 
 // shardedOpts is a clean-transport base configuration. The per-message
 // timeout exceeds the bid window so workers survive the outcome wait
-// without retries.
+// without retries; each worker makes one attempt unless a test sets
+// o.retry.
 func shardedOpts(seed int64, workers int) chaosOpts {
 	o := defaultChaosOpts(seed, workers)
 	o.plan.DropRate = 0
 	o.plan.DelayRate = 0
+	o.retry = RetryPolicy{}
 	o.window = 1500 * time.Millisecond
 	o.ioTimeout = 6 * time.Second
 	return o
@@ -270,15 +273,18 @@ func TestShardedPartitionKill(t *testing.T) {
 }
 
 // TestShardedAllPartitionsKilled: a round with every partition killed
-// degrades typed (no budget spent), like a no-bids round.
+// degrades typed (no budget spent), like a no-bids round, and tells
+// its bidders why: every worker's error wraps ErrRemote and carries
+// the round's reason, and a worker allowed three attempts makes one.
 func TestShardedAllPartitionsKilled(t *testing.T) {
 	o := shardedOpts(707, 8)
+	o.retry = RetryPolicy{MaxAttempts: 3}
 	acct, err := mechanism.NewAccountant(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.accountant = acct
-	_, _, _, roundErr := runShardedRound(t, o, 4,
+	_, workers, errs, roundErr := runShardedRound(t, o, 4,
 		func(round, partition int) bool { return true }, 0)
 	if !errors.Is(roundErr, shard.ErrNoPartitions) {
 		t.Fatalf("all-killed round error = %v, want shard.ErrNoPartitions", roundErr)
@@ -288,6 +294,14 @@ func TestShardedAllPartitionsKilled(t *testing.T) {
 	}
 	if acct.Spent() != 0 {
 		t.Fatalf("degraded round spent %v, want 0", acct.Spent())
+	}
+	for i, werr := range errs {
+		if !errors.Is(werr, ErrRemote) || !strings.Contains(fmt.Sprint(werr), roundErr.Error()) {
+			t.Errorf("worker %d: error %v, want ErrRemote carrying %q", i, werr, roundErr)
+		}
+		if workers[i].Attempts != 1 {
+			t.Errorf("worker %d made %d attempts, want 1", i, workers[i].Attempts)
+		}
 	}
 }
 

@@ -160,8 +160,13 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	}
 	conn := NewConn(raw, cfg.IOTimeout)
 	// Explicit discard: by this point the exchange is over (or failed)
-	// and the ctx watchdog below may already have closed the conn.
-	defer func() { _ = conn.Close() }()
+	// and the ctx watchdog below may already have closed the conn. The
+	// codec is released here, after the last read, and never by the
+	// watchdog, which can fire while a read is blocked.
+	defer func() {
+		_ = conn.Close()
+		conn.release()
+	}()
 
 	// Cancel-aware teardown: close the conn if ctx dies mid-exchange so
 	// blocked reads return promptly.
@@ -201,7 +206,7 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	outcome, err := conn.Expect(TypeOutcome)
 	if err != nil {
 		if errors.Is(err, ErrRemote) {
-			return WorkerReport{}, fmt.Errorf("%w: %v", ErrRejected, err)
+			return WorkerReport{}, fmt.Errorf("%w: %w", ErrRejected, err)
 		}
 		return WorkerReport{}, err
 	}
