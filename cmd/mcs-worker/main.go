@@ -37,7 +37,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mcs-worker", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7788", "platform address")
-		id        = fs.String("id", "", "worker id (required)")
+		id        = fs.String("id", "", fmt.Sprintf("worker id (required, at most %d bytes)", protocol.MaxWorkerIDBytes))
 		bundleStr = fs.String("bundle", "", "comma-separated task indices to bid on (required)")
 		cost      = fs.Float64("cost", 10, "true cost for executing the bundle (bid truthfully)")
 		accuracy  = fs.Float64("accuracy", 0.9, "simulated sensing accuracy")

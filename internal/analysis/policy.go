@@ -359,10 +359,12 @@ func DefaultPolicy() *Policy {
 		// The WAL append surface: FileStore.record and WAL.Append are
 		// the physical appends; the Record* methods are the
 		// store.BudgetStore/SkillStore/CampaignStore journaling
-		// interface the accountant and campaign paths call through.
+		// interface the accountant and campaign paths call through,
+		// plus RecordSkills, which journals a round's skill updates in
+		// one call.
 		JournalFuncs: []string{
 			"Append", "record",
-			"RecordSpend", "RecordRefuse", "RecordRestore", "RecordSkill",
+			"RecordSpend", "RecordRefuse", "RecordRestore", "RecordSkill", "RecordSkills",
 			"RecordCampaignStart", "RecordRoundBegin", "RecordRoundComplete",
 		},
 		// Durable state that must be journaled before it is mutated:

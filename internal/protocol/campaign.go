@@ -28,10 +28,10 @@ type SkillStore struct {
 	def float64
 	// alpha is the EWMA blending weight of the newest estimate.
 	alpha float64
-	// journal persists each blended estimate; nil no-ops. Unlike the
-	// budget journal, a skill journal failure is fatal to the update —
-	// a half-persisted skill table would bias a recovered campaign's
-	// winner selection.
+	// journal persists each round's blended estimates before they are
+	// applied; nil no-ops. Unlike the budget journal, a skill journal
+	// failure is fatal to the update — a half-persisted skill table
+	// would bias a recovered campaign's winner selection.
 	journal store.SkillStore
 }
 
@@ -60,10 +60,11 @@ func NewSkillStoreFromState(defaultAccuracy float64, skills map[string]float64) 
 	return s
 }
 
-// ObserveStore attaches a durability journal: every blended estimate
-// is persisted as it is written, and any entries the store already
-// holds are journaled first (in sorted worker order, for a
-// deterministic log) so a fresh state directory adopts the full table.
+// ObserveStore attaches a durability journal: every round's blended
+// estimates are persisted before they take effect, and any entries the
+// store already holds are journaled first (in sorted worker order, for
+// a deterministic log) so a fresh state directory adopts the full
+// table.
 func (s *SkillStore) ObserveStore(j store.SkillStore) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -76,10 +77,37 @@ func (s *SkillStore) ObserveStore(j store.SkillStore) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
-		if err := j.RecordSkill(id, s.acc[id]); err != nil {
-			s.journal = nil
-			return fmt.Errorf("protocol: journaling skill baseline: %w", err)
+	accs := make([]float64, len(ids))
+	for i, id := range ids {
+		accs[i] = s.acc[id]
+	}
+	if err := recordSkills(j, ids, accs); err != nil {
+		s.journal = nil
+		return fmt.Errorf("protocol: journaling skill baseline: %w", err)
+	}
+	return nil
+}
+
+// skillBatcher is a skill journal that takes a round's updates in one
+// call, as store.FileStore and store.MemStore do.
+type skillBatcher interface {
+	RecordSkills(workerIDs []string, accs []float64) error
+}
+
+// A FileStore that stopped matching skillBatcher would fall back to a
+// record per update without a word.
+var _ skillBatcher = (*store.FileStore)(nil)
+
+// recordSkills journals parallel worker IDs and accuracies: in one call
+// when the journal takes batches, one record per update otherwise (a
+// wrapping journal that forwards only RecordSkill).
+func recordSkills(j store.SkillStore, ids []string, accs []float64) error {
+	if b, ok := j.(skillBatcher); ok {
+		return b.RecordSkills(ids, accs)
+	}
+	for i, id := range ids {
+		if err := j.RecordSkill(id, accs[i]); err != nil {
+			return fmt.Errorf("worker %s: %w", id, err)
 		}
 	}
 	return nil
@@ -111,7 +139,9 @@ func (s *SkillStore) Func() SkillFunc {
 // UpdateFromReports folds raw label reports into the store: it runs
 // one-coin Dawid-Skene EM over the reports and EWMA-blends the
 // estimates for every worker who actually reported. workerIDs
-// maps report worker indices to identities.
+// maps report worker indices to identities and holds each worker once,
+// as a round's do. The round's estimates are journaled together before
+// any is applied, so a failed journal write leaves the table as it was.
 func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []string, numTasks int) error {
 	if len(reports) == 0 {
 		return nil
@@ -128,6 +158,8 @@ func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []strin
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ids := make([]string, 0, len(workerIDs))
+	accs := make([]float64, 0, len(workerIDs))
 	for i, id := range workerIDs {
 		if !reported[i] {
 			continue
@@ -136,13 +168,16 @@ func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []strin
 		if !ok {
 			old = s.def
 		}
-		blended := (1-s.alpha)*old + s.alpha*res.Accuracy[i]
-		if s.journal != nil {
-			if err := s.journal.RecordSkill(id, blended); err != nil {
-				return fmt.Errorf("protocol: journaling skill update for %s: %w", id, err)
-			}
+		ids = append(ids, id)
+		accs = append(accs, (1-s.alpha)*old+s.alpha*res.Accuracy[i])
+	}
+	if s.journal != nil && len(ids) > 0 {
+		if err := recordSkills(s.journal, ids, accs); err != nil {
+			return fmt.Errorf("protocol: journaling skill updates: %w", err)
 		}
-		s.acc[id] = blended
+	}
+	for i, id := range ids {
+		s.acc[id] = accs[i]
 	}
 	return nil
 }

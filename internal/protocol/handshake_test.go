@@ -15,11 +15,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/faultnet"
 	"github.com/dphsrc/dphsrc/internal/shard"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -407,5 +410,83 @@ func TestHandshakeRejectsMalformedBundle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHandshakeBoundsWorkerID: a hello whose ID runs one byte past
+// MaxWorkerIDBytes is refused before the announce and counted as one
+// failed handshake; an ID at the cap bids, and the round completes.
+func TestHandshakeBoundsWorkerID(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := testPlatformConfig(t)
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
+	p, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type result struct {
+		rep RoundReport
+		err error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		rep, err := p.RunRound(ctx, ln)
+		resCh <- result{rep, err}
+	}()
+
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c := NewConn(raw, 2*time.Second)
+	if err := c.Send(Message{Type: TypeHello, WorkerID: strings.Repeat("x", MaxWorkerIDBytes+1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Expect(TypeAnnounce); !errors.Is(err, ErrRemote) {
+		t.Fatalf("%d-byte id: want the handshake's ErrRemote refusal, got %v", MaxWorkerIDBytes+1, err)
+	}
+	rejected := reg.Counter(`mcs_protocol_bids_total{result="rejected"}`, "")
+	for rejected.Value() == 0 {
+		select {
+		case <-ctx.Done():
+			t.Fatal("refused hello never counted")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	edge := strings.Repeat("y", MaxWorkerIDBytes)
+	edgeErr := make(chan error, 1)
+	go func() {
+		_, err := Participate(ctx, ln.Addr().String(), WorkerConfig{
+			ID:        edge,
+			Bundle:    []int{0, 1, 2, 3},
+			Cost:      12,
+			Labels:    func(int) crowd.Label { return crowd.Positive },
+			IOTimeout: 2 * time.Second,
+		})
+		edgeErr <- err
+	}()
+	runWorkers(ctx, t, ln.Addr().String(), 5)
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("%d-byte id: %v", MaxWorkerIDBytes, err)
+	}
+	res := <-resCh
+	if res.err != nil {
+		t.Fatalf("round: %v", res.err)
+	}
+	if res.rep.Bidders != 6 || res.rep.Faults.HandshakesFailed != 1 {
+		t.Fatalf("bidders %d, handshakes failed %d; want 6 and 1",
+			res.rep.Bidders, res.rep.Faults.HandshakesFailed)
+	}
+	if !slices.Contains(res.rep.WorkerIDs, edge) {
+		t.Fatalf("the %d-byte id never bid: %d bidders", MaxWorkerIDBytes, len(res.rep.WorkerIDs))
 	}
 }

@@ -138,6 +138,11 @@ func encodeFrame(m Message) ([]byte, error) {
 // timeout.
 const maxFrameBytes = 1 << 20
 
+// MaxWorkerIDBytes caps a worker ID. The platform journals a round's
+// paid IDs in one WAL record, so an ID near the frame cap could make a
+// round that has already paid its winners fail to checkpoint.
+const MaxWorkerIDBytes = 128
+
 // Errors surfaced by the conn layer.
 var (
 	ErrUnexpectedType = errors.New("protocol: unexpected message type")

@@ -1071,6 +1071,9 @@ func (p *Platform) handshake(raw net.Conn) (_ *session, err error) {
 	if hello.WorkerID == "" {
 		return nil, conn.SendError(errors.New("protocol: empty worker id"))
 	}
+	if len(hello.WorkerID) > MaxWorkerIDBytes {
+		return nil, conn.SendError(fmt.Errorf("protocol: worker id of %d bytes exceeds %d", len(hello.WorkerID), MaxWorkerIDBytes))
+	}
 	if err := conn.sendFrame(TypeAnnounce, p.frames.announce); err != nil {
 		return nil, err
 	}

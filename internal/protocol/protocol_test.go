@@ -329,6 +329,8 @@ func TestWorkerConfigValidation(t *testing.T) {
 		{ID: "w", Bundle: []int{1, 0}, Labels: labels, Cost: 1},
 		{ID: "w", Bundle: []int{2, 2}, Labels: labels, Cost: 1},
 		{ID: "w", Bundle: []int{-1, 0}, Labels: labels, Cost: 1},
+		// The ID is at most MaxWorkerIDBytes long.
+		{ID: strings.Repeat("w", MaxWorkerIDBytes+1), Bundle: []int{0}, Labels: labels, Cost: 1},
 	}
 	for i, cfg := range cases {
 		if _, err := Participate(ctx, "127.0.0.1:1", cfg); !errors.Is(err, ErrBadWorker) {

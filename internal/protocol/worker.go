@@ -25,7 +25,8 @@ type LabelFunc func(task int) crowd.Label
 
 // WorkerConfig describes one participating worker client.
 type WorkerConfig struct {
-	// ID identifies the worker to the platform.
+	// ID identifies the worker to the platform: non-empty and at most
+	// MaxWorkerIDBytes long.
 	ID string
 	// Bundle is the worker's interested task set: non-empty, sorted and
 	// unique over non-negative task indices, or Participate fails with
@@ -56,6 +57,9 @@ type WorkerConfig struct {
 func (c *WorkerConfig) validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("%w: empty id", ErrBadWorker)
+	}
+	if len(c.ID) > MaxWorkerIDBytes {
+		return fmt.Errorf("%w: id of %d bytes exceeds %d", ErrBadWorker, len(c.ID), MaxWorkerIDBytes)
 	}
 	if err := checkBundle(c.Bundle, math.MaxInt); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadWorker, err)

@@ -129,32 +129,45 @@ func (s *FileStore) LSN() uint64 {
 	return s.lsn
 }
 
-// record journals one record (durably, before it takes effect) and
-// then folds it into the state; crossing the snapshot cadence rolls
-// the WAL into a fresh snapshot.
-func (s *FileStore) record(r Record) error {
+// record journals records (durably, each before it takes effect) and
+// folds them into the state; crossing the snapshot cadence rolls the
+// WAL into a fresh snapshot. Every record is encoded and size-checked
+// before the first is appended, so a batch that cannot be written
+// leaves the journal untouched.
+func (s *FileStore) record(recs ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	r.LSN = s.lsn + 1
-	payload, err := EncodeRecord(r)
-	if err != nil {
-		return err
+	payloads := make([][]byte, len(recs))
+	for i := range recs {
+		recs[i].LSN = s.lsn + 1 + uint64(i)
+		payload, err := EncodeRecord(recs[i])
+		if err != nil {
+			return err
+		}
+		if len(payload) > MaxRecordBytes {
+			return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		}
+		payloads[i] = payload
 	}
-	if err := s.wal.Append(payload); err != nil {
-		return err
-	}
-	s.lsn = r.LSN
-	// The record is durable; folding it cannot fail except on store
-	// corruption, which Open would have caught.
-	if err := s.st.apply(r, false); err != nil {
-		return err
-	}
-	s.pending++
-	if s.every > 0 && s.pending >= s.every {
-		return s.snapshotLocked()
+	for i, r := range recs {
+		if err := s.wal.Append(payloads[i]); err != nil {
+			return err
+		}
+		s.lsn = r.LSN
+		// The record is durable; folding it cannot fail except on store
+		// corruption, which Open would have caught.
+		if err := s.st.apply(r, false); err != nil {
+			return err
+		}
+		s.pending++
+		if s.every > 0 && s.pending >= s.every {
+			if err := s.snapshotLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -216,6 +229,20 @@ func (s *FileStore) RecordRefuse(eps, spent float64) error {
 // RecordSkill implements SkillStore.
 func (s *FileStore) RecordSkill(workerID string, accuracy float64) error {
 	return s.record(Record{Kind: KindSkillUpdate, Worker: workerID, Acc: accuracy})
+}
+
+// RecordSkills journals many skill updates at once, from parallel
+// slices, as fsynced skill.batch records split to fit MaxRecordBytes. A
+// batch that fits one record, as a round of workers with short IDs
+// does, recovers all or none across a crash. Slices that differ in
+// length, or a chunk that cannot fit a record, are refused before
+// anything is written.
+func (s *FileStore) RecordSkills(workerIDs []string, accs []float64) error {
+	recs, err := skillBatches(workerIDs, accs)
+	if err != nil {
+		return err
+	}
+	return s.record(recs...)
 }
 
 // RecordCampaignStart implements CampaignStore.

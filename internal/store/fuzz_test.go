@@ -10,7 +10,8 @@ import (
 // FuzzWALDecode throws arbitrary bytes at the WAL decoder and holds it
 // to the recovery contract:
 //
-//   - never panic, whatever the input;
+//   - never panic, whatever the input, in the decoder or in the fold
+//     that Open runs over each decoded record (an error is allowed);
 //   - decode exactly the valid frame prefix: re-framing the returned
 //     payloads reproduces input[:validLen] byte-for-byte, and the
 //     prefix rescans to the same result (the decode is a fixpoint);
@@ -32,6 +33,14 @@ func FuzzWALDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	clean := AppendFrame(AppendFrame(nil, rec1), rec2)
+	batch, err := EncodeRecord(Record{LSN: 3, Kind: KindSkillBatch, Workers: []string{"a", "b"}, Accs: []float64{0.8, 0.9}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	mismatched, err := EncodeRecord(Record{LSN: 3, Kind: KindSkillBatch, Workers: []string{"a", "b"}, Accs: []float64{0.8}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add(clean)
 	f.Add(clean[:len(clean)-3])
@@ -39,6 +48,8 @@ func FuzzWALDecode(f *testing.F) {
 	flipped[5] ^= 0x80
 	f.Add(flipped)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(frameImage(rec1, rec2, batch))
+	f.Add(frameImage(rec1, rec2, mismatched))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payloads, n := ScanFrames(data)
@@ -55,13 +66,16 @@ func FuzzWALDecode(f *testing.F) {
 
 		// Canonical: re-framing the payloads reproduces the prefix.
 		var reframed []byte
+		var st State
 		for _, p := range payloads {
 			if len(p) == 0 || len(p) > MaxRecordBytes {
 				t.Fatalf("decoded payload of %d bytes escapes the record bound", len(p))
 			}
 			reframed = AppendFrame(reframed, p)
-			// Record decoding must never panic on CRC-valid garbage.
-			_, _ = DecodeRecord(p)
+			// Neither decoding nor folding may panic on CRC-valid garbage.
+			if rec, err := DecodeRecord(p); err == nil {
+				_ = st.apply(rec, true)
+			}
 		}
 		if !bytes.Equal(reframed, data[:n]) {
 			t.Fatalf("re-framed prefix (%d bytes) != input prefix (%d bytes)", len(reframed), n)

@@ -22,6 +22,10 @@ const (
 	// KindSkillUpdate journals one worker's posterior accuracy after a
 	// truth-discovery update.
 	KindSkillUpdate = "skill.update"
+	// KindSkillBatch journals many workers' accuracies at once: Workers
+	// and Accs are parallel, and replay applies them all or, if the
+	// frame is torn, none of them.
+	KindSkillBatch = "skill.batch"
 	// KindCampaignStart journals campaign shape (Rounds) and the
 	// resolved base Seed, so a resumed process re-derives identical
 	// per-round seeds.
@@ -50,9 +54,10 @@ type Record struct {
 	Releases int64   `json:"releases,omitempty"`
 	Refusals int64   `json:"refusals,omitempty"`
 
-	// Skill fields (skill.update).
-	Worker string  `json:"worker,omitempty"`
-	Acc    float64 `json:"acc,omitempty"`
+	// Skill fields (skill.update; skill.batch uses Workers and Accs).
+	Worker string    `json:"worker,omitempty"`
+	Acc    float64   `json:"acc,omitempty"`
+	Accs   []float64 `json:"accs,omitempty"`
 
 	// Campaign fields (campaign.start / round.begin / round.complete).
 	Rounds  int      `json:"rounds,omitempty"`
@@ -60,6 +65,41 @@ type Record struct {
 	Round   int      `json:"round,omitempty"`
 	Payment float64  `json:"payment,omitempty"`
 	Workers []string `json:"workers,omitempty"`
+}
+
+// A skill batch is split into records by a worst-case encoded size, so
+// that no record can exceed MaxRecordBytes whatever its IDs hold. JSON
+// escapes one ID byte to at most 6 bytes (\u003c for '<', \ufffd for an
+// invalid byte); a float64 encodes in at most 25 bytes. Quotes and
+// separators fit in the rest of skillEntryOverhead, and the record's
+// fixed fields in skillBatchOverhead.
+const (
+	skillEntryOverhead = 32
+	skillBatchOverhead = 256
+)
+
+// skillBatches splits parallel worker IDs and accuracies into
+// skill.batch records, in order, each within MaxRecordBytes once
+// encoded. An ID too long to fit even alone gets a record of its own,
+// which the store then refuses as ErrTooLarge.
+func skillBatches(workerIDs []string, accs []float64) ([]Record, error) {
+	if len(workerIDs) != len(accs) {
+		return nil, fmt.Errorf("store: skill batch of %d workers and %d accuracies", len(workerIDs), len(accs))
+	}
+	var recs []Record
+	start, size := 0, skillBatchOverhead
+	for i, id := range workerIDs {
+		entry := 6*len(id) + skillEntryOverhead
+		if i > start && size+entry > MaxRecordBytes {
+			recs = append(recs, Record{Kind: KindSkillBatch, Workers: workerIDs[start:i], Accs: accs[start:i]})
+			start, size = i, skillBatchOverhead
+		}
+		size += entry
+	}
+	if start < len(workerIDs) {
+		recs = append(recs, Record{Kind: KindSkillBatch, Workers: workerIDs[start:], Accs: accs[start:]})
+	}
+	return recs, nil
 }
 
 // EncodeRecord marshals a record to its WAL payload. Go's

@@ -96,6 +96,17 @@ func (s *State) apply(r Record, verify bool) error {
 			s.Skills = make(map[string]float64)
 		}
 		s.Skills[r.Worker] = r.Acc
+	case KindSkillBatch:
+		if len(r.Workers) != len(r.Accs) {
+			return fmt.Errorf("%w: skill batch lsn=%d has %d workers and %d accuracies",
+				ErrCorrupt, r.LSN, len(r.Workers), len(r.Accs))
+		}
+		if s.Skills == nil {
+			s.Skills = make(map[string]float64, len(r.Workers))
+		}
+		for i, id := range r.Workers {
+			s.Skills[id] = r.Accs[i]
+		}
 	case KindCampaignStart:
 		s.Campaign.Rounds = r.Rounds
 		s.Campaign.Seed = r.Seed

@@ -54,12 +54,17 @@ func (m *MemStore) State() State {
 	return m.st.Clone()
 }
 
-// record folds one record; MemStore has no journal to disagree with,
-// so the spend-fold verification is off.
-func (m *MemStore) record(r Record) error {
+// record folds records; MemStore has no journal to disagree with, so
+// the spend-fold verification is off.
+func (m *MemStore) record(recs ...Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.st.apply(r, false)
+	for _, r := range recs {
+		if err := m.st.apply(r, false); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RecordRestore implements BudgetStore.
@@ -80,6 +85,16 @@ func (m *MemStore) RecordRefuse(eps, spent float64) error {
 // RecordSkill implements SkillStore.
 func (m *MemStore) RecordSkill(workerID string, accuracy float64) error {
 	return m.record(Record{Kind: KindSkillUpdate, Worker: workerID, Acc: accuracy})
+}
+
+// RecordSkills folds parallel worker IDs and accuracies as
+// FileStore.RecordSkills journals them.
+func (m *MemStore) RecordSkills(workerIDs []string, accs []float64) error {
+	recs, err := skillBatches(workerIDs, accs)
+	if err != nil {
+		return err
+	}
+	return m.record(recs...)
 }
 
 // RecordCampaignStart implements CampaignStore.
