@@ -95,22 +95,12 @@ func run(args []string) error {
 	// The event logger is the daemon's only log: every operational line
 	// is a structured, redaction-typed event. By default it streams
 	// JSONL to stderr; -events-out streams the same lines to a file.
-	// The console's drill-down view tails the stream through a bounded
-	// ring attached to the logger; it must be wired in before the first
-	// event is emitted so the ring misses nothing.
-	var (
-		stderr  io.Writer
-		evOpts  []evlog.Option
-		tailBuf *evlog.TailBuffer
-	)
+	// The console reads the logger's retained ring and budget fold.
+	var stderr io.Writer
 	if !*quiet {
 		stderr = os.Stderr
 	}
-	if *consoleAdr != "" {
-		tailBuf = evlog.NewTailBuffer(0)
-		evOpts = append(evOpts, evlog.WithTail(tailBuf))
-	}
-	ev, closeEvents, err := evlog.Stream(*eventsOut, stderr, evOpts...)
+	ev, closeEvents, err := evlog.Stream(*eventsOut, stderr)
 	if err != nil {
 		return fmt.Errorf("creating events file: %w", err)
 	}
@@ -251,7 +241,7 @@ func run(args []string) error {
 
 	// The operator console aggregates every observability surface the
 	// process carries — live round status, the metrics registry, the
-	// event tail ring, the DP accountant, shard occupancy, and the
+	// event log, the DP accountant, shard occupancy, and the
 	// recovered durable state — behind one HTTP address. It shares the
 	// graceful-shutdown path with the telemetry endpoint.
 	if *consoleAdr != "" {
@@ -261,7 +251,7 @@ func run(args []string) error {
 				return console.Status{Round: s.Round, Phase: s.Phase}
 			},
 			Metrics:     reg,
-			Events:      tailBuf,
+			Events:      ev,
 			Accountant:  acct,
 			ShardStats:  platform.ShardStats,
 			RoundsTotal: roundsTotal,
@@ -351,7 +341,6 @@ func run(args []string) error {
 	}
 	out := map[string]any{
 		"bidders":          report.Bidders,
-		"clearing_price":   report.Outcome.Price,
 		"winners":          len(report.Outcome.Winners),
 		"total_payment":    report.Outcome.TotalPayment,
 		"reports_received": report.ReportsReceived,
@@ -359,8 +348,12 @@ func run(args []string) error {
 		"worker_ids":       report.WorkerIDs,
 		"faults":           report.Faults,
 	}
+	// A sharded round has no single price: each partition's is in the
+	// sharding block.
 	if report.Sharding != nil {
 		out["sharding"] = report.Sharding
+	} else {
+		out["clearing_price"] = report.Outcome.Price
 	}
 	return enc.Encode(out)
 }

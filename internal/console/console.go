@@ -1,7 +1,7 @@
 // Package console is the live operator dashboard for a running
 // mcs-platform: one HTTP surface aggregating the metrics registry, the
-// evlog tail ring, the DP-budget ledger, and the shard coordinator
-// into an HTML overview with server-side SVG charts, plus JSON
+// event log's retained ring, the DP-budget ledger, and the shard
+// coordinator into an HTML overview with server-side SVG charts, plus JSON
 // endpoints (/api/overview, /api/rounds, /api/events) that back the
 // HTML and feed tests and tooling the same aggregates.
 //
@@ -47,11 +47,11 @@ type Config struct {
 	Status func() Status
 	// Metrics is the platform's registry, read via Snapshot.
 	Metrics *telemetry.Registry
-	// Events is the evlog tail ring backing the drill-down view and
-	// the ledger fold.
-	Events *evlog.TailBuffer
+	// Events is the platform's event log: its retained ring backs the
+	// drill-down views, its ledger fold the budget panel.
+	Events *evlog.Logger
 	// Accountant is the live DP accountant; its Spent() is compared
-	// against the tail's ledger fold on the overview.
+	// against the event log's ledger fold on the overview.
 	Accountant *mechanism.Accountant
 	// ShardStats reports per-partition stats; nil when unsharded.
 	ShardStats func() []shard.PartitionStats
@@ -73,7 +73,7 @@ type Server struct {
 }
 
 // New returns a console over the configured sources and exports the
-// tail ring's drop counter into the metrics registry.
+// event ring's drop counter into the metrics registry.
 func New(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = telemetry.WallClock()
@@ -120,7 +120,7 @@ type FaultCounts struct {
 	Total             int64 `json:"total"`
 }
 
-// LedgerInfo is the tail ring's incremental FoldBudget reconstruction.
+// LedgerInfo is the event log's incremental FoldBudget reconstruction.
 type LedgerInfo struct {
 	Releases          int     `json:"releases"`
 	Refusals          int     `json:"refusals"`
@@ -141,7 +141,7 @@ type BudgetInfo struct {
 	Ledger    LedgerInfo `json:"ledger"`
 }
 
-// EventsInfo describes the tail ring's occupancy.
+// EventsInfo describes the event ring's occupancy.
 type EventsInfo struct {
 	Retained int   `json:"retained"`
 	Capacity int   `json:"capacity"`
@@ -189,7 +189,10 @@ type HistogramInfo struct {
 	Sum    float64   `json:"sum"`
 }
 
-// RoundSummary is one round lifecycle event from the tail ring.
+// RoundSummary is one round lifecycle event from the event ring.
+// ClearingPrice is absent when the event carries none: a degraded or
+// failed round, or a sharded one, whose winners are each paid their own
+// partition's price.
 type RoundSummary struct {
 	Round           int     `json:"round"`
 	Status          string  `json:"status"`
@@ -204,7 +207,7 @@ type RoundSummary struct {
 }
 
 // RoundsResponse is the /api/rounds response. Rounds holds the
-// lifecycle events still retained by the tail ring, oldest first.
+// lifecycle events still retained by the event ring, oldest first.
 type RoundsResponse struct {
 	Schema  string              `json:"schema"`
 	Rounds  []RoundSummary      `json:"rounds"`
@@ -264,15 +267,15 @@ func (s *Server) Overview() Overview {
 	if s.cfg.ShardStats != nil {
 		o.Shards = s.cfg.ShardStats()
 	}
-	tail := s.cfg.Events
+	ev := s.cfg.Events
 	o.Events = EventsInfo{
-		Retained: tail.Len(),
-		Capacity: tail.Cap(),
-		Dropped:  tail.Dropped(),
-		Total:    tail.Total(),
-		LastSeq:  tail.LastSeq(),
+		Retained: ev.Len(),
+		Capacity: ev.Cap(),
+		Dropped:  ev.Dropped(),
+		Total:    ev.Total(),
+		LastSeq:  ev.LastSeq(),
 	}
-	led := tail.Ledger()
+	led := ev.Ledger()
 	if s.cfg.Accountant != nil || led.Releases > 0 || led.Refusals > 0 {
 		b := BudgetInfo{Ledger: LedgerInfo{
 			Releases:          led.Releases,
@@ -312,27 +315,29 @@ func (s *Server) Overview() Overview {
 	return o
 }
 
-// Rounds assembles the /api/rounds aggregate from the tail ring's
+// roundStatus maps a round's closing event to its status on the
+// rounds view; other events close no round.
+var roundStatus = map[string]string{
+	"round.complete": "completed",
+	"round.degraded": "degraded",
+	"round.failed":   "failed",
+}
+
+// Rounds assembles the /api/rounds aggregate from the event ring's
 // retained round lifecycle events plus the latency histogram and the
-// ledger's burn-down series.
+// ledger's burn-down series. Only the lines that close a round are
+// parsed.
 func (s *Server) Rounds() RoundsResponse {
 	resp := RoundsResponse{Schema: SchemaV1}
-	entries := s.cfg.Events.Tail(0, 0)
+	entries := s.cfg.Events.Tail(0, 0, evlog.LevelDebug, "round.")
 	// Tail is newest-first; walk backwards for oldest-first rounds.
 	for i := len(entries) - 1; i >= 0; i-- {
-		e, err := evlog.ParseEvent(entries[i].Raw)
-		if err != nil {
+		status, ok := roundStatus[entries[i].Name]
+		if !ok {
 			continue
 		}
-		var status string
-		switch e.Name {
-		case "round.complete":
-			status = "completed"
-		case "round.degraded":
-			status = "degraded"
-		case "round.failed":
-			status = "failed"
-		default:
+		e, err := evlog.ParseEvent(entries[i].Raw)
+		if err != nil {
 			continue
 		}
 		sum := RoundSummary{Status: status, Seq: e.Seq, TimestampUnixNs: e.TimestampUnixNs}
@@ -366,13 +371,13 @@ func (s *Server) Rounds() RoundsResponse {
 	return resp
 }
 
-// eventsQuery are the parsed /events paging parameters.
+// eventsQuery are the parsed /events paging parameters. level is
+// LevelDebug and names empty when the request filters on neither.
 type eventsQuery struct {
 	before int64
 	limit  int
 	level  evlog.Level
-	filter bool // level filter active
-	event  string
+	names  []string
 }
 
 // defaultEventsLimit and maxEventsLimit bound one drill-down page.
@@ -409,67 +414,31 @@ func parseEventsQuery(r *http.Request) (eventsQuery, error) {
 			return q, fmt.Errorf("unknown level %q", raw)
 		}
 		q.level = lv
-		q.filter = true
 	}
-	q.event = vals.Get("event")
+	if raw := vals.Get("event"); raw != "" {
+		q.names = []string{raw}
+	}
 	return q, nil
 }
 
 // Events assembles one page of retained evlog lines, newest first.
-// Unfiltered pages splice the stored bytes verbatim; level/event
-// filters parse each candidate line first.
+// The level/event filters select by each entry's stored level and name
+// (exact, or a prefix when the filter ends in '.', so "round." selects
+// the lifecycle), and the page splices the stored bytes verbatim.
 func (s *Server) Events(q eventsQuery) EventsResponse {
-	tail := s.cfg.Events
+	ev := s.cfg.Events
 	resp := EventsResponse{
 		Schema:  SchemaV1,
-		LastSeq: tail.LastSeq(),
-		Dropped: tail.Dropped(),
-		Total:   tail.Total(),
+		LastSeq: ev.LastSeq(),
+		Dropped: ev.Dropped(),
+		Total:   ev.Total(),
 		Events:  []json.RawMessage{},
 	}
-	cursor := q.before
-	for len(resp.Events) < q.limit {
-		batch := tail.Tail(cursor, q.limit-len(resp.Events))
-		if len(batch) == 0 {
-			break
-		}
-		for _, entry := range batch {
-			cursor = entry.Seq
-			if q.filter || q.event != "" {
-				e, err := evlog.ParseEvent(entry.Raw)
-				if err != nil {
-					continue
-				}
-				if q.event != "" && !matchEvent(e.Name, q.event) {
-					continue
-				}
-				if q.filter {
-					lv, ok := evlog.ParseLevel(e.Level)
-					if !ok || lv < q.level {
-						continue
-					}
-				}
-			}
-			resp.Events = append(resp.Events, json.RawMessage(entry.Raw))
-			resp.NextBefore = entry.Seq
-			if len(resp.Events) == q.limit {
-				break
-			}
-		}
+	for _, entry := range ev.Tail(q.before, q.limit, q.level, q.names...) {
+		resp.Events = append(resp.Events, json.RawMessage(entry.Raw))
+		resp.NextBefore = entry.Seq
 	}
 	return resp
-}
-
-// matchEvent matches an event name against a filter: exact, or prefix
-// when the filter ends in '.', so "round." selects the lifecycle.
-func matchEvent(name, filter string) bool {
-	if filter == "" || name == filter {
-		return true
-	}
-	if filter[len(filter)-1] == '.' && len(name) > len(filter) {
-		return name[:len(filter)] == filter
-	}
-	return false
 }
 
 // --- HTTP handlers ------------------------------------------------------

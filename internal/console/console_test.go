@@ -1,9 +1,11 @@
 package console
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,14 +20,13 @@ import (
 )
 
 // fixture assembles a console over a deterministic synthetic platform:
-// manual clock, pre-populated registry, a tail ring fed through the
-// real logger, and a live accountant that has debited twice.
+// manual clock, pre-populated registry, a real logger, and a live
+// accountant that has debited twice.
 func fixture(t *testing.T) *Server {
 	t.Helper()
 	clock := telemetry.NewManualClock(time.Unix(1700000000, 0).UTC())
 	reg := telemetry.NewRegistry(telemetry.WithClock(clock))
-	tail := evlog.NewTailBuffer(64)
-	lg := evlog.New(evlog.WithClock(clock), evlog.WithTail(tail))
+	lg := evlog.New(evlog.WithClock(clock))
 	acct, err := mechanism.NewAccountant(2)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func fixture(t *testing.T) *Server {
 	srv := New(Config{
 		Status:     func() Status { return Status{Round: 3, Phase: "idle"} },
 		Metrics:    reg,
-		Events:     tail,
+		Events:     lg,
 		Accountant: acct,
 		ShardStats: func() []shard.PartitionStats {
 			return []shard.PartitionStats{
@@ -159,7 +160,7 @@ func TestOverviewJSONRoundTrip(t *testing.T) {
 		t.Errorf("shards = %+v", o.Shards)
 	}
 	// 5 events: 2 complete + 1 degraded + 2 budget.spend.
-	if o.Events.Retained != 5 || o.Events.Total != 5 || o.Events.LastSeq != 5 || o.Events.Capacity != 64 {
+	if o.Events.Retained != 5 || o.Events.Total != 5 || o.Events.LastSeq != 5 || o.Events.Capacity != 1<<16 {
 		t.Errorf("events = %+v", o.Events)
 	}
 	if o.Store == nil || o.Store.RoundsCompleted != 2 || o.Store.SkillsTracked != 2 || o.Store.TotalPayment != 41.5 {
@@ -348,8 +349,7 @@ func TestNoBidValueInAnyResponse(t *testing.T) {
 	const sentinel = "13.37" // off-grid bid cost; nothing else renders it
 	clock := telemetry.NewManualClock(time.Unix(1700000000, 0))
 	reg := telemetry.NewRegistry(telemetry.WithClock(clock))
-	tail := evlog.NewTailBuffer(16)
-	lg := evlog.New(evlog.WithClock(clock), evlog.WithTail(tail))
+	lg := evlog.New(evlog.WithClock(clock))
 
 	// The protocol's bid-handshake events: the bid value itself is only
 	// representable as a Redacted marker — the Field API has no escape
@@ -361,7 +361,7 @@ func TestNoBidValueInAnyResponse(t *testing.T) {
 		evlog.Aggregate("clearing_price", 21),
 		evlog.Int("reports_received", 1), evlog.Int("faults", 0))
 
-	srv := New(Config{Metrics: reg, Events: tail, Clock: clock})
+	srv := New(Config{Metrics: reg, Events: lg, Clock: clock})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -395,5 +395,120 @@ func TestNoBidValueInAnyResponse(t *testing.T) {
 		if !e.Redacted("bid") {
 			t.Errorf("bid field not a redaction marker: %s", raw)
 		}
+	}
+}
+
+// TestRingWrapRoundsAndPaging serves a logger whose ring has wrapped:
+// /api/rounds lists only the rounds still retained, oldest first;
+// paging /api/events from the newest line to the oldest crosses the
+// ring's wrap point and returns each retained seq exactly once; and the
+// overview's ledger still equals the accountant and an offline fold of
+// the full stream bit-for-bit, though the early budget lines are gone.
+func TestRingWrapRoundsAndPaging(t *testing.T) {
+	const (
+		rounds   = 40
+		perRound = 2000 // round.start, budget.spend, noise, round.complete
+	)
+	clock := telemetry.NewManualClock(time.Unix(1700000000, 0))
+	var full bytes.Buffer
+	lg := evlog.New(evlog.WithClock(clock), evlog.WithSink(&full))
+	acct, err := mechanism.NewAccountant(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct.ObserveEvents(lg)
+	for r := 0; r < rounds; r++ {
+		lg.Info("round.start", evlog.Int("round", r))
+		if err := acct.Spend(0.1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perRound-3; i++ {
+			lg.Debug("bid.accepted", evlog.Int("round", r), evlog.Redacted("bid"))
+		}
+		lg.Info("round.complete", evlog.Int("round", r), evlog.Aggregate("clearing_price", 12))
+	}
+	srv := New(Config{Metrics: telemetry.NewRegistry(), Events: lg, Accountant: acct, Clock: clock})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const total = rounds * perRound
+	retained := int64(lg.Cap())
+	oldest := total - retained + 1
+
+	var o Overview
+	getJSON(t, ts, "/api/overview", &o)
+	if o.Events.Total != total || o.Events.LastSeq != total || o.Events.Retained != int(retained) ||
+		o.Events.Dropped != o.Events.Total-int64(o.Events.Retained) {
+		t.Errorf("events = %+v, want %d retained of %d", o.Events, retained, total)
+	}
+	stream, err := evlog.ReadJSONL(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := evlog.FoldBudget(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Budget == nil {
+		t.Fatal("budget panel missing")
+	}
+	cum := o.Budget.Ledger.CumulativeEpsilon
+	if math.Float64bits(cum) != math.Float64bits(acct.Spent()) || math.Float64bits(cum) != math.Float64bits(folded.CumulativeEpsilon) {
+		t.Errorf("ledger %v, accountant %v, offline fold %v: must agree bit-for-bit", cum, acct.Spent(), folded.CumulativeEpsilon)
+	}
+	if o.Budget.Ledger.Releases != rounds {
+		t.Errorf("ledger releases = %d, want %d", o.Budget.Ledger.Releases, rounds)
+	}
+
+	// Round r closes at seq perRound*(r+1); the evicted ones are gone.
+	firstRound := int((oldest - 1) / perRound)
+	var rr RoundsResponse
+	getJSON(t, ts, "/api/rounds", &rr)
+	if len(rr.Rounds) != rounds-firstRound {
+		t.Fatalf("rounds = %d, want the %d retained", len(rr.Rounds), rounds-firstRound)
+	}
+	for i, r := range rr.Rounds {
+		if r.Round != firstRound+i || r.Seq != int64(perRound*(firstRound+i+1)) || r.ClearingPrice != 12 {
+			t.Fatalf("rounds[%d] = %+v, want round %d (oldest first)", i, r, firstRound+i)
+		}
+	}
+
+	type seqOnly struct {
+		Events []struct {
+			Seq int64 `json:"seq"`
+		} `json:"events"`
+		NextBefore int64 `json:"next_before"`
+	}
+	// Strictly falling seqs are distinct, so retained of them from
+	// total down to oldest are each retained seq exactly once.
+	var newest, n int64
+	prev := int64(total + 1)
+	for path := fmt.Sprintf("/api/events?limit=%d", maxEventsLimit); ; {
+		var page seqOnly
+		getJSON(t, ts, path, &page)
+		if len(page.Events) == 0 {
+			break
+		}
+		for _, e := range page.Events {
+			if e.Seq >= prev {
+				t.Fatalf("seq %d after %d: pages must walk down without repeats", e.Seq, prev)
+			}
+			if n == 0 {
+				newest = e.Seq
+			}
+			prev = e.Seq
+			n++
+		}
+		path = fmt.Sprintf("/api/events?limit=%d&before=%d", maxEventsLimit, page.NextBefore)
+	}
+	if n != retained || newest != total || prev != oldest {
+		t.Errorf("paging returned %d seqs from %d down to %d, want every seq in [%d, %d] once",
+			n, newest, prev, oldest, total)
+	}
+
+	var completes EventsResponse
+	getJSON(t, ts, "/api/events?event=round.complete&limit=500", &completes)
+	if len(completes.Events) != rounds-firstRound {
+		t.Errorf("round.complete filter = %d events, want %d", len(completes.Events), rounds-firstRound)
 	}
 }

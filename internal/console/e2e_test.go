@@ -31,8 +31,7 @@ func TestConsoleOverLivePlatform(t *testing.T) {
 	costs := []float64{13.37, 14.37, 15.37, 16.37, 17.37, 18.37}
 
 	reg := telemetry.NewRegistry()
-	tail := evlog.NewTailBuffer(256)
-	lg := evlog.New(evlog.WithTail(tail))
+	lg := evlog.New()
 	acct, err := mechanism.NewAccountant(3)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestConsoleOverLivePlatform(t *testing.T) {
 			return Status{Round: st.Round, Phase: st.Phase}
 		},
 		Metrics:    reg,
-		Events:     tail,
+		Events:     lg,
 		Accountant: acct,
 		ShardStats: platform.ShardStats,
 	})

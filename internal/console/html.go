@@ -242,10 +242,16 @@ func (s *Server) renderRounds() string {
 			case "failed":
 				cls = ` class="bad"`
 			}
+			// A round without a clearing_price (degraded, failed or
+			// sharded) shows an empty cell, as its JSON omits the field.
+			price := ""
+			if r.ClearingPrice != 0 {
+				price = ftoa(r.ClearingPrice)
+			}
 			fmt.Fprintf(&b, "<tr%s><td>%d</td><td class=\"l\">%s</td><td>%d</td><td>%d</td>"+
 				"<td>%s</td><td>%d</td><td>%d</td><td class=\"l\">%s</td><td>%s</td></tr>\n",
 				cls, r.Round, htmlEscape(r.Status), r.Bidders, r.Winners,
-				ftoa(r.ClearingPrice), r.ReportsReceived, r.Faults,
+				price, r.ReportsReceived, r.Faults,
 				htmlEscape(r.Reason), stamp(r.TimestampUnixNs))
 		}
 		b.WriteString("</table>")

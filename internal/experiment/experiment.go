@@ -124,7 +124,7 @@ func startProgress(ev *evlog.Logger, id string, totalJobs int) *progressTracker 
 // jobDone records one finished pool job.
 func (pt *progressTracker) jobDone() {
 	n := pt.completed.Add(1)
-	if !pt.ev.Enabled(evlog.LevelDebug) {
+	if pt.ev == nil {
 		return
 	}
 	elapsed := pt.ev.Now().Sub(pt.start).Seconds()

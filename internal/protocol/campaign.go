@@ -228,7 +228,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 			campaign.FailedRounds++
 			campaign.RoundErrors = append(campaign.RoundErrors, err.Error())
 			p.cfg.Events.Warn("campaign.round_skipped",
-				evlog.Int("round", round+1),
+				evlog.Int("round", rep.Round),
 				evlog.Int("rounds", rounds),
 				evlog.String("reason", degradeReason(err)))
 			continue
@@ -243,7 +243,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 		// The payment total derives from the DP price draw, so it rides
 		// in an Aggregate wrapper like the clearing price itself.
 		p.cfg.Events.Info("campaign.round",
-			evlog.Int("round", round+1),
+			evlog.Int("round", rep.Round),
 			evlog.Int("rounds", rounds),
 			evlog.Aggregate("total_payment", rep.Outcome.TotalPayment))
 	}

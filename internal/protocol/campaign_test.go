@@ -146,6 +146,7 @@ func TestRunCampaignLearnsSkills(t *testing.T) {
 	if res.campaign.TotalPayment <= 0 {
 		t.Fatal("no payments made")
 	}
+	assertCampaignRoundsJoin(t, cfg.Events, []int{0, 1, 2})
 
 	// After three rounds of truth discovery the store should rank sharp
 	// workers above noisy ones.

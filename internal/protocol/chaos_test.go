@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -893,19 +894,54 @@ func driveCampaignWave(ctx context.Context, t *testing.T, addr string, round, wo
 	wg.Wait()
 }
 
-// waitEventCount polls the event stream until name has fired at least
-// want times — the deterministic synchronization point between the
-// test and the campaign goroutine.
-func waitEventCount(t *testing.T, ev *evlog.Logger, name string, want int64) {
+// waitEventCount polls the event log until it retains at least want
+// events named name — the deterministic synchronization point between
+// the test and the campaign goroutine.
+func waitEventCount(t *testing.T, ev *evlog.Logger, name string, want int) {
 	t.Helper()
+	count := func() int {
+		return len(ev.Tail(0, 0, evlog.LevelDebug, name))
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if ev.CountByEvent(name) >= want {
+		if count() >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("event %s never reached count %d (at %d)", name, want, ev.CountByEvent(name))
+	t.Fatalf("event %s never reached count %d (at %d)", name, want, count())
+}
+
+// assertCampaignRoundsJoin checks that the campaign.round events in ev
+// name exactly the rounds in want, in order, and that each joins a
+// round.complete event on its round field: both carry the campaign
+// index.
+func assertCampaignRoundsJoin(t *testing.T, ev *evlog.Logger, want []int) {
+	t.Helper()
+	entries := ev.Tail(0, 0, evlog.LevelDebug, "campaign.round", "round.complete")
+	completed := make(map[int64]bool)
+	var campaign []int
+	for i := len(entries) - 1; i >= 0; i-- { // oldest first
+		e, err := evlog.ParseEvent(entries[i].Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round, ok := e.Int("round")
+		if !ok {
+			t.Fatalf("%s seq %d has no round field", e.Name, e.Seq)
+		}
+		if e.Name == "round.complete" {
+			completed[round] = true
+			continue
+		}
+		if !completed[round] {
+			t.Errorf("campaign.round seq %d names round %d, which has no round.complete", e.Seq, round)
+		}
+		campaign = append(campaign, int(round))
+	}
+	if !reflect.DeepEqual(campaign, want) {
+		t.Errorf("campaign.round events name rounds %v, want %v", campaign, want)
+	}
 }
 
 // foldLoggerBudget round-trips a logger's stream through the JSONL
@@ -1022,6 +1058,7 @@ func TestChaosKillRestartMidCampaign(t *testing.T) {
 	if len(res.report.Rounds) != 2 {
 		t.Fatalf("pre-kill campaign completed %d rounds, want 2", len(res.report.Rounds))
 	}
+	assertCampaignRoundsJoin(t, ev1, []int{0, 1})
 	preKill := res.report
 	preKillSpent := acct1.Spent()
 	if err := st1.Close(); err != nil {
@@ -1111,6 +1148,7 @@ func TestChaosKillRestartMidCampaign(t *testing.T) {
 			t.Errorf("resumed round %d has index %d, want %d — a resume must never revisit a paid round", i, rep.Round, want)
 		}
 	}
+	assertCampaignRoundsJoin(t, ev2, []int{3, 4})
 
 	// Post-restart reconciliation: the second stream alone — seeded by
 	// its budget.recover baseline — folds to the final accountant state.

@@ -544,16 +544,23 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 			}
 		}
 		p.met.roundsCompleted.Inc()
-		// The clearing price is the mechanism's DP output — the one
-		// sanctioned release — so it rides in an Aggregate wrapper.
-		ev.Info("round.complete",
+		fields := []evlog.Field{
 			evlog.Int64("span", root.ID()),
 			evlog.Int("round", round),
 			evlog.Int("bidders", rep.Bidders),
 			evlog.Int("winners", len(rep.Outcome.Winners)),
-			evlog.Aggregate("clearing_price", rep.Outcome.Price),
 			evlog.Int("reports_received", rep.ReportsReceived),
-			evlog.Int("faults", rep.Faults.Total()))
+			evlog.Int("faults", rep.Faults.Total()),
+		}
+		// The clearing price is the mechanism's DP output — the one
+		// sanctioned release — so it rides in an Aggregate wrapper. A
+		// sharded round has no single price (the merged Outcome.Price
+		// is 0 by contract; each partition's is on shard.partition),
+		// so it carries none.
+		if rep.Sharding == nil {
+			fields = append(fields, evlog.Aggregate("clearing_price", rep.Outcome.Price))
+		}
+		ev.Info("round.complete", fields...)
 	case errors.Is(err, ErrQuorumNotMet):
 		p.met.quorumFailures.Inc()
 		p.met.roundsDegraded.Inc()
@@ -865,12 +872,13 @@ func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, rou
 		winnerPrices[i] = w.Price
 		skills[i] = p.coord.SkillRow(w.WorkerID)
 	}
-	// The drawn price is the mechanism's DP-sanctioned release; it still
-	// travels wrapped so the stream stays uniformly redaction-typed.
-	ev.Debug("round.price_drawn",
-		evlog.Int64("span", spanID),
-		evlog.Aggregate("clearing_price", outcome.Price),
-		evlog.Int("winners", len(outcome.Winners)))
+	// Like round.complete, a sharded round's draw carries no single
+	// price.
+	fields := []evlog.Field{evlog.Int64("span", spanID), evlog.Int("winners", len(outcome.Winners))}
+	if merged == nil {
+		fields = append(fields, evlog.Aggregate("clearing_price", outcome.Price))
+	}
+	ev.Debug("round.price_drawn", fields...)
 	return outcome, skills, winnerPrices, merged, nil
 }
 

@@ -164,6 +164,42 @@ func TestShardedEpsilonBitForBit(t *testing.T) {
 	}
 }
 
+// TestShardedRoundEventsCarryNoPrice: a sharded round has no single
+// clearing price, so its round.price_drawn and round.complete events
+// carry none, where an unsharded round's carry the drawn price.
+func TestShardedRoundEventsCarryNoPrice(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		o := shardedOpts(707, 12)
+		ev := evlog.New()
+		o.events = ev
+		rep, _, _, err := runShardedRound(t, o, shards, nil, 0)
+		if err != nil {
+			t.Fatalf("shards=%d round: %v", shards, err)
+		}
+		if (rep.Sharding != nil) != (shards > 1) {
+			t.Fatalf("shards=%d: Sharding outcome %v", shards, rep.Sharding)
+		}
+		entries := ev.Tail(0, 0, evlog.LevelDebug, "round.price_drawn", "round.complete")
+		if len(entries) != 2 {
+			t.Fatalf("shards=%d: %d price events, want round.price_drawn and round.complete", shards, len(entries))
+		}
+		for _, entry := range entries {
+			e, err := evlog.ParseEvent(entry.Raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			price, ok := e.Float("clearing_price")
+			switch {
+			case shards > 1 && ok:
+				t.Errorf("sharded %s carries clearing_price %v", e.Name, price)
+			case shards <= 1 && (!ok || price != rep.Outcome.Price || price <= 0):
+				t.Errorf("unsharded %s carries clearing_price %v (present %v), want the drawn %v",
+					e.Name, price, ok, rep.Outcome.Price)
+			}
+		}
+	}
+}
+
 // TestShardedNoLostBids: every accepted bid reaches a partition — the
 // per-partition admissions sum exactly to the session count, and every
 // winner is paid its own partition's price.

@@ -31,17 +31,9 @@ func BenchmarkEventNop(b *testing.B) {
 }
 
 func BenchmarkEventLive(b *testing.B) {
-	l := New(WithClock(telemetry.NewManualClock(time.Unix(0, 0))), WithMaxEvents(1<<10))
+	l := New(WithClock(telemetry.NewManualClock(time.Unix(0, 0))))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Info("bench.tick", Int("i", i), Float("eps", 0.1), Redacted("bid"))
-	}
-}
-
-func BenchmarkEventLevelFiltered(b *testing.B) {
-	l := New(WithClock(telemetry.NewManualClock(time.Unix(0, 0))), WithMinLevel(LevelWarn))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Debug("bench.tick", Int("i", i))
 	}
 }

@@ -1,6 +1,7 @@
 // Package evlog is the repo's structured event log: leveled JSONL
-// events with typed fields, a bounded in-memory buffer, optional
-// write-through sink, and an injected Clock.
+// events with typed fields, a bounded drop-oldest ring of the newest
+// lines with a live budget-ledger fold, optional write-through sink,
+// and an injected Clock.
 //
 // It inherits the two telemetry design rules:
 //
@@ -25,8 +26,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -141,27 +142,58 @@ func Redacted(key string) Field { return Field{key: key, kind: kindRedacted} }
 // permits.
 func Aggregate(key string, v float64) Field { return Field{key: key, kind: kindAggregate, num: v} }
 
-// defaultMaxEvents bounds the retained buffer; emissions past it are
-// counted in Dropped rather than growing without bound.
-const defaultMaxEvents = 1 << 16
+// ringCap bounds the retained ring: the newest 65,536 lines stay in
+// memory and older ones are evicted and counted in Dropped. Every
+// logger keeps the ring: the retained lines are a stable share of a
+// served round's live heap, which the garbage collector paces on, so
+// a platform without them collects more often (DESIGN.md, "Structured
+// events").
+const ringCap = 1 << 16
+
+// budgetPoints bounds the burn-down series; one point per budget
+// release, far beyond any campaign's round count.
+const budgetPoints = 4096
+
+// entry is one retained event: the rendered line with its trailing
+// newline, and the event name and level it was emitted under, so
+// readers can select lines without parsing them. Its sequence number
+// is implied by its slot.
+type entry struct {
+	name  string
+	level Level
+	line  []byte
+}
 
 // Logger records structured events. A nil *Logger is the Nop: every
 // method no-ops, Now reads as the zero time, and the emit path
 // allocates nothing. Safe for concurrent use.
+//
+// Every emitted line is retained in a drop-oldest ring of ringCap
+// entries (event seq s lives in slot (s-1) % ringCap), which WriteJSONL
+// and Tail read. Budget events are also folded into a BudgetLedger as
+// they are emitted, so Ledger covers the whole stream from the first
+// event even after the ring has evicted the lines themselves.
 type Logger struct {
 	clock telemetry.Clock
-	min   Level
-	max   int
 	sink  io.Writer
-	tail  *TailBuffer
 
 	mu      sync.Mutex
 	seq     int64
-	lines   [][]byte
-	dropped int64
-	counts  map[string]int64
+	ring    []entry
 	byLevel [4]int64
 	sinkErr error
+	drops   *telemetry.Counter
+	led     BudgetLedger
+	budget  []BudgetPoint
+}
+
+// BudgetPoint is one step of the epsilon burn-down: the cumulative
+// ledger state after the Release'th successful debit (release 0 is a
+// recovery baseline).
+type BudgetPoint struct {
+	Release int     `json:"release"`
+	Spent   float64 `json:"spent"`
+	Total   float64 `json:"total"`
 }
 
 // Option configures New.
@@ -173,21 +205,8 @@ func WithClock(c telemetry.Clock) Option {
 	return func(l *Logger) { l.clock = c }
 }
 
-// WithMinLevel drops events below min at the emit call; the default
-// keeps everything (LevelDebug).
-func WithMinLevel(min Level) Option {
-	return func(l *Logger) { l.min = min }
-}
-
-// WithMaxEvents bounds the retained buffer (default 65536). Events
-// emitted past the bound still count in CountByEvent and Dropped but
-// are not retained for WriteJSONL.
-func WithMaxEvents(n int) Option {
-	return func(l *Logger) { l.max = n }
-}
-
 // WithSink streams each rendered line to w as it is emitted, in
-// addition to buffering it. Write errors are sticky and surface via
+// addition to retaining it. Write errors are sticky and surface via
 // Err; they never fail the instrumented caller.
 func WithSink(w io.Writer) Option {
 	return func(l *Logger) { l.sink = w }
@@ -197,7 +216,7 @@ func WithSink(w io.Writer) Option {
 // to a JSONL file created at path and to stderr; an empty path or a nil
 // stderr leaves that output out. The file exists before the first
 // event and is written line by line, so it holds every event of the
-// run however many the bounded buffer drops — the path the commands'
+// run however many the bounded ring evicts — the path the commands'
 // -events-out flag takes.
 //
 // The returned close function detaches the file (later events still
@@ -244,26 +263,11 @@ func Stream(path string, stderr io.Writer, opts ...Option) (*Logger, func() erro
 
 // New returns an empty logger.
 func New(opts ...Option) *Logger {
-	l := &Logger{
-		clock:  telemetry.WallClock(),
-		min:    LevelDebug,
-		max:    defaultMaxEvents,
-		counts: make(map[string]int64),
-	}
+	l := &Logger{clock: telemetry.WallClock()}
 	for _, opt := range opts {
 		opt(l)
 	}
-	if l.max <= 0 {
-		l.max = defaultMaxEvents
-	}
 	return l
-}
-
-// Enabled reports whether events at the given level are recorded; the
-// cheap pre-check instrumented code uses before computing expensive
-// fields.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.min
 }
 
 // Now reads the logger's clock; the nil logger reads as the zero time,
@@ -288,10 +292,12 @@ func (l *Logger) Warn(event string, fields ...Field) { l.Log(LevelWarn, event, f
 func (l *Logger) Error(event string, fields ...Field) { l.Log(LevelError, event, fields...) }
 
 // Log emits one event. The line is rendered immediately — fields are
-// read, never retained — sequenced under the logger's mutex, appended
-// to the bounded buffer, and streamed to the sink when one is set.
+// read, never retained — sequenced under the logger's mutex, stored in
+// the ring (evicting the oldest line once it is full), folded into the
+// budget ledger when it is a budget event, and streamed to the sink
+// when one is set.
 func (l *Logger) Log(level Level, event string, fields ...Field) {
-	if l == nil || level < l.min {
+	if l == nil {
 		return
 	}
 	ts := l.clock.Now()
@@ -316,24 +322,47 @@ func (l *Logger) Log(level Level, event string, fields ...Field) {
 	}
 	buf = append(buf, "}}\n"...)
 
-	l.counts[event]++
 	if level >= 0 && int(level) < len(l.byLevel) {
 		l.byLevel[level]++
 	}
-	if len(l.lines) < l.max {
-		l.lines = append(l.lines, buf)
+	e := entry{name: event, level: level, line: buf}
+	if len(l.ring) < ringCap {
+		l.ring = append(l.ring, e)
 	} else {
-		l.dropped++
+		l.ring[(l.seq-1)%ringCap] = e
+		l.drops.Inc()
+	}
+	switch event {
+	case EventBudgetSpend, EventBudgetRefuse, EventBudgetRecover:
+		l.foldBudget(buf)
 	}
 	if l.sink != nil {
 		if _, err := l.sink.Write(buf); err != nil && l.sinkErr == nil {
 			l.sinkErr = err
 		}
 	}
-	if l.tail != nil {
-		l.tail.observe(l.seq, event, buf)
-	}
 	l.mu.Unlock()
+}
+
+// foldBudget applies one rendered budget line to the ledger with the
+// fold FoldBudget iterates, so both perform the same float additions in
+// the same order, and extends the burn-down series. A line the fold
+// rejects is left out, which shows as a ledger that disagrees with the
+// accountant. Called with l.mu held.
+func (l *Logger) foldBudget(line []byte) {
+	e, err := ParseEvent(line)
+	if err != nil || l.led.fold(e) != nil || e.Name == EventBudgetRefuse {
+		return
+	}
+	if len(l.budget) == budgetPoints {
+		copy(l.budget, l.budget[1:])
+		l.budget = l.budget[:budgetPoints-1]
+	}
+	l.budget = append(l.budget, BudgetPoint{
+		Release: l.led.Releases,
+		Spent:   l.led.CumulativeEpsilon,
+		Total:   l.led.Total,
+	})
 }
 
 // render appends the field as `"key":value`.
@@ -410,31 +439,44 @@ func (l *Logger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.lines)
+	return len(l.ring)
 }
 
-// Dropped returns how many events the bounded buffer discarded.
+// Cap returns the ring's capacity.
+func (l *Logger) Cap() int {
+	if l == nil {
+		return 0
+	}
+	return ringCap
+}
+
+// Total returns how many events were emitted, retained or not.
+func (l *Logger) Total() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seq
+}
+
+// LastSeq returns the sequence number of the newest event, zero before
+// any. Every event takes the next number, so it equals Total.
+func (l *Logger) LastSeq() int64 { return l.Total() }
+
+// Dropped returns how many events the ring has evicted: Total minus
+// the ring's capacity once it is full.
 func (l *Logger) Dropped() int64 {
 	if l == nil {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.seq - int64(len(l.ring))
 }
 
-// CountByEvent returns how many events were emitted under name,
-// including any the bounded buffer later dropped.
-func (l *Logger) CountByEvent(name string) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[name]
-}
-
-// CountByLevel returns how many events were emitted at the level.
+// CountByLevel returns how many events were emitted at the level,
+// including any the ring has since evicted.
 func (l *Logger) CountByLevel(level Level) int64 {
 	if l == nil || level < 0 || int(level) >= len(l.byLevel) {
 		return 0
@@ -444,20 +486,97 @@ func (l *Logger) CountByLevel(level Level) int64 {
 	return l.byLevel[level]
 }
 
-// EventNames returns the distinct emitted event names, sorted, so
-// summaries are deterministic regardless of map order.
-func (l *Logger) EventNames() []string {
+// Instrument exports the ring's eviction count as
+// mcs_console_events_dropped_total, folding in any evictions that
+// predate the call. Safe on the nil logger or registry.
+func (l *Logger) Instrument(reg *telemetry.Registry) {
+	if l == nil || reg == nil {
+		return
+	}
+	c := reg.Counter("mcs_console_events_dropped_total",
+		"Events evicted from the event log's retained ring (oldest first).")
+	l.mu.Lock()
+	l.drops = c
+	c.Add(l.seq - int64(len(l.ring)))
+	l.mu.Unlock()
+}
+
+// TailEntry is one retained event as Tail returns it. Raw is the
+// rendered JSONL line without its trailing newline; the bytes are
+// shared with the ring and must be treated as read-only. Because the
+// line was rendered by the typed Field API, it is redaction-safe by
+// construction: bid-typed values can only have entered it through
+// Redacted or Aggregate wrappers.
+type TailEntry struct {
+	Seq   int64
+	Name  string
+	Level Level
+	Raw   []byte
+}
+
+// Tail returns up to limit retained events with Seq below before,
+// newest first, that are at level or above and, when names are given,
+// named one of them; a name ending in '.' matches as a prefix, so
+// "round." selects the round lifecycle. before <= 0 starts at the
+// newest event and limit <= 0 returns every match. Entries are
+// selected by their stored name and level, without parsing, and the
+// start slot follows from before by arithmetic, so a page costs the
+// entries it walks.
+func (l *Logger) Tail(before int64, limit int, level Level, names ...string) []TailEntry {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.counts))
-	for name := range l.counts {
-		names = append(names, name)
+	newest := l.seq
+	if before > 0 && before <= newest {
+		newest = before - 1
 	}
-	sort.Strings(names)
-	return names
+	var out []TailEntry
+	for s := newest; s > l.seq-int64(len(l.ring)) && (limit <= 0 || len(out) < limit); s-- {
+		e := &l.ring[(s-1)%ringCap]
+		if e.level < level || !matchName(e.name, names) {
+			continue
+		}
+		out = append(out, TailEntry{Seq: s, Name: e.name, Level: e.level, Raw: e.line[:len(e.line)-1]})
+	}
+	return out
+}
+
+// matchName reports whether name is one of names or starts with one
+// that ends in '.'; an empty names matches every name.
+func matchName(name string, names []string) bool {
+	if len(names) == 0 {
+		return true
+	}
+	for _, n := range names {
+		if name == n || (strings.HasSuffix(n, ".") && strings.HasPrefix(name, n)) {
+			return true
+		}
+	}
+	return false
+}
+
+// Ledger returns the budget ledger folded from every budget event the
+// logger has emitted. Unlike the ring it never forgets, so it equals
+// FoldBudget over the full stream bit-for-bit.
+func (l *Logger) Ledger() BudgetLedger {
+	if l == nil {
+		return BudgetLedger{}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.led
+}
+
+// BudgetSeries returns a copy of the burn-down points, oldest first.
+func (l *Logger) BudgetSeries() []BudgetPoint {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]BudgetPoint(nil), l.budget...)
 }
 
 // Err returns the first sink write error, if any.
@@ -471,15 +590,15 @@ func (l *Logger) Err() error {
 }
 
 // WriteJSONL writes the retained events to w, one JSON object per
-// line, in emission order.
+// line, oldest first: after the ring wraps, the newest ringCap events.
 func (l *Logger) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, line := range l.lines {
-		if _, err := w.Write(line); err != nil {
+	for s := l.seq - int64(len(l.ring)) + 1; s <= l.seq; s++ {
+		if _, err := w.Write(l.ring[(s-1)%ringCap].line); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package evlog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -20,20 +21,14 @@ func TestNilLoggerIsNop(t *testing.T) {
 	var l *Logger
 	l.Info("anything", Int("n", 1), Redacted("bid"))
 	l.Error("boom")
-	if l.Len() != 0 || l.Dropped() != 0 || l.CountByEvent("anything") != 0 {
+	if l.Len() != 0 || l.Dropped() != 0 || l.CountByLevel(LevelError) != 0 {
 		t.Fatal("nil logger retained state")
 	}
 	if !l.Now().IsZero() {
 		t.Fatal("nil logger Now() not zero")
 	}
-	if l.Enabled(LevelError) {
-		t.Fatal("nil logger reports enabled")
-	}
 	if err := l.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-	if names := l.EventNames(); names != nil {
-		t.Fatalf("nil logger EventNames = %v", names)
 	}
 }
 
@@ -137,41 +132,206 @@ func TestStringEscaping(t *testing.T) {
 	}
 }
 
-func TestMinLevelAndCounts(t *testing.T) {
-	l := New(WithClock(testClock()), WithMinLevel(LevelInfo))
-	l.Debug("dropped.event")
-	l.Info("kept.event")
-	l.Error("kept.event")
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
+// fillPastRing emits ringCap+extra "tick" events carrying i = seq-1,
+// the last at warn level and the rest at info, so the ring has evicted
+// its extra oldest lines.
+func fillPastRing(l *Logger, extra int) {
+	total := ringCap + extra
+	for i := 0; i < total-1; i++ {
+		l.Info("tick", Int("i", i))
 	}
-	if got := l.CountByEvent("dropped.event"); got != 0 {
-		t.Fatalf("debug event counted: %d", got)
+	l.Warn("tick", Int("i", total-1))
+}
+
+// TestBoundedBufferCountsDrops: past its capacity the ring evicts the
+// oldest line per event; every eviction counts in Dropped and every
+// event, evicted or not, in CountByLevel.
+func TestBoundedBufferCountsDrops(t *testing.T) {
+	const extra = 7
+	l := New(WithClock(testClock()))
+	fillPastRing(l, extra)
+	if l.Len() != ringCap {
+		t.Fatalf("Len = %d, want %d", l.Len(), ringCap)
 	}
-	if got := l.CountByEvent("kept.event"); got != 2 {
-		t.Fatalf("kept.event count = %d", got)
+	if l.Dropped() != extra {
+		t.Fatalf("Dropped = %d, want %d", l.Dropped(), extra)
 	}
-	if got := l.CountByLevel(LevelError); got != 1 {
-		t.Fatalf("error count = %d", got)
-	}
-	if names := l.EventNames(); len(names) != 1 || names[0] != "kept.event" {
-		t.Fatalf("EventNames = %v", names)
+	if l.CountByLevel(LevelInfo) != ringCap+extra-1 || l.CountByLevel(LevelWarn) != 1 {
+		t.Errorf("info/warn counts = %d/%d, want %d/1 (drops still counted)",
+			l.CountByLevel(LevelInfo), l.CountByLevel(LevelWarn), ringCap+extra-1)
 	}
 }
 
-func TestBoundedBufferCountsDrops(t *testing.T) {
-	l := New(WithClock(testClock()), WithMaxEvents(3))
-	for i := 0; i < 10; i++ {
-		l.Info("tick", Int("i", i))
+// TestTailBufferRetainsNewestFirst: the logger's tail buffer, its
+// drop-oldest ring, keeps the newest ringCap lines, and Tail reads
+// them newest-first.
+func TestTailBufferRetainsNewestFirst(t *testing.T) {
+	const total = ringCap + 2
+	l := New(WithClock(testClock()))
+	fillPastRing(l, 2)
+
+	if l.Len() != ringCap || l.Cap() != ringCap {
+		t.Fatalf("len/cap = %d/%d, want %d", l.Len(), l.Cap(), ringCap)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
+	if l.Total() != total || l.LastSeq() != total || l.Dropped() != 2 {
+		t.Fatalf("total/last/dropped = %d/%d/%d, want %d/%d/2", l.Total(), l.LastSeq(), l.Dropped(), total, total)
 	}
-	if l.Dropped() != 7 {
-		t.Fatalf("Dropped = %d, want 7", l.Dropped())
+
+	entries := l.Tail(0, 4, LevelDebug)
+	if len(entries) != 4 {
+		t.Fatalf("tail returned %d entries, want 4", len(entries))
 	}
-	if l.CountByEvent("tick") != 10 {
-		t.Fatalf("CountByEvent = %d, want 10 (drops still counted)", l.CountByEvent("tick"))
+	for i, e := range entries {
+		wantSeq := int64(total - i)
+		ev, err := ParseEvent(e.Raw)
+		if err != nil {
+			t.Fatalf("entry %d does not parse: %v", i, err)
+		}
+		if e.Seq != wantSeq || ev.Seq != wantSeq || e.Name != "tick" || ev.Name != "tick" {
+			t.Errorf("entry %d: seq %d (line %d) name %q, want seq %d (newest first)", i, e.Seq, ev.Seq, e.Name, wantSeq)
+		}
+		if n, _ := ev.Int("i"); n != wantSeq-1 {
+			t.Errorf("entry %d carries i=%d, want %d", i, n, wantSeq-1)
+		}
+	}
+	if entries[0].Level != LevelWarn || entries[1].Level != LevelInfo {
+		t.Errorf("levels = %v/%v, want warn/info", entries[0].Level, entries[1].Level)
+	}
+	// Seqs 1 and 2 are evicted: below 4 only seq 3 remains.
+	if oldest := l.Tail(4, 0, LevelDebug); len(oldest) != 1 || oldest[0].Seq != 3 {
+		t.Errorf("tail below seq 4 = %v, want only seq 3", seqs(oldest))
+	}
+}
+
+// TestTailBufferDropCounterExported: Instrument exports the ring's
+// evictions, including those made before it was called.
+func TestTailBufferDropCounterExported(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l := New(WithClock(testClock()))
+	for i := 0; i < ringCap+1; i++ {
+		l.Info("tick") // the last evicts seq 1 before instrumentation
+	}
+	l.Instrument(reg)
+	l.Info("tick") // evicts seq 2 after
+	if got := reg.Snapshot().Counter("mcs_console_events_dropped_total"); got != 2 {
+		t.Errorf("drop counter = %d, want 2 (one pre-, one post-instrument)", got)
+	}
+	if l.Dropped() != 2 {
+		t.Errorf("Dropped() = %d, want 2", l.Dropped())
+	}
+}
+
+// TestTailBufferNilIsNop: the nil logger's tail buffer reads as empty.
+func TestTailBufferNilIsNop(t *testing.T) {
+	var l *Logger
+	l.Instrument(telemetry.NewRegistry())
+	if l.Len() != 0 || l.Cap() != 0 || l.Total() != 0 || l.Dropped() != 0 || l.LastSeq() != 0 {
+		t.Error("nil tail must read as zeros")
+	}
+	if l.Tail(0, 10, LevelDebug) != nil || l.BudgetSeries() != nil {
+		t.Error("nil tail slices must be nil")
+	}
+	if l.Ledger() != (BudgetLedger{}) {
+		t.Error("nil tail ledger must be zero")
+	}
+}
+
+func seqs(entries []TailEntry) []int64 {
+	out := make([]int64, len(entries))
+	for i, e := range entries {
+		out[i] = e.Seq
+	}
+	return out
+}
+
+// TestTailPaging: a before cursor pages back through the ring, and the
+// filters select by the stored level and name, a name ending in '.'
+// as a prefix.
+func TestTailPaging(t *testing.T) {
+	l := New(WithClock(testClock()))
+	for i := 0; i < 8; i++ {
+		if i%3 == 0 {
+			l.Warn("round.degraded", Int("round", i))
+		} else {
+			l.Info("bid.accepted", Redacted("bid"))
+		}
+	}
+	page1 := l.Tail(0, 3, LevelDebug)
+	if got := seqs(page1); len(got) != 3 || got[0] != 8 || got[2] != 6 {
+		t.Fatalf("page1 seqs = %v", got)
+	}
+	page2 := l.Tail(page1[len(page1)-1].Seq, 3, LevelDebug)
+	if got := seqs(page2); len(got) != 3 || got[0] != 5 || got[2] != 3 {
+		t.Fatalf("page2 seqs = %v", got)
+	}
+	page3 := l.Tail(page2[len(page2)-1].Seq, 3, LevelDebug)
+	if got := seqs(page3); len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("page3 seqs = %v", got)
+	}
+	if rest := l.Tail(1, 0, LevelDebug); len(rest) != 0 {
+		t.Fatalf("tail below seq 1 = %v, want none", seqs(rest))
+	}
+
+	if got := seqs(l.Tail(0, 0, LevelWarn)); len(got) != 3 || got[0] != 7 || got[1] != 4 || got[2] != 1 {
+		t.Fatalf("warn seqs = %v, want [7 4 1]", got)
+	}
+	if got := seqs(l.Tail(7, 1, LevelWarn)); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("warn page below 7 = %v, want [4]", got)
+	}
+	if got := l.Tail(0, 0, LevelDebug, "bid.accepted"); len(got) != 5 {
+		t.Fatalf("bid.accepted entries = %d, want 5", len(got))
+	}
+	if got := seqs(l.Tail(0, 0, LevelDebug, "round.")); len(got) != 3 || got[0] != 7 {
+		t.Fatalf("round. prefix seqs = %v, want [7 4 1]", got)
+	}
+	if got := l.Tail(0, 0, LevelDebug, "round", "sweep."); len(got) != 0 {
+		t.Fatalf("no-dot name and absent prefix matched %v", seqs(got))
+	}
+	if got := l.Tail(0, 0, LevelError, "round."); len(got) != 0 {
+		t.Fatalf("error-level round. events = %v, want none", seqs(got))
+	}
+}
+
+func TestTailLedgerSeedsFromRecover(t *testing.T) {
+	l := New(WithClock(testClock()))
+	l.Info(EventBudgetRecover,
+		Float("spent", 1.5), Float("total", 4), Int("releases", 3), Int("refusals", 1))
+	l.Info(EventBudgetSpend,
+		Float("eps", 0.5), Float("spent", 2.0), Float("total", 4), Float("remaining", 2))
+	led := l.Ledger()
+	if led.Releases != 4 || led.Refusals != 1 || led.CumulativeEpsilon != 2.0 {
+		t.Errorf("ledger = %+v", led)
+	}
+	series := l.BudgetSeries()
+	if len(series) != 2 || series[0].Release != 3 || series[1].Release != 4 {
+		t.Errorf("series = %+v", series)
+	}
+}
+
+// Redaction safety is inherited, not re-implemented: the ring stores
+// the exact bytes the typed Field API rendered. A bid logged through
+// the sanctioned wrappers must never appear in any retained line.
+func TestTailEntriesCarryOnlyRedactedBids(t *testing.T) {
+	l := New(WithClock(testClock()))
+	const sentinelBid = 13.37
+	l.Info("bid.accepted", String("worker", "w01"), Redacted("bid"))
+	l.Info("round.complete", Aggregate("clearing_price", 7.5), Int("winners", 3))
+	needle := []byte(fmt.Sprintf("%g", sentinelBid))
+	entries := l.Tail(0, 0, LevelDebug)
+	for _, e := range entries {
+		if bytes.Contains(e.Raw, needle) {
+			t.Fatalf("sentinel bid leaked into tail entry: %s", e.Raw)
+		}
+		if bytes.Contains(e.Raw, []byte(`"bid":1`)) {
+			t.Fatalf("raw bid value in tail entry: %s", e.Raw)
+		}
+	}
+	ev, err := ParseEvent(entries[1].Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ev.Redacted("bid") {
+		t.Error("bid field must round-trip as redacted")
 	}
 }
 
@@ -205,15 +365,15 @@ func TestSinkWriteThroughAndStickyError(t *testing.T) {
 		t.Fatal("sink error not surfaced")
 	}
 	if bad.Len() != 3 {
-		t.Fatal("sink error must not drop buffered events")
+		t.Fatal("sink error must not drop retained events")
 	}
 }
 
 // TestStreamKeepsEveryEvent: the -events-out path writes events as
-// they are emitted, so a run past the retained buffer's bound still
+// they are emitted, so a run past the retained ring's bound still
 // leaves every event in its file and on stderr.
 func TestStreamKeepsEveryEvent(t *testing.T) {
-	const n = 70000 // past defaultMaxEvents
+	const n = 70000 // past ringCap
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	var stderr bytes.Buffer
 	l, closeEvents, err := Stream(path, &stderr, WithClock(testClock()))
@@ -223,8 +383,8 @@ func TestStreamKeepsEveryEvent(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Info("tick", Int("i", i), Redacted("bid"))
 	}
-	if l.Dropped() != n-defaultMaxEvents {
-		t.Fatalf("retained buffer dropped %d, want %d", l.Dropped(), n-defaultMaxEvents)
+	if l.Dropped() != n-ringCap {
+		t.Fatalf("retained ring dropped %d, want %d", l.Dropped(), n-ringCap)
 	}
 	if err := closeEvents(); err != nil {
 		t.Fatal(err)

@@ -304,9 +304,9 @@ func FoldBudget(events []Event) (BudgetLedger, error) {
 }
 
 // fold applies one event to the ledger — the single step FoldBudget
-// iterates and the console TailBuffer applies incrementally as lines
-// are emitted, so both reconstructions perform the same float
-// additions in the same order. Non-budget events are ignored.
+// iterates and Logger.Log applies incrementally as lines are emitted,
+// so both reconstructions perform the same float additions in the same
+// order. Non-budget events are ignored.
 func (led *BudgetLedger) fold(e Event) error {
 	switch e.Name {
 	case EventBudgetRecover:
