@@ -91,6 +91,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Skills are accuracies: NaN or a value outside [0, 1] would fail
+	// the round only after its bids are in.
+	if !(*skillLo >= 0 && *skillLo <= *skillHi && *skillHi <= 1) {
+		return fmt.Errorf("-skill-lo %v and -skill-hi %v must satisfy 0 <= lo <= hi <= 1", *skillLo, *skillHi)
+	}
 
 	// The event logger is the daemon's only log: every operational line
 	// is a structured, redaction-typed event. By default it streams

@@ -54,6 +54,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-console-addr", "256.0.0.1:99999", "-window", "1ms"}); err == nil {
 		t.Error("bad console address accepted")
 	}
+	// Bad skill bounds fail before the platform listens, not as a
+	// degraded round.
+	for _, skills := range [][]string{
+		{"-skill-hi", "1.5"},
+		{"-skill-lo", "-0.1"},
+		{"-skill-lo", "NaN"},
+		{"-skill-hi", "NaN"},
+		{"-skill-lo", "0.9", "-skill-hi", "0.8"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet"}, skills...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-skill-lo") {
+			t.Errorf("%v: run = %v, want the skill bounds rejected", skills, err)
+		}
+	}
 }
 
 func TestTelemetryServerServesMetricsAndPprof(t *testing.T) {

@@ -282,7 +282,9 @@ type (
 	PlatformConfig = protocol.PlatformConfig
 	// RoundReport summarizes one completed round.
 	RoundReport = protocol.RoundReport
-	// SkillFunc supplies the platform's skill estimate for a worker.
+	// SkillFunc supplies the platform's skill estimate for a worker. A
+	// returned row may be shared across calls and rounds and must not
+	// be modified.
 	SkillFunc = protocol.SkillFunc
 	// SkillStore is the platform's learning skill record, updated by
 	// truth discovery after every round (see

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/store"
@@ -33,18 +34,35 @@ type SkillStore struct {
 	// failure is fatal to the update — a half-persisted skill table
 	// would bias a recovered campaign's winner selection.
 	journal store.SkillStore
+	// rows caches the read-only rows Func hands out to estimated
+	// workers. gen counts updates. An update drops every row not looked
+	// up since the previous update and gives the workers it estimates
+	// fresh rows, so the cache holds at most two rounds of bidders
+	// whatever the churn.
+	rows map[string]*skillRow
+	gen  uint64
+	// defRow is the one row every worker without an estimate shares.
+	defRow []float64
+}
+
+// skillRow is one cached row and the last generation that looked it
+// up. A hit stamps it under the read lock, hence the atomic.
+type skillRow struct {
+	row  []float64
+	seen atomic.Uint64
 }
 
 // NewSkillStore returns a store that assumes defaultAccuracy for
 // unknown workers and blends each round's EM estimate with weight 0.5.
 func NewSkillStore(defaultAccuracy float64) *SkillStore {
-	if defaultAccuracy <= 0 || defaultAccuracy >= 1 {
+	if !(defaultAccuracy > 0 && defaultAccuracy < 1) {
 		defaultAccuracy = 0.7
 	}
 	return &SkillStore{
 		acc:   make(map[string]float64),
 		def:   defaultAccuracy,
 		alpha: 0.5,
+		rows:  make(map[string]*skillRow),
 	}
 }
 
@@ -124,16 +142,68 @@ func (s *SkillStore) Get(workerID string) float64 {
 }
 
 // Func adapts the store to the platform's SkillFunc interface,
-// assigning a worker's scalar accuracy to every task.
+// assigning a worker's scalar accuracy to every task. Its rows are
+// cached and shared: every worker without an estimate gets the same
+// row, and an estimated worker keeps its row until an update changes
+// its accuracy. A returned row must not be modified.
 func (s *SkillStore) Func() SkillFunc {
-	return func(workerID string, numTasks int) []float64 {
-		a := s.Get(workerID)
-		row := make([]float64, numTasks)
-		for j := range row {
-			row[j] = a
-		}
+	return s.row
+}
+
+// row returns workerID's cached row of numTasks accuracies, building a
+// missing one under the write lock.
+func (s *SkillStore) row(workerID string, numTasks int) []float64 {
+	s.mu.RLock()
+	row, ok := s.cachedRow(workerID, numTasks)
+	s.mu.RUnlock()
+	if ok {
 		return row
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if row, ok := s.cachedRow(workerID, numTasks); ok {
+		return row
+	}
+	a, estimated := s.acc[workerID]
+	if !estimated {
+		s.defRow = filledRow(s.def, numTasks)
+		return s.defRow
+	}
+	e := newSkillRow(a, numTasks, s.gen)
+	s.rows[workerID] = e
+	return e.row
+}
+
+// cachedRow is the read-locked lookup of a row of numTasks entries:
+// the shared default row for an unestimated worker, or an estimated
+// worker's cached row, stamped with the current generation.
+func (s *SkillStore) cachedRow(workerID string, numTasks int) ([]float64, bool) {
+	if _, estimated := s.acc[workerID]; !estimated {
+		return s.defRow, len(s.defRow) == numTasks
+	}
+	e, ok := s.rows[workerID]
+	if !ok || len(e.row) != numTasks {
+		return nil, false
+	}
+	e.seen.Store(s.gen)
+	return e.row, true
+}
+
+// newSkillRow returns a cached row of n copies of a, stamped with
+// generation gen.
+func newSkillRow(a float64, n int, gen uint64) *skillRow {
+	e := &skillRow{row: filledRow(a, n)}
+	e.seen.Store(gen)
+	return e
+}
+
+// filledRow returns a new row of n copies of a.
+func filledRow(a float64, n int) []float64 {
+	row := make([]float64, n)
+	for j := range row {
+		row[j] = a
+	}
+	return row
 }
 
 // UpdateFromReports folds raw label reports into the store: it runs
@@ -142,6 +212,8 @@ func (s *SkillStore) Func() SkillFunc {
 // maps report worker indices to identities and holds each worker once,
 // as a round's do. The round's estimates are journaled together before
 // any is applied, so a failed journal write leaves the table as it was.
+// A successful update starts a new generation of Func's row cache and
+// builds the rows of the workers it estimates.
 func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []string, numTasks int) error {
 	if len(reports) == 0 {
 		return nil
@@ -176,8 +248,20 @@ func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []strin
 			return fmt.Errorf("protocol: journaling skill updates: %w", err)
 		}
 	}
+	// Rows not looked up since the previous update go, so the cache
+	// holds at most two rounds of bidders whatever the churn.
+	for id, e := range s.rows {
+		if e.seen.Load() != s.gen {
+			delete(s.rows, id)
+		}
+	}
+	s.gen++
+	// An updated worker gets a fresh row, built here so that the next
+	// round's concurrent partition builds find it under the read lock.
+	// The row it replaces is never rewritten: a round may still hold it.
 	for i, id := range ids {
 		s.acc[id] = accs[i]
+		s.rows[id] = newSkillRow(accs[i], numTasks, s.gen)
 	}
 	return nil
 }

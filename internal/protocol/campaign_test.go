@@ -22,9 +22,15 @@ func TestSkillStoreDefaults(t *testing.T) {
 	if len(row) != 3 || row[0] != 0.8 || row[2] != 0.8 {
 		t.Errorf("skill row %v", row)
 	}
-	// Degenerate default falls back to 0.7.
-	if got := NewSkillStore(1.5).Get("x"); got != 0.7 {
-		t.Errorf("degenerate default %v", got)
+	// Degenerate defaults fall back to 0.7.
+	for _, d := range []float64{0, 1, 1.5, -0.2, math.NaN()} {
+		s := NewSkillStore(d)
+		if got := s.Get("x"); got != 0.7 {
+			t.Errorf("default %v: unknown worker accuracy %v, want 0.7", d, got)
+		}
+		if row := s.Func()("x", 2); row[0] != 0.7 || row[1] != 0.7 {
+			t.Errorf("default %v: skill row %v, want 0.7s", d, row)
+		}
 	}
 }
 

@@ -51,6 +51,8 @@ func IsDegraded(err error) bool {
 // SkillFunc supplies the platform's historical skill estimate for a
 // worker (Section III-A: theta is maintained by the platform from
 // prior rounds, gold tasks, or truth discovery — see crowd.EstimateSkills).
+// A returned row may be shared across calls and rounds, as
+// SkillStore.Func's are, so nothing that receives it may modify it.
 type SkillFunc func(workerID string, numTasks int) []float64
 
 // PlatformConfig parameterizes one auction round.

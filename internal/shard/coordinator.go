@@ -173,7 +173,8 @@ func (c *Coordinator) CloseRound() {
 }
 
 // SkillRow returns the skill row the round's partition instance holds
-// for workerID — the one Config.Skills lookup made for its bid — or nil
+// for workerID — the one Config.Skills lookup made for its bid, as
+// read-only as every SkillFunc row — or nil
 // when the worker did not bid or its partition built no instance. It
 // reads what RunRound built, so call it from the round loop after
 // RunRound.

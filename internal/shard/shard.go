@@ -75,7 +75,10 @@ type Bid struct {
 }
 
 // SkillFunc supplies the platform's historical skill row for a worker;
-// it mirrors protocol.SkillFunc so the two layers share one source.
+// it mirrors protocol.SkillFunc so the two layers share one source. A
+// returned row may be shared across calls and rounds and must not be
+// modified: the instances the coordinator builds and SkillRow's callers
+// only read it.
 type SkillFunc func(workerID string, numTasks int) []float64
 
 // KillFunc is the chaos seam: consulted once per (round, partition)

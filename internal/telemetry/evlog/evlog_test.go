@@ -455,16 +455,28 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"k":{}}}`,   // bare object
 		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","extra":1}`,           // unknown key
 		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"k":null}}`, // null value
+		// A clearing price is a positive finite number, wrapped or bare.
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":{"agg":true,"v":0}}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":0}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":"NaN"}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":{"agg":true,"v":"+Inf"}}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":-3}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":{"redacted":true}}}`,
 	}
 	for _, line := range bad {
 		if _, err := ParseEvent([]byte(line)); err == nil {
 			t.Errorf("accepted malformed event: %s", line)
 		}
 	}
-	ok := `{"seq":1,"ts_unix_ns":1,"level":"info","event":"x",` +
-		`"fields":{"a":"s","b":1.5,"c":true,"d":{"redacted":true},"e":{"agg":true,"v":2}}}`
-	if _, err := ParseEvent([]byte(ok)); err != nil {
-		t.Errorf("rejected valid event: %v", err)
+	for _, ok := range []string{
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x",` +
+			`"fields":{"a":"s","b":1.5,"c":true,"d":{"redacted":true},"e":{"agg":true,"v":2}}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":{"agg":true,"v":12.5}}}`,
+		`{"seq":1,"ts_unix_ns":1,"level":"info","event":"x","fields":{"clearing_price":0.5}}`,
+	} {
+		if _, err := ParseEvent([]byte(ok)); err != nil {
+			t.Errorf("rejected valid event %s: %v", ok, err)
+		}
 	}
 }
 

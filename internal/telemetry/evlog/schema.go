@@ -61,8 +61,10 @@ func ParseEvent(line []byte) (Event, error) {
 }
 
 // Validate checks the event against the schema: positive sequence
-// number, known level, well-formed event name, and every field value a
-// JSON scalar or one of the sanctioned redaction wrappers.
+// number, known level, well-formed event name, every field value a
+// JSON scalar or one of the sanctioned redaction wrappers, and a
+// clearing_price, bare or in its Aggregate wrapper, that is a positive
+// finite number: a round with no single price carries none.
 func (e Event) Validate() error {
 	if e.Seq < 1 {
 		return fmt.Errorf("%w: seq=%d", ErrBadEvent, e.Seq)
@@ -79,6 +81,11 @@ func (e Event) Validate() error {
 		}
 		if err := validateFieldValue(raw); err != nil {
 			return fmt.Errorf("%w: field %q of %q: %v", ErrBadEvent, key, e.Name, err)
+		}
+	}
+	if raw, ok := e.Fields["clearing_price"]; ok {
+		if p, _ := decodeFloat(raw); !(p > 0 && p < math.Inf(1)) {
+			return fmt.Errorf("%w: clearing_price %s of %q is not a positive finite number", ErrBadEvent, raw, e.Name)
 		}
 	}
 	return nil
