@@ -12,7 +12,6 @@ import (
 
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/protocol"
-	"github.com/dphsrc/dphsrc/internal/stats"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 	"github.com/dphsrc/dphsrc/internal/workload"
@@ -269,21 +268,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (FleetResult, error) {
 			res.Failed++
 		}
 	}
-	if len(res.latenciesSec) > 0 {
-		xs := append([]float64(nil), res.latenciesSec...)
-		sort.Float64s(xs)
-		sum := 0.0
-		for _, x := range xs {
-			sum += x
-		}
-		res.Latency = LatencySummary{
-			P50:  stats.Quantile(xs, 0.50),
-			P90:  stats.Quantile(xs, 0.90),
-			P99:  stats.Quantile(xs, 0.99),
-			Max:  xs[len(xs)-1],
-			Mean: sum / float64(len(xs)),
-		}
-	}
+	res.Latency = summarize(res.latenciesSec)
 	if cfg.Events != nil {
 		cfg.Events.Info("fleet.done",
 			evlog.Int("workers", res.Workers),

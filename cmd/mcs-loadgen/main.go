@@ -239,7 +239,8 @@ func pollConsole(baseURL string, round int) consoleSample {
 	return s
 }
 
-// summarize computes the cross-round latency distribution.
+// summarize computes a latency distribution: one round's in RunFleet,
+// every round's for the run file.
 func summarize(lat []float64) LatencySummary {
 	if len(lat) == 0 {
 		return LatencySummary{}

@@ -191,9 +191,9 @@ func Run(pkgs []*Package, policy *Policy) []Diagnostic {
 // ---- shared AST/type helpers used by several analyzers ----
 
 // pkgFuncCall reports whether call invokes the package-level function
-// pkgPath.name, resolving the package identifier through the type
-// checker so shadowed identifiers do not confuse it.
-func (p *Pass) pkgFuncCall(call *ast.CallExpr, pkgPath string) (string, bool) {
+// pkgPath.name, resolving the package identifier through info so
+// shadowed identifiers do not confuse it.
+func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -202,11 +202,28 @@ func (p *Pass) pkgFuncCall(call *ast.CallExpr, pkgPath string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	pn, ok := info.Uses[id].(*types.PkgName)
 	if !ok || pn.Imported().Path() != pkgPath {
 		return "", false
 	}
 	return sel.Sel.Name, true
+}
+
+// droppedCall returns the call whose results statement n drops — a
+// bare expression statement, a defer or a go statement — and the
+// "defer " or "go " prefix a diagnostic names it with. The call is nil
+// for any other node.
+func droppedCall(n ast.Node) (*ast.CallExpr, string) {
+	switch node := n.(type) {
+	case *ast.ExprStmt:
+		call, _ := node.X.(*ast.CallExpr)
+		return call, ""
+	case *ast.DeferStmt:
+		return node.Call, "defer "
+	case *ast.GoStmt:
+		return node.Call, "go "
+	}
+	return nil, ""
 }
 
 // baseTypeName returns the named type's base name for t, unwrapping

@@ -276,13 +276,13 @@ func (prog *Program) updateSummary(fi *FuncInfo) bool {
 		if !ok {
 			return true
 		}
-		if name, ok := printSinkCall(fi.Pkg.Info, call); ok {
+		if name, ok := printSink(fi.Pkg.Info, call); ok {
 			for _, arg := range call.Args {
 				markSink(tc.mask(arg, locals, false), name)
 			}
 			return true
 		}
-		if name, ok := evlogFieldSinkCall(fi.Pkg.Info, call); ok {
+		if name, ok := evlogFieldSink(fi.Pkg.Info, call); ok {
 			for _, arg := range call.Args {
 				markSink(tc.mask(arg, locals, true), "evlog."+name)
 			}
@@ -502,7 +502,7 @@ func (tc *taintCtx) callMask(call *ast.CallExpr, locals map[types.Object]taintMa
 		}
 	}
 	// evlog sanitizer wrappers.
-	if name, ok := pkgFuncCallInfo(info, call, evlogPath); ok && (name == "Redacted" || name == "Aggregate") {
+	if name, ok := pkgFuncCall(info, call, evlogPath); ok && (name == "Redacted" || name == "Aggregate") {
 		if pruneEvlog {
 			return 0
 		}
@@ -596,7 +596,7 @@ func (prog *Program) bodyEffects(pkg *Package, body ast.Node) effects {
 func (prog *Program) callEffects(pkg *Package, call *ast.CallExpr) effects {
 	var eff effects
 	info := pkg.Info
-	if name, ok := pkgFuncCallInfo(info, call, "time"); ok && name == "Sleep" {
+	if name, ok := pkgFuncCall(info, call, "time"); ok && name == "Sleep" {
 		eff.sleeps = true
 		eff.blocking = true
 		return eff
@@ -647,7 +647,7 @@ func (prog *Program) callEffects(pkg *Package, call *ast.CallExpr) effects {
 			// fall through: the callee summary may add more bits
 		}
 	}
-	if name, ok := pkgFuncCallInfo(info, call, "os"); ok && name == "WriteFile" {
+	if name, ok := pkgFuncCall(info, call, "os"); ok && name == "WriteFile" {
 		eff.writesFile = true
 		return eff
 	}
@@ -759,25 +759,7 @@ func containsMutexRec(t types.Type, seen map[types.Type]bool) bool {
 	return false
 }
 
-// ---- info-level helpers shared with the Pass methods ----
-
-// pkgFuncCallInfo is pkgFuncCall without a Pass: resolves pkg.Name
-// calls through Uses so shadowed identifiers don't confuse it.
-func pkgFuncCallInfo(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != pkgPath {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
+// ---- info-level helpers ----
 
 // readsSensitiveField reports whether sel reads a policy-declared
 // sensitive field (e.g. Worker.Bid, WorkerConfig.Cost, Message.Price).
@@ -787,50 +769,4 @@ func readsSensitiveField(info *types.Info, policy *Policy, sel *ast.SelectorExpr
 		return false
 	}
 	return policy.Sensitive(typeName, sel.Sel.Name)
-}
-
-// printSinkCall is Pass.printSink without a Pass.
-func printSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if name, ok := pkgFuncCallInfo(info, call, "fmt"); ok {
-		switch name {
-		case "Print", "Printf", "Println",
-			"Fprint", "Fprintf", "Fprintln",
-			"Sprint", "Sprintf", "Sprintln":
-			return "fmt." + name, true
-		}
-		return "", false
-	}
-	if name, ok := pkgFuncCallInfo(info, call, "log"); ok {
-		return "log." + name, true
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if isStdLogLogger(info.TypeOf(sel.X)) {
-		return "log.Logger." + sel.Sel.Name, true
-	}
-	if inner, ok := sel.X.(*ast.SelectorExpr); ok {
-		if id, ok := inner.X.(*ast.Ident); ok {
-			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "os" {
-				if inner.Sel.Name == "Stdout" || inner.Sel.Name == "Stderr" {
-					return "os." + inner.Sel.Name + "." + sel.Sel.Name, true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// evlogFieldSinkCall is Pass.evlogFieldSink without a Pass.
-func evlogFieldSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	name, ok := pkgFuncCallInfo(info, call, evlogPath)
-	if !ok {
-		return "", false
-	}
-	switch name {
-	case "String", "Int", "Int64", "Float", "Bool", "Seconds":
-		return name, true
-	}
-	return "", false
 }

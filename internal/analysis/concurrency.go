@@ -423,7 +423,7 @@ func (p *Pass) checkLockBlocking(body *ast.BlockStmt) {
 // Cond Wait, raw net I/O, a policy-declared blocking method, or a
 // module callee whose summary blocks.
 func (p *Pass) blockingCall(call *ast.CallExpr) (string, bool) {
-	if name, ok := pkgFuncCallInfo(p.Info, call, "time"); ok && name == "Sleep" {
+	if name, ok := pkgFuncCall(p.Info, call, "time"); ok && name == "Sleep" {
 		return "time.Sleep", true
 	}
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -480,7 +480,7 @@ func (p *Pass) checkSleepLoops(fd *ast.FuncDecl) {
 					return false
 				}
 			case *ast.CallExpr:
-				if name, ok := pkgFuncCallInfo(p.Info, node, "time"); ok && name == "Sleep" && inLoop {
+				if name, ok := pkgFuncCall(p.Info, node, "time"); ok && name == "Sleep" && inLoop {
 					p.Reportf(node.Pos(), CodeSleepPoll,
 						"time.Sleep inside a loop is a polling hot path; wait on a timer channel, ticker, or condition instead")
 				}

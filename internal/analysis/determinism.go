@@ -44,15 +44,15 @@ func runDeterminism(p *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.CallExpr:
-				if name, ok := p.pkgFuncCall(node, "math/rand"); ok && !randConstructors[name] {
+				if name, ok := pkgFuncCall(p.Info, node, "math/rand"); ok && !randConstructors[name] {
 					p.Reportf(node.Pos(), CodeGlobalRand,
 						"global math/rand.%s breaks seed-reproducibility; thread a seeded *rand.Rand (stats.Seeder) instead", name)
 				}
-				if name, ok := p.pkgFuncCall(node, "math/rand/v2"); ok && !randConstructors[name] {
+				if name, ok := pkgFuncCall(p.Info, node, "math/rand/v2"); ok && !randConstructors[name] {
 					p.Reportf(node.Pos(), CodeGlobalRand,
 						"global math/rand/v2.%s breaks seed-reproducibility; thread a seeded source instead", name)
 				}
-				if name, ok := p.pkgFuncCall(node, "time"); ok && (name == "Now" || name == "Since") {
+				if name, ok := pkgFuncCall(p.Info, node, "time"); ok && (name == "Now" || name == "Since") {
 					p.Reportf(node.Pos(), CodeWallClock,
 						"time.%s in a deterministic package; inject the clock, or annotate budget/deadline accounting with //mcslint:allow %s", name, CodeWallClock)
 				}
@@ -110,10 +110,10 @@ func (p *Pass) checkMapRange(file *ast.File, rng *ast.RangeStmt) {
 					emits = true
 				}
 			}
-			if name, ok := p.pkgFuncCall(node, "fmt"); ok && name != "Errorf" && name != "Sprintf" {
+			if name, ok := pkgFuncCall(p.Info, node, "fmt"); ok && name != "Errorf" && name != "Sprintf" {
 				emits = true
 			}
-			if name, ok := p.pkgFuncCall(node, "os"); ok && name == "WriteFile" {
+			if name, ok := pkgFuncCall(p.Info, node, "os"); ok && name == "WriteFile" {
 				emits = true
 			}
 		}
@@ -176,9 +176,9 @@ func (p *Pass) sortsAfter(body *ast.BlockStmt, rng *ast.RangeStmt, objs []types.
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		_, isSort := p.pkgFuncCall(call, "sort")
+		_, isSort := pkgFuncCall(p.Info, call, "sort")
 		if !isSort {
-			_, isSort = p.pkgFuncCall(call, "slices")
+			_, isSort = pkgFuncCall(p.Info, call, "slices")
 		}
 		if !isSort {
 			return true

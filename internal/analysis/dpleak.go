@@ -73,7 +73,7 @@ func (p *Pass) logUseCheck(file *ast.File) {
 		if !ok {
 			return true
 		}
-		if name, ok := p.pkgFuncCall(call, "log"); ok {
+		if name, ok := pkgFuncCall(p.Info, call, "log"); ok {
 			p.Reportf(call.Pos(), CodeLogUse,
 				"direct log.%s call; evlog is the sanctioned logging sink here", name)
 			return true
@@ -106,7 +106,7 @@ func (p *Pass) leakCheckFunc(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.CallExpr:
-			if sinkName, ok := p.printSink(node); ok {
+			if sinkName, ok := printSink(p.Info, node); ok {
 				for _, arg := range node.Args {
 					if contains(arg) {
 						p.Reportf(arg.Pos(), CodeLeakSink,
@@ -115,7 +115,7 @@ func (p *Pass) leakCheckFunc(fd *ast.FuncDecl) {
 					}
 				}
 			}
-			if name, ok := p.evlogFieldSink(node); ok {
+			if name, ok := evlogFieldSink(p.Info, node); ok {
 				for _, arg := range node.Args {
 					if containsUnsanitized(arg) {
 						p.Reportf(arg.Pos(), CodeLeakSink,
@@ -169,8 +169,8 @@ func (p *Pass) leakCheckFunc(fd *ast.FuncDecl) {
 }
 
 // printSink classifies call as a print/log sink and names it.
-func (p *Pass) printSink(call *ast.CallExpr) (string, bool) {
-	if name, ok := p.pkgFuncCall(call, "fmt"); ok {
+func printSink(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if name, ok := pkgFuncCall(info, call, "fmt"); ok {
 		switch name {
 		case "Print", "Printf", "Println",
 			"Fprint", "Fprintf", "Fprintln",
@@ -179,7 +179,7 @@ func (p *Pass) printSink(call *ast.CallExpr) (string, bool) {
 		}
 		return "", false
 	}
-	if name, ok := p.pkgFuncCall(call, "log"); ok {
+	if name, ok := pkgFuncCall(info, call, "log"); ok {
 		return "log." + name, true
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -189,13 +189,13 @@ func (p *Pass) printSink(call *ast.CallExpr) (string, bool) {
 	// *log.Logger methods — path-qualified to the standard library so
 	// the sanctioned evlog.Logger (and any other type merely named
 	// "Logger") is not mistaken for a leak sink.
-	if isStdLogLogger(p.Info.TypeOf(sel.X)) {
+	if isStdLogLogger(info.TypeOf(sel.X)) {
 		return "log.Logger." + sel.Sel.Name, true
 	}
 	// Direct os.Stdout / os.Stderr writes.
 	if inner, ok := sel.X.(*ast.SelectorExpr); ok {
 		if id, ok := inner.X.(*ast.Ident); ok {
-			if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "os" {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "os" {
 				if inner.Sel.Name == "Stdout" || inner.Sel.Name == "Stderr" {
 					return "os." + inner.Sel.Name + "." + sel.Sel.Name, true
 				}
@@ -209,8 +209,8 @@ func (p *Pass) printSink(call *ast.CallExpr) (string, bool) {
 // constructors: the points where a raw value enters the structured
 // event stream. Redacted and Aggregate are deliberately excluded —
 // they are the sanctioned carriers for protected values.
-func (p *Pass) evlogFieldSink(call *ast.CallExpr) (string, bool) {
-	name, ok := p.pkgFuncCall(call, evlogPath)
+func evlogFieldSink(info *types.Info, call *ast.CallExpr) (string, bool) {
+	name, ok := pkgFuncCall(info, call, evlogPath)
 	if !ok {
 		return "", false
 	}

@@ -74,7 +74,7 @@ func (p *Pass) checkRenameOrdering(fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if name, ok := pkgFuncCallInfo(p.Info, call, "os"); ok {
+		if name, ok := pkgFuncCall(p.Info, call, "os"); ok {
 			switch name {
 			case "Rename":
 				events = append(events, ev{call.Pos(), evRename})
@@ -189,20 +189,7 @@ func (p *Pass) checkWALDomination(fd *ast.FuncDecl) {
 
 func (p *Pass) checkSyncErrors(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
-		var call *ast.CallExpr
-		how := ""
-		switch node := n.(type) {
-		case *ast.ExprStmt:
-			call, _ = node.X.(*ast.CallExpr)
-		case *ast.DeferStmt:
-			call = node.Call
-			how = "defer "
-		case *ast.GoStmt:
-			call = node.Call
-			how = "go "
-		default:
-			return true
-		}
+		call, how := droppedCall(n)
 		if call == nil {
 			return true
 		}

@@ -35,20 +35,7 @@ func ErrCheckAnalyzer() *Analyzer {
 func runErrCheck(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			var call *ast.CallExpr
-			how := ""
-			switch node := n.(type) {
-			case *ast.ExprStmt:
-				call, _ = node.X.(*ast.CallExpr)
-			case *ast.DeferStmt:
-				call = node.Call
-				how = "defer "
-			case *ast.GoStmt:
-				call = node.Call
-				how = "go "
-			default:
-				return true
-			}
+			call, how := droppedCall(n)
 			if call == nil {
 				return true
 			}

@@ -51,7 +51,7 @@ func runFloatSafety(p *Pass) {
 				p.Reportf(node.OpPos, CodeFloatEq,
 					"%s on floating-point operands; compare with a tolerance", node.Op)
 			case *ast.CallExpr:
-				if name, ok := p.pkgFuncCall(node, "math"); !ok || name != "Exp" {
+				if name, ok := pkgFuncCall(p.Info, node, "math"); !ok || name != "Exp" {
 					return true
 				}
 				if len(node.Args) != 1 {
@@ -128,7 +128,7 @@ func containsMathExp(p *Pass, expr ast.Expr) bool {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if name, ok := p.pkgFuncCall(call, "math"); ok && name == "Exp" {
+			if name, ok := pkgFuncCall(p.Info, call, "math"); ok && name == "Exp" {
 				found = true
 			}
 		}

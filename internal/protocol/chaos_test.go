@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -706,17 +707,78 @@ func TestChaosTelemetryAgreesWithFaultAccounting(t *testing.T) {
 	}
 }
 
+// assertFaultsReconcile checks that every fault kind is counted three
+// ways alike: its counter series, its RoundFaults field and its
+// round.fault events.
+func assertFaultsReconcile(t *testing.T, reg *telemetry.Registry, events []evlog.Event, rep RoundReport) {
+	t.Helper()
+	byKind := make(map[string]int)
+	for _, e := range events {
+		if e.Name == "round.fault" {
+			kind, ok := e.Str("kind")
+			if !ok {
+				t.Fatalf("round.fault without kind: %v", e.Fields)
+			}
+			byKind[kind]++
+		}
+	}
+	f := rep.Faults
+	for _, k := range []struct {
+		kind   string
+		field  int
+		series []string
+	}{
+		{"handshake_failed", f.HandshakesFailed, []string{`mcs_protocol_bids_total{result="rejected"}`, `mcs_protocol_bids_total{result="timeout"}`}},
+		{"duplicate_bid", f.DuplicatesRejected, []string{`mcs_protocol_bids_total{result="duplicate"}`}},
+		{"winner_unreachable", f.WinnersUnreachable, []string{`mcs_protocol_round_faults_total{kind="winner_unreachable"}`}},
+		{"winner_evicted", f.WinnersEvicted, []string{`mcs_protocol_round_faults_total{kind="winner_evicted"}`}},
+		{"loser_unnotified", f.LosersUnnotified, []string{`mcs_protocol_round_faults_total{kind="loser_unnotified"}`}},
+		{"partition_lost", f.PartitionsLost, []string{`mcs_protocol_round_faults_total{kind="partition_lost"}`}},
+	} {
+		var counted int64
+		for _, s := range k.series {
+			counted += reg.Counter(s, "").Value()
+		}
+		if counted != int64(k.field) || byKind[k.kind] != k.field {
+			t.Errorf("fault kind %s: counter %d, RoundFaults %d, round.fault events %d; want all equal",
+				k.kind, counted, k.field, byKind[k.kind])
+		}
+	}
+}
+
+// assertRoundEventsJoin checks that every round.* and bid.accepted
+// event carries the report's round index, and that no event carries a
+// span or parent field.
+func assertRoundEventsJoin(t *testing.T, events []evlog.Event, rep RoundReport) {
+	t.Helper()
+	for _, e := range events {
+		for _, key := range []string{"span", "parent"} {
+			if _, ok := e.Fields[key]; ok {
+				t.Errorf("%s event seq=%d carries %q", e.Name, e.Seq, key)
+			}
+		}
+		if !strings.HasPrefix(e.Name, "round.") && e.Name != "bid.accepted" {
+			continue
+		}
+		if r, ok := e.Int("round"); !ok || r != int64(rep.Round) {
+			t.Errorf("%s event seq=%d: round %d (present %v), want %d", e.Name, e.Seq, r, ok, rep.Round)
+		}
+	}
+}
+
 // TestChaosEventsReconcileWithFaults runs the acceptance chaos round
-// with a live event logger and reconciles the structured event stream
-// against the round's own accounting: every tolerated fault in
-// RoundReport.Faults must appear as exactly one round.fault event of
-// the matching kind, the bid.accepted count must equal the accepted
-// bidders, and the stream must survive a JSONL write/read round trip
-// with strict schema validation.
+// with a live event logger and registry and reconciles the structured
+// event stream against the round's own accounting: every fault kind's
+// counter, RoundFaults field and round.fault events agree, every round
+// event joins on the report's round index, the bid.accepted count must
+// equal the accepted bidders, and the stream must survive a JSONL
+// write/read round trip with strict schema validation.
 func TestChaosEventsReconcileWithFaults(t *testing.T) {
 	ev := evlog.New()
+	reg := telemetry.NewRegistry()
 	o := defaultChaosOpts(7, 50)
 	o.events = ev
+	o.telemetry = reg
 
 	rep, _, _, err := runChaosRound(t, o)
 
@@ -734,6 +796,8 @@ func TestChaosEventsReconcileWithFaults(t *testing.T) {
 	if len(events) != ev.Len() {
 		t.Fatalf("round trip lost events: wrote %d, read %d", ev.Len(), len(events))
 	}
+	assertFaultsReconcile(t, reg, events, rep)
+	assertRoundEventsJoin(t, events, rep)
 
 	byName := make(map[string]int)
 	faultKinds := make(map[string]int)
@@ -764,17 +828,6 @@ func TestChaosEventsReconcileWithFaults(t *testing.T) {
 	}
 	if byName["bid.accepted"] != rep.Bidders {
 		t.Errorf("bid.accepted events %d != accepted bidders %d", byName["bid.accepted"], rep.Bidders)
-	}
-	for kind, want := range map[string]int{
-		"handshake_failed":   rep.Faults.HandshakesFailed,
-		"duplicate_bid":      rep.Faults.DuplicatesRejected,
-		"winner_unreachable": rep.Faults.WinnersUnreachable,
-		"winner_evicted":     rep.Faults.WinnersEvicted,
-		"loser_unnotified":   rep.Faults.LosersUnnotified,
-	} {
-		if faultKinds[kind] != want {
-			t.Errorf("round.fault kind=%s events %d != RoundReport.Faults %d", kind, faultKinds[kind], want)
-		}
 	}
 	var totalKinds int
 	for _, n := range faultKinds {

@@ -18,12 +18,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/dphsrc/dphsrc/internal/core"
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/faultnet"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/shard"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 )
@@ -488,5 +490,142 @@ func TestHandshakeBoundsWorkerID(t *testing.T) {
 	}
 	if !slices.Contains(res.rep.WorkerIDs, edge) {
 		t.Fatalf("the %d-byte id never bid: %d bidders", MaxWorkerIDBytes, len(res.rep.WorkerIDs))
+	}
+}
+
+// failingListener fails its failAt-th Accept with EMFILE, the error a
+// listener out of file descriptors returns, once release is closed.
+// Only the accept loop calls Accept, so the count needs no lock.
+type failingListener struct {
+	*net.TCPListener
+	accepts int
+	failAt  int
+	release chan struct{}
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.accepts++
+	if l.accepts == l.failAt {
+		<-l.release
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.TCPListener.Accept()
+}
+
+// TestAcceptErrorEndsInFlightHandshakes: a non-timeout accept error
+// fails the round only after every handshake it started has ended, and
+// ends the sessions those handshakes registered. Three workers are
+// mid-handshake when Accept fails: stale-B bids at once, stale-A only
+// once the next round is open, and stale-C never. The failed round
+// leaves no connection open, stale-B's session is closed rather than
+// left to time out, and a retried round on the same platform completes
+// with its own six bidders, none of them stale, and one debit.
+func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
+	tln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tln.Close()
+	addr := tln.Addr().String()
+	cfg := testPlatformConfig(t)
+	cfg.BidWindow = 10 * time.Second
+	acct, err := mechanism.NewAccountant(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Accountant = acct
+	p, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	stale := []string{"stale-A", "stale-B", "stale-C"}
+	ln := &failingListener{
+		TCPListener: tln.(*net.TCPListener),
+		failAt:      len(stale) + 1,
+		release:     make(chan struct{}),
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.RunRound(ctx, ln)
+		first <- err
+	}()
+	conns := make(map[string]*Conn, len(stale))
+	for _, id := range stale {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		c := NewConn(raw, 5*time.Second)
+		if err := c.Send(Message{Type: TypeHello, WorkerID: id}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Expect(TypeAnnounce); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		conns[id] = c
+	}
+	// The cheapest possible bid: a stale bidder that reaches an auction
+	// wins it.
+	bid := Message{Type: TypeBid, Bundle: []int{0, 1, 2, 3}, Price: cfg.CMin}
+	close(ln.release)
+	if err := conns["stale-B"].Send(bid); err != nil {
+		t.Fatal(err)
+	}
+
+	var firstErr error
+	select {
+	case firstErr = <-first:
+	case <-ctx.Done():
+		t.Fatal("round with a failed accept never returned")
+	}
+	if !errors.Is(firstErr, syscall.EMFILE) || IsDegraded(firstErr) {
+		t.Fatalf("round error = %v, want the accept error, not a degradation", firstErr)
+	}
+	if n := p.ConnectionsActive(); n != 0 {
+		t.Errorf("failed round returned with %d connections active, want 0", n)
+	}
+	if _, err := conns["stale-B"].Expect(TypeOutcome); err == nil || isTimeout(err) {
+		t.Errorf("stale-B's registered session: read %v, want it closed by the failed round", err)
+	}
+	if got := acct.Spent(); got != 0 {
+		t.Fatalf("failed round debited %v, want 0", got)
+	}
+
+	type result struct {
+		rep RoundReport
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		rep, err := p.RunRound(ctx, tln)
+		second <- result{rep, err}
+	}()
+	for p.Status() != (RoundStatus{Round: 1, Phase: PhaseCollectBids}) {
+		select {
+		case <-ctx.Done():
+			t.Fatal("retried round never opened its bid window")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	_ = conns["stale-A"].Send(bid)
+	runWorkers(ctx, t, addr, 6)
+	res := <-second
+	if res.err != nil {
+		t.Fatalf("retried round: %v", res.err)
+	}
+	if res.rep.Bidders != 6 {
+		t.Errorf("retried round has %d bidders %v, want its own 6", res.rep.Bidders, res.rep.WorkerIDs)
+	}
+	for _, id := range res.rep.WorkerIDs {
+		if strings.HasPrefix(id, "stale-") {
+			t.Errorf("retried round accepted %s from the failed round", id)
+		}
+	}
+	if got := acct.Spent(); got != cfg.Epsilon {
+		t.Errorf("accountant spent %v after one completed round, want %v", got, cfg.Epsilon)
 	}
 }

@@ -7,27 +7,46 @@ import (
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 )
 
+// faultKind is one class of tolerated fault. Platform.fault records
+// every one of them: into the round's tally, which RoundFaults reads,
+// onto the kind's counter series, and as one round.fault event.
+type faultKind int
+
+const (
+	faultRejected faultKind = iota
+	faultTimedOut
+	faultDuplicate
+	faultWinnerUnreachable
+	faultWinnerEvicted
+	faultLoserUnnotified
+	faultPartitionLost
+	numFaultKinds
+)
+
+// faultKinds names each kind's round.fault kind and counter series.
+// The handshake kinds count under mcs_protocol_bids_total, so
+// accepted+rejected+timeout+duplicate accounts for every in-window
+// connection.
+var faultKinds = [numFaultKinds]struct{ event, series string }{
+	faultRejected:          {"handshake_failed", `mcs_protocol_bids_total{result="rejected"}`},
+	faultTimedOut:          {"handshake_failed", `mcs_protocol_bids_total{result="timeout"}`},
+	faultDuplicate:         {"duplicate_bid", `mcs_protocol_bids_total{result="duplicate"}`},
+	faultWinnerUnreachable: {"winner_unreachable", `mcs_protocol_round_faults_total{kind="winner_unreachable"}`},
+	faultWinnerEvicted:     {"winner_evicted", `mcs_protocol_round_faults_total{kind="winner_evicted"}`},
+	faultLoserUnnotified:   {"loser_unnotified", `mcs_protocol_round_faults_total{kind="loser_unnotified"}`},
+	faultPartitionLost:     {"partition_lost", `mcs_protocol_round_faults_total{kind="partition_lost"}`},
+}
+
 // platformMetrics bundles the platform's telemetry handles. All fields
 // are nil when the platform runs without a registry, in which case
 // every record is a no-op; instrumented code never branches on whether
 // telemetry is enabled.
 type platformMetrics struct {
-	// mcs_protocol_bids_total{result=...}: one increment per handshake
-	// outcome. accepted+rejected+timeout+duplicate accounts for every
-	// in-window connection; rejected+timeout equals
-	// RoundFaults.HandshakesFailed and duplicate equals
-	// RoundFaults.DuplicatesRejected.
-	bidsAccepted  *telemetry.Counter
-	bidsRejected  *telemetry.Counter
-	bidsTimedOut  *telemetry.Counter
-	bidsDuplicate *telemetry.Counter
-
-	// mcs_protocol_round_faults_total{kind=...}: the post-auction fault
-	// classes of RoundFaults, plus partition losses in sharded rounds.
-	faultWinnerUnreachable *telemetry.Counter
-	faultWinnerEvicted     *telemetry.Counter
-	faultLoserUnnotified   *telemetry.Counter
-	faultPartitionLost     *telemetry.Counter
+	// mcs_protocol_bids_total{result="accepted"}; the other results
+	// are fault kinds.
+	bidsAccepted *telemetry.Counter
+	// faults holds each fault kind's counter series.
+	faults [numFaultKinds]*telemetry.Counter
 
 	// mcs_protocol_connections_active: connections currently holding a
 	// slot between accept and close; bounded by PlatformConfig.MaxConns
@@ -59,21 +78,12 @@ type platformMetrics struct {
 // zero. A nil registry yields all-nil handles (the nop).
 func newPlatformMetrics(reg *telemetry.Registry) platformMetrics {
 	const (
-		bidsHelp   = "Bid handshake outcomes per connection."
-		faultsHelp = "Post-auction per-session faults the round tolerated."
 		roundsHelp = "Auction rounds by final outcome."
 		phaseHelp  = "Wall-clock time per round phase."
 	)
-	return platformMetrics{
-		bidsAccepted:  reg.Counter(`mcs_protocol_bids_total{result="accepted"}`, bidsHelp),
-		bidsRejected:  reg.Counter(`mcs_protocol_bids_total{result="rejected"}`, bidsHelp),
-		bidsTimedOut:  reg.Counter(`mcs_protocol_bids_total{result="timeout"}`, bidsHelp),
-		bidsDuplicate: reg.Counter(`mcs_protocol_bids_total{result="duplicate"}`, bidsHelp),
-
-		faultWinnerUnreachable: reg.Counter(`mcs_protocol_round_faults_total{kind="winner_unreachable"}`, faultsHelp),
-		faultWinnerEvicted:     reg.Counter(`mcs_protocol_round_faults_total{kind="winner_evicted"}`, faultsHelp),
-		faultLoserUnnotified:   reg.Counter(`mcs_protocol_round_faults_total{kind="loser_unnotified"}`, faultsHelp),
-		faultPartitionLost:     reg.Counter(`mcs_protocol_round_faults_total{kind="partition_lost"}`, faultsHelp),
+	m := platformMetrics{
+		// A family's first help wins, so the bids family keeps this one.
+		bidsAccepted: reg.Counter(`mcs_protocol_bids_total{result="accepted"}`, "Bid handshake outcomes per connection."),
 
 		connsActive: reg.Gauge("mcs_protocol_connections_active",
 			"Connections currently holding an accepted slot."),
@@ -94,6 +104,10 @@ func newPlatformMetrics(reg *telemetry.Registry) platformMetrics {
 		phaseLabels:    reg.Histogram(`mcs_protocol_phase_seconds{phase="labels"}`, phaseHelp, telemetry.TimeBuckets),
 		phaseAggregate: reg.Histogram(`mcs_protocol_phase_seconds{phase="aggregate"}`, phaseHelp, telemetry.TimeBuckets),
 	}
+	for k, fk := range faultKinds {
+		m.faults[k] = reg.Counter(fk.series, "Post-auction per-session faults the round tolerated.")
+	}
+	return m
 }
 
 // isTimeout reports whether err is (or wraps) a network timeout, which

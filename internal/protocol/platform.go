@@ -89,9 +89,9 @@ type PlatformConfig struct {
 	// nothing.
 	Accountant *mechanism.Accountant
 	// Events receives the platform's structured event stream: round
-	// lifecycle, per-phase completions carrying the round's span IDs
-	// (log<->trace correlation), tolerated faults, and bid handshake
-	// outcomes. evlog is the protocol's only sanctioned logging sink
+	// lifecycle, per-phase completions, tolerated faults, and bid
+	// handshake outcomes, each carrying the round index they join on.
+	// evlog is the protocol's only sanctioned logging sink
 	// (mcs-lint MCS-DPL003); bid values never enter the stream — the
 	// field API admits them only through Redacted/Aggregate wrappers.
 	// Nil disables event logging at zero cost.
@@ -227,6 +227,31 @@ func (f RoundFaults) Total() int {
 		f.WinnersEvicted + f.LosersUnnotified + f.PartitionsLost
 }
 
+// roundFaults reads the running round's tally as its RoundFaults.
+func (p *Platform) roundFaults() RoundFaults {
+	n := func(k faultKind) int { return int(p.tally[k].Load()) }
+	return RoundFaults{
+		HandshakesFailed:   n(faultRejected) + n(faultTimedOut),
+		DuplicatesRejected: n(faultDuplicate),
+		WinnersUnreachable: n(faultWinnerUnreachable),
+		WinnersEvicted:     n(faultWinnerEvicted),
+		LosersUnnotified:   n(faultLoserUnnotified),
+		PartitionsLost:     n(faultPartitionLost),
+	}
+}
+
+// fault records one tolerated fault of the given kind in round: it
+// adds it to the round's tally, bumps the kind's counter series and
+// emits one round.fault event carrying fields.
+func (p *Platform) fault(kind faultKind, round int, fields ...evlog.Field) {
+	p.tally[kind].Add(1)
+	p.met.faults[kind].Inc()
+	p.cfg.Events.Warn("round.fault", append([]evlog.Field{
+		evlog.String("kind", faultKinds[kind].event),
+		evlog.Int("round", round),
+	}, fields...)...)
+}
+
 // RoundReport summarizes one completed auction round.
 type RoundReport struct {
 	// Round is the campaign-wide round index (starting at
@@ -267,6 +292,10 @@ type Platform struct {
 	// frames holds the frames that never change within a campaign,
 	// encoded once by NewPlatform.
 	frames platformFrames
+	// tally counts the running round's tolerated faults by kind. Any
+	// of the round's goroutines may add to it; each round clears it
+	// first and reads it once they have ended.
+	tally [numFaultKinds]atomic.Int64
 	// connsActive tracks concurrently serviced connections for the
 	// MaxConns admission check; the telemetry gauge mirrors it (the
 	// atomic is authoritative because nil-registry gauges cannot be
@@ -520,10 +549,12 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	}
 	start := reg.Now()
 	defer p.setStatus(round, PhaseIdle)
+	p.tally = [numFaultKinds]atomic.Int64{}
 	root := p.cfg.Tracer.StartSpan("round")
-	ev.Info("round.start", evlog.Int64("span", root.ID()), evlog.Int("round", round))
+	ev.Info("round.start", evlog.Int("round", round))
 	rep, reports, err := p.roundPhases(ctx, dl, round, root)
 	rep.Round = round
+	rep.Faults = p.roundFaults()
 	root.End()
 	p.met.roundSeconds.Observe(reg.Since(start))
 	switch {
@@ -541,13 +572,12 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 			}
 			if cerr := p.cfg.Checkpoints.RecordRoundComplete(round, rep.Outcome.TotalPayment, paid); cerr != nil {
 				p.met.roundsFailed.Inc()
-				ev.Error("round.failed", evlog.Int64("span", root.ID()), evlog.Int("round", round), evlog.String("reason", "checkpoint"))
+				ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "checkpoint"))
 				return rep, reports, fmt.Errorf("protocol: checkpointing round %d completion: %w", round, cerr)
 			}
 		}
 		p.met.roundsCompleted.Inc()
 		fields := []evlog.Field{
-			evlog.Int64("span", root.ID()),
 			evlog.Int("round", round),
 			evlog.Int("bidders", rep.Bidders),
 			evlog.Int("winners", len(rep.Outcome.Winners)),
@@ -566,17 +596,17 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	case errors.Is(err, ErrQuorumNotMet):
 		p.met.quorumFailures.Inc()
 		p.met.roundsDegraded.Inc()
-		ev.Warn("round.degraded", evlog.Int64("span", root.ID()), evlog.Int("round", round), evlog.String("reason", "quorum_not_met"))
+		ev.Warn("round.degraded", evlog.Int("round", round), evlog.String("reason", "quorum_not_met"))
 	case IsDegraded(err):
 		p.met.roundsDegraded.Inc()
-		ev.Warn("round.degraded", evlog.Int64("span", root.ID()), evlog.Int("round", round), evlog.String("reason", degradeReason(err)))
+		ev.Warn("round.degraded", evlog.Int("round", round), evlog.String("reason", degradeReason(err)))
 	case errors.Is(err, mechanism.ErrBudgetExhausted):
 		p.met.budgetRefusals.Inc()
 		p.met.roundsFailed.Inc()
-		ev.Error("round.failed", evlog.Int64("span", root.ID()), evlog.Int("round", round), evlog.String("reason", "budget_exhausted"))
+		ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "budget_exhausted"))
 	default:
 		p.met.roundsFailed.Inc()
-		ev.Error("round.failed", evlog.Int64("span", root.ID()), evlog.Int("round", round), evlog.String("reason", "error"))
+		ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "error"))
 	}
 	return rep, reports, err
 }
@@ -597,7 +627,8 @@ func degradeReason(err error) string {
 // roundPhases runs the four phases of a round — collect-bids, auction,
 // labels, aggregate — each timed into mcs_protocol_phase_seconds and
 // traced as a child of root. round is the campaign-wide index that
-// roots this round's mechanism randomness.
+// roots this round's mechanism randomness and labels its events. The
+// report's Round and Faults are left to the caller.
 func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
@@ -609,16 +640,14 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		now = ev.Now
 	}
 	// phaseDone times a phase into the histogram and mirrors it as a
-	// round.phase event carrying the phase's span ID and the round's
-	// root span ID, so a log line can be joined to the trace tree.
+	// round.phase event.
 	phaseDone := func(name string, span *telemetry.Span, h *telemetry.Histogram, start time.Time) {
 		span.End()
 		el := now().Sub(start).Seconds()
 		h.Observe(el)
 		ev.Debug("round.phase",
 			evlog.String("phase", name),
-			evlog.Int64("span", span.ID()),
-			evlog.Int64("parent", root.ID()),
+			evlog.Int("round", round),
 			evlog.Float("elapsed_seconds", el))
 	}
 	if p.cfg.Accountant != nil {
@@ -642,7 +671,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	p.setStatus(round, PhaseCollectBids)
 	collectStart := now()
 	collectSpan := root.StartChild("collect-bids")
-	sessions, faults, err := p.collectBids(ctx, ln, collectSpan.ID())
+	sessions, err := p.collectBids(ctx, ln, round)
 	phaseDone("collect-bids", collectSpan, p.met.phaseCollect, collectStart)
 	if err != nil {
 		return RoundReport{}, nil, err
@@ -659,25 +688,25 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 
 	switch {
 	case len(sessions) == 0:
-		return RoundReport{Faults: faults}, nil, ErrNoBids
+		return RoundReport{}, nil, ErrNoBids
 	case len(sessions) < p.cfg.Quorum:
 		err := fmt.Errorf("%w: %d of %d required bids", ErrQuorumNotMet, len(sessions), p.cfg.Quorum)
 		refuse(sessions, err)
-		return RoundReport{Faults: faults}, nil, err
+		return RoundReport{}, nil, err
 	}
 	ev.Info("round.bids_collected",
-		evlog.Int64("span", collectSpan.ID()),
+		evlog.Int("round", round),
 		evlog.Int("bids", len(sessions)),
-		evlog.Int("faults", faults.Total()))
+		evlog.Int("faults", p.roundFaults().Total()))
 
 	p.setStatus(round, PhaseAuction)
 	auctionStart := now()
 	auctionSpan := root.StartChild("auction")
-	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round, auctionSpan.ID(), &faults)
+	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round)
 	phaseDone("auction", auctionSpan, p.met.phaseAuction, auctionStart)
 	if err != nil {
 		refuse(sessions, err)
-		return RoundReport{Faults: faults, Sharding: shardOut}, nil, err
+		return RoundReport{Sharding: shardOut}, nil, err
 	}
 
 	report := RoundReport{
@@ -704,12 +733,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 			continue
 		}
 		if err := s.conn.sendFrame(TypeOutcome, p.frames.lost); err != nil {
-			faults.LosersUnnotified++
-			p.met.faultLoserUnnotified.Inc()
-			ev.Warn("round.fault",
-				evlog.String("kind", "loser_unnotified"),
-				evlog.Int64("span", labelsSpan.ID()),
-				evlog.String("worker", s.workerID))
+			p.fault(faultLoserUnnotified, round, evlog.String("worker", s.workerID))
 			continue
 		}
 		_ = s.conn.sendFrame(TypeDone, p.frames.done)
@@ -722,10 +746,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	// completes with whoever answered. Results are assembled in
 	// session-index order afterwards to keep the report deterministic.
 	perWinner := make([][]crowd.Report, len(sessions))
-	var (
-		wg  sync.WaitGroup
-		fmu sync.Mutex
-	)
+	var wg sync.WaitGroup
 	for i := range sessions {
 		if !winners[i] {
 			continue
@@ -734,26 +755,12 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		go func(i int, s *session) {
 			defer wg.Done()
 			if err := s.conn.Send(Message{Type: TypeOutcome, Won: true, ClearingPrice: winnerPrices[i]}); err != nil {
-				fmu.Lock()
-				faults.WinnersUnreachable++
-				fmu.Unlock()
-				p.met.faultWinnerUnreachable.Inc()
-				ev.Warn("round.fault",
-					evlog.String("kind", "winner_unreachable"),
-					evlog.Int64("span", labelsSpan.ID()),
-					evlog.String("worker", s.workerID))
+				p.fault(faultWinnerUnreachable, round, evlog.String("worker", s.workerID))
 				return
 			}
 			m, err := s.conn.Expect(TypeLabels)
 			if err != nil {
-				fmu.Lock()
-				faults.WinnersEvicted++
-				fmu.Unlock()
-				p.met.faultWinnerEvicted.Inc()
-				ev.Warn("round.fault",
-					evlog.String("kind", "winner_evicted"),
-					evlog.Int64("span", labelsSpan.ID()),
-					evlog.String("worker", s.workerID))
+				p.fault(faultWinnerEvicted, round, evlog.String("worker", s.workerID))
 				return
 			}
 			var got []crowd.Report
@@ -776,7 +783,6 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		reports = append(reports, rs...)
 	}
 	report.ReportsReceived = len(reports)
-	report.Faults = faults
 
 	p.setStatus(round, PhaseAggregate)
 	aggStart := now()
@@ -784,7 +790,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	agg, err := crowd.WeightedAggregate(reports, skills, p.cfg.NumTasks)
 	phaseDone("aggregate", aggSpan, p.met.phaseAggregate, aggStart)
 	if err != nil {
-		return RoundReport{Faults: faults}, nil, fmt.Errorf("protocol: aggregation: %w", err)
+		return RoundReport{}, nil, fmt.Errorf("protocol: aggregation: %w", err)
 	}
 	report.Aggregated = agg
 	return report, reports, nil
@@ -818,27 +824,18 @@ func refuse(sessions []*session, cause error) {
 //     with Price 0, each winner is paid its own partition's clearing
 //     price, and the merged outcome is returned for RoundReport.Sharding.
 //
-// Killed partitions are tolerated faults, accounted under
-// RoundFaults.PartitionsLost with one round.fault event each, exactly
-// like the per-session fault classes. spanID labels the phase's events
-// for log<->trace correlation.
-func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, round int, spanID int64, faults *RoundFaults) (core.Outcome, [][]float64, []float64, *shard.RoundOutcome, error) {
-	ev := p.cfg.Events
+// Killed partitions are tolerated faults, recorded like the
+// per-session fault classes.
+func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, round int) (core.Outcome, [][]float64, []float64, *shard.RoundOutcome, error) {
 	so, err := p.coord.RunRound(ctx, RoundSeed(p.cfg.Seed, round))
 	var merged *shard.RoundOutcome
 	if p.coord.Partitions() > 1 {
 		merged = &so
 	}
 	for _, pr := range so.Partitions {
-		if pr.Status != shard.StatusKilled {
-			continue
+		if pr.Status == shard.StatusKilled {
+			p.fault(faultPartitionLost, round, evlog.Int("partition", pr.Partition))
 		}
-		faults.PartitionsLost++
-		p.met.faultPartitionLost.Inc()
-		ev.Warn("round.fault",
-			evlog.String("kind", "partition_lost"),
-			evlog.Int64("span", spanID),
-			evlog.Int("partition", pr.Partition))
 	}
 	if err != nil {
 		return core.Outcome{}, nil, nil, merged, err
@@ -876,11 +873,11 @@ func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, rou
 	}
 	// Like round.complete, a sharded round's draw carries no single
 	// price.
-	fields := []evlog.Field{evlog.Int64("span", spanID), evlog.Int("winners", len(outcome.Winners))}
+	fields := []evlog.Field{evlog.Int("round", round), evlog.Int("winners", len(outcome.Winners))}
 	if merged == nil {
 		fields = append(fields, evlog.Aggregate("clearing_price", outcome.Price))
 	}
-	ev.Debug("round.price_drawn", fields...)
+	p.cfg.Events.Debug("round.price_drawn", fields...)
 	return outcome, skills, winnerPrices, merged, nil
 }
 
@@ -913,18 +910,20 @@ func (p *Platform) endSession(s *session) {
 }
 
 // collectBids accepts connections and performs the hello/announce/bid
-// handshake until the bid window closes, MinWorkers is reached, or ctx
-// is cancelled. Individual handshake failures are tolerated and
-// tallied, never fatal. spanID labels the phase's events.
-func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID int64) ([]*session, RoundFaults, error) {
-	ev := p.cfg.Events
+// handshake until the bid window closes, MinWorkers is reached, ctx is
+// cancelled or Accept fails. Individual handshake failures are
+// tolerated faults of round, never fatal. Every way out of the accept
+// loop leaves through one exit, which waits for every handshake the
+// loop started: one that outlived its round could register its bid in
+// the next. After an accept error the exit also ends the sessions those
+// handshakes registered, and the round fails.
+func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round int) ([]*session, error) {
 	windowCtx, cancel := context.WithTimeout(ctx, p.cfg.BidWindow)
 	defer cancel()
 
 	var (
 		mu       sync.Mutex
 		sessions []*session
-		faults   RoundFaults
 		seen     = make(map[string]bool)
 		wg       sync.WaitGroup
 	)
@@ -939,53 +938,33 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 		_ = ln.SetDeadline(time.Unix(1, 0))
 	}()
 
-	for {
-		select {
-		case <-windowCtx.Done():
-			wg.Wait()
-			<-acceptDone
-			return sessions, faults, nil
-		default:
-		}
+	var acceptErr error
+	for windowCtx.Err() == nil {
 		raw, err := ln.Accept()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// The end-of-window deadline (or a spurious timeout);
-				// the top-of-loop select sorts out which.
-				continue
+			if !isTimeout(err) && windowCtx.Err() == nil {
+				acceptErr = fmt.Errorf("protocol: accept: %w", err)
+				break
 			}
-			select {
-			case <-windowCtx.Done():
-				wg.Wait()
-				<-acceptDone
-				return sessions, faults, nil
-			default:
-			}
-			return nil, faults, fmt.Errorf("protocol: accept: %w", err)
+			// The end-of-window deadline (or a spurious timeout); the
+			// loop condition sorts out which.
+			continue
 		}
+		wg.Add(1)
 		if !p.acquireConn() {
 			// Connection limit reached: reject without handshaking. The
 			// rejection write sits on a network deadline, so it runs off
 			// the accept loop like every slow-path interaction.
-			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				if windowCtx.Err() == nil {
-					mu.Lock()
-					faults.HandshakesFailed++
-					mu.Unlock()
-					p.met.bidsRejected.Inc()
-					ev.Warn("round.fault",
-						evlog.String("kind", "handshake_failed"),
-						evlog.Int64("span", spanID),
-						evlog.String("cause", "over_limit"))
+					p.fault(faultRejected, round, evlog.String("cause", "over_limit"))
 				}
 				_ = writeFrame(raw, p.cfg.IOTimeout, TypeError, p.frames.overLimit)
 				_ = raw.Close()
 			}()
 			continue
 		}
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s, err := p.handshake(raw)
@@ -995,37 +974,23 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 				// Failures after the window closed are not faults: they
 				// are sessions the close itself cut.
 				if windowCtx.Err() == nil {
-					mu.Lock()
-					faults.HandshakesFailed++
-					mu.Unlock()
-					cause := "rejected"
+					kind, cause := faultRejected, "rejected"
 					if isTimeout(err) {
-						cause = "timeout"
-						p.met.bidsTimedOut.Inc()
-					} else {
-						p.met.bidsRejected.Inc()
+						kind, cause = faultTimedOut, "timeout"
 					}
-					ev.Warn("round.fault",
-						evlog.String("kind", "handshake_failed"),
-						evlog.Int64("span", spanID),
-						evlog.String("cause", cause))
+					p.fault(kind, round, evlog.String("cause", cause))
 				}
 				return
 			}
 			mu.Lock()
 			if seen[s.workerID] {
-				faults.DuplicatesRejected++
 				mu.Unlock()
 				// The rejection itself happens outside the critical
 				// section: SendError sits on a network write deadline
 				// (up to IOTimeout), and mu is what every completing
 				// handshake needs to register its bid — one slow
 				// duplicate client must not stall the whole window.
-				p.met.bidsDuplicate.Inc()
-				ev.Warn("round.fault",
-					evlog.String("kind", "duplicate_bid"),
-					evlog.Int64("span", spanID),
-					evlog.String("worker", s.workerID))
+				p.fault(faultDuplicate, round, evlog.String("worker", s.workerID))
 				_ = s.conn.SendError(fmt.Errorf("%w: %s", ErrDuplicateBid, s.workerID))
 				p.endSession(s)
 				return
@@ -1034,14 +999,8 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 			// registers, so a registered session IS an admitted bid —
 			// accepted bids are never dropped by backpressure later.
 			if serr := p.coord.Submit(shard.Bid{WorkerID: s.workerID, Bundle: s.bundle, Price: s.price}); serr != nil {
-				faults.HandshakesFailed++
 				mu.Unlock()
-				p.met.bidsRejected.Inc()
-				ev.Warn("round.fault",
-					evlog.String("kind", "handshake_failed"),
-					evlog.Int64("span", spanID),
-					evlog.String("cause", "shard_overloaded"),
-					evlog.String("worker", s.workerID))
+				p.fault(faultRejected, round, evlog.String("cause", "shard_overloaded"), evlog.String("worker", s.workerID))
 				_ = s.conn.SendError(fmt.Errorf("%w: %s", shard.ErrOverloaded, s.workerID))
 				p.endSession(s)
 				return
@@ -1053,8 +1012,8 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 			p.met.bidsAccepted.Inc()
 			// The bid value is DP-protected input: it never enters the
 			// stream, only a Redacted placeholder marking its arrival.
-			ev.Debug("bid.accepted",
-				evlog.Int64("span", spanID),
+			p.cfg.Events.Debug("bid.accepted",
+				evlog.Int("round", round),
 				evlog.String("worker", s.workerID),
 				evlog.Redacted("bid"))
 			if quorum {
@@ -1062,6 +1021,18 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID 
 			}
 		}()
 	}
+	// The one exit: close the window, then wait out every handshake
+	// and the deadline goroutine.
+	cancel()
+	wg.Wait()
+	<-acceptDone
+	if acceptErr != nil {
+		for _, s := range sessions {
+			p.endSession(s)
+		}
+		sessions = nil
+	}
+	return sessions, acceptErr
 }
 
 // handshake runs hello -> announce -> bid on a fresh connection. A

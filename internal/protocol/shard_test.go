@@ -255,7 +255,9 @@ func TestShardedNoLostBids(t *testing.T) {
 }
 
 // TestShardedPartitionKill: killing one partition mid-round yields a
-// fault-accounted partial outcome over the survivors.
+// fault-accounted partial outcome over the survivors: the loss is
+// counted alike by its counter, RoundFaults and round.fault events,
+// and every round event joins on the round index.
 func TestShardedPartitionKill(t *testing.T) {
 	o := shardedOpts(606, 16)
 	reg := telemetry.NewRegistry()
@@ -306,6 +308,8 @@ func TestShardedPartitionKill(t *testing.T) {
 	if lost != 1 {
 		t.Fatalf("%d partition_lost fault events, want 1", lost)
 	}
+	assertFaultsReconcile(t, reg, events, rep)
+	assertRoundEventsJoin(t, events, rep)
 }
 
 // TestShardedAllPartitionsKilled: a round with every partition killed

@@ -42,8 +42,8 @@ func (systemClock) Now() time.Time { return time.Now() }
 // WallClock returns the real-time clock.
 func WallClock() Clock { return systemClock{} }
 
-// ManualClock is a settable clock for deterministic tests: time only
-// moves when Advance or Set is called. Safe for concurrent use.
+// ManualClock is a clock for deterministic tests: time only moves when
+// Advance is called. Safe for concurrent use.
 type ManualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -66,37 +66,4 @@ func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = c.now.Add(d)
-}
-
-// Set jumps the clock to t.
-func (c *ManualClock) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = t
-}
-
-// Stopwatch measures elapsed time against an injected clock; it is the
-// monotonic-timing helper tests use instead of raw time.Now pairs. The
-// zero value (nil clock) reads as zero elapsed.
-type Stopwatch struct {
-	clock Clock
-	start time.Time
-}
-
-// NewStopwatch starts a stopwatch on the given clock; a nil clock
-// yields a stopwatch whose Elapsed is always zero.
-func NewStopwatch(c Clock) Stopwatch {
-	sw := Stopwatch{clock: c}
-	if c != nil {
-		sw.start = c.Now()
-	}
-	return sw
-}
-
-// Elapsed returns the time since the stopwatch started.
-func (s Stopwatch) Elapsed() time.Duration {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock.Now().Sub(s.start)
 }

@@ -108,7 +108,7 @@ func String(key, v string) Field { return Field{key: key, kind: kindString, str:
 // Int is an integer-valued field.
 func Int(key string, v int) Field { return Field{key: key, kind: kindInt, i: int64(v)} }
 
-// Int64 is an int64-valued field (seeds, span IDs).
+// Int64 is an int64-valued field (seeds, int64 counters).
 func Int64(key string, v int64) Field { return Field{key: key, kind: kindInt, i: v} }
 
 // Float is a float64-valued field. NaN and infinities render as the

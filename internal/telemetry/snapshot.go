@@ -119,7 +119,3 @@ func (s Snapshot) Histogram(name string) (HistogramValue, bool) {
 	}
 	return HistogramValue{}, false
 }
-
-// FamilyOf strips an inline label set from a series name:
-// `f{k="v"}` -> `f`. Exported for consumers grouping snapshot series.
-func FamilyOf(name string) string { return familyOf(name) }

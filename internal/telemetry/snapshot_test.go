@@ -64,9 +64,6 @@ func TestSnapshotLookups(t *testing.T) {
 	if _, ok := s.Histogram("absent"); ok {
 		t.Error("Histogram absent must report !ok")
 	}
-	if got := FamilyOf(`f_total{k="a"}`); got != "f_total" {
-		t.Errorf("FamilyOf = %q, want f_total", got)
-	}
 }
 
 // The console polls Snapshot on a platform that may not have metrics

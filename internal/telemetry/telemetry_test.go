@@ -222,20 +222,6 @@ func TestNopPathAllocatesZero(t *testing.T) {
 
 func TestManualClockStopwatch(t *testing.T) {
 	mc := NewManualClock(time.Unix(100, 0))
-	sw := NewStopwatch(mc)
-	mc.Advance(250 * time.Millisecond)
-	if got := sw.Elapsed(); got != 250*time.Millisecond {
-		t.Errorf("elapsed = %v, want 250ms", got)
-	}
-	mc.Set(time.Unix(200, 0))
-	if got := sw.Elapsed(); got != 100*time.Second {
-		t.Errorf("elapsed after Set = %v, want 100s", got)
-	}
-	var zero Stopwatch
-	if zero.Elapsed() != 0 {
-		t.Error("zero stopwatch must read zero")
-	}
-
 	reg := NewRegistry(WithClock(mc))
 	start := reg.Now()
 	mc.Advance(2 * time.Second)

@@ -87,17 +87,6 @@ func (t *Tracer) newSpan(name string, parent int64) *Span {
 	return &Span{tracer: t, id: id, parent: parent, name: name, start: t.clock.Now()}
 }
 
-// ID returns the span's tracer-unique identifier, the correlation key
-// event logs carry to tie a log line to its span (log<->trace
-// correlation). The nil span's ID is 0, which never collides with a
-// real span: IDs start at 1.
-func (s *Span) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // StartChild opens a span nested under s.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
