@@ -126,9 +126,6 @@ func run(args []string) error {
 		defer closeSrv()
 	}
 	if *traceOut != "" {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
 		tracer = telemetry.NewTracer()
 	}
 

@@ -167,9 +167,7 @@ func TestFailingEventsSinkFailsRun(t *testing.T) {
 
 func TestWriteTraceProducesJSON(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	sp := tracer.StartSpan("round")
-	sp.StartChild("collect-bids").End()
-	sp.End()
+	tracer.Record(telemetry.Span{Name: "round", Children: []telemetry.Span{{Name: "collect-bids"}}})
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := writeTrace(path, tracer); err != nil {

@@ -307,7 +307,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 		rep, reports, err := p.runRoundCollecting(ctx, ln)
 		if err != nil {
 			if !IsDegraded(err) {
-				return campaign, fmt.Errorf("protocol: round %d: %w", round+1, err)
+				return campaign, fmt.Errorf("protocol: round %d: %w", rep.Round, err)
 			}
 			campaign.FailedRounds++
 			campaign.RoundErrors = append(campaign.RoundErrors, err.Error())

@@ -6,11 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/dphsrc/dphsrc/internal/crowd"
+	"github.com/dphsrc/dphsrc/internal/mechanism"
+	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
 func TestSkillStoreDefaults(t *testing.T) {
@@ -178,5 +181,61 @@ func TestRunCampaignValidation(t *testing.T) {
 	cancel()
 	if _, err := platform.RunCampaignTolerant(ctx, nil, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: got %v", err)
+	}
+}
+
+// TestCampaignErrorNamesRound: a hard failure ends the campaign with
+// an error naming the 0-based round index that the round's events,
+// the journal and RoundReport.Round carry. Here the budget covers one
+// round, so round 1 is refused.
+func TestCampaignErrorNamesRound(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := testPlatformConfig(t)
+	acct, err := mechanism.NewAccountant(1.5 * cfg.Epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Accountant = acct
+	platform, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	type result struct {
+		campaign CampaignReport
+		err      error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		c, err := platform.RunCampaignTolerant(ctx, ln, 3, nil)
+		resCh <- result{c, err}
+	}()
+	runWorkers(ctx, t, ln.Addr().String(), 6)
+	res := <-resCh
+	if !errors.Is(res.err, mechanism.ErrBudgetExhausted) {
+		t.Fatalf("campaign = %v, want budget exhaustion", res.err)
+	}
+	if len(res.campaign.Rounds) != 1 || res.campaign.Rounds[0].Round != 0 {
+		t.Fatalf("campaign completed %+v, want round 0 alone", res.campaign.Rounds)
+	}
+	if !strings.HasPrefix(res.err.Error(), "protocol: round 1: ") {
+		t.Errorf("campaign error %q does not name round 1", res.err)
+	}
+	failed := cfg.Events.Tail(0, 0, evlog.LevelDebug, "round.failed")
+	if len(failed) != 1 {
+		t.Fatalf("%d round.failed events, want 1", len(failed))
+	}
+	e, err := evlog.ParseEvent(failed[0].Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := e.Int("round"); r != 1 {
+		t.Errorf("round.failed names round %d, want 1", r)
 	}
 }

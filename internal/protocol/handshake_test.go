@@ -519,7 +519,10 @@ func (l *failingListener) Accept() (net.Conn, error) {
 // once the next round is open, and stale-C never. The failed round
 // leaves no connection open, stale-B's session is closed rather than
 // left to time out, and a retried round on the same platform completes
-// with its own six bidders, none of them stale, and one debit.
+// with its own six bidders, none of them stale, and one debit. The
+// failed round counts the handshakes of stale-A and stale-C, which time
+// out after the window has closed, and its bid counters account for
+// every connection it accepted.
 func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -534,6 +537,8 @@ func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Accountant = acct
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
 	p, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -547,10 +552,14 @@ func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
 		failAt:      len(stale) + 1,
 		release:     make(chan struct{}),
 	}
-	first := make(chan error, 1)
+	type result struct {
+		rep RoundReport
+		err error
+	}
+	first := make(chan result, 1)
 	go func() {
-		_, err := p.RunRound(ctx, ln)
-		first <- err
+		rep, err := p.RunRound(ctx, ln)
+		first <- result{rep, err}
 	}()
 	conns := make(map[string]*Conn, len(stale))
 	for _, id := range stale {
@@ -576,14 +585,24 @@ func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var firstErr error
+	var failed result
 	select {
-	case firstErr = <-first:
+	case failed = <-first:
 	case <-ctx.Done():
 		t.Fatal("round with a failed accept never returned")
 	}
-	if !errors.Is(firstErr, syscall.EMFILE) || IsDegraded(firstErr) {
-		t.Fatalf("round error = %v, want the accept error, not a degradation", firstErr)
+	if !errors.Is(failed.err, syscall.EMFILE) || IsDegraded(failed.err) {
+		t.Fatalf("round error = %v, want the accept error, not a degradation", failed.err)
+	}
+	if got := failed.rep.Faults.HandshakesFailed; got != 2 {
+		t.Errorf("failed round counts %d failed handshakes, want 2 (stale-A, stale-C)", got)
+	}
+	var bids int64
+	for _, result := range []string{"accepted", "rejected", "timeout", "duplicate"} {
+		bids += reg.Counter(`mcs_protocol_bids_total{result="`+result+`"}`, "").Value()
+	}
+	if bids != int64(len(stale)) {
+		t.Errorf("mcs_protocol_bids_total sums to %d, want the %d connections the loop accepted", bids, len(stale))
 	}
 	if n := p.ConnectionsActive(); n != 0 {
 		t.Errorf("failed round returned with %d connections active, want 0", n)
@@ -595,10 +614,6 @@ func TestAcceptErrorEndsInFlightHandshakes(t *testing.T) {
 		t.Fatalf("failed round debited %v, want 0", got)
 	}
 
-	type result struct {
-		rep RoundReport
-		err error
-	}
 	second := make(chan result, 1)
 	go func() {
 		rep, err := p.RunRound(ctx, tln)

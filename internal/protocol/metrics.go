@@ -25,8 +25,8 @@ const (
 
 // faultKinds names each kind's round.fault kind and counter series.
 // The handshake kinds count under mcs_protocol_bids_total, so
-// accepted+rejected+timeout+duplicate accounts for every in-window
-// connection.
+// accepted+rejected+timeout+duplicate accounts for every connection
+// the round accepted.
 var faultKinds = [numFaultKinds]struct{ event, series string }{
 	faultRejected:          {"handshake_failed", `mcs_protocol_bids_total{result="rejected"}`},
 	faultTimedOut:          {"handshake_failed", `mcs_protocol_bids_total{result="timeout"}`},
@@ -35,6 +35,26 @@ var faultKinds = [numFaultKinds]struct{ event, series string }{
 	faultWinnerEvicted:     {"winner_evicted", `mcs_protocol_round_faults_total{kind="winner_evicted"}`},
 	faultLoserUnnotified:   {"loser_unnotified", `mcs_protocol_round_faults_total{kind="loser_unnotified"}`},
 	faultPartitionLost:     {"partition_lost", `mcs_protocol_round_faults_total{kind="partition_lost"}`},
+}
+
+// phase is one of the four phases a round runs, in order.
+type phase int
+
+const (
+	phaseCollectBids phase = iota
+	phaseAuction
+	phaseLabels
+	phaseAggregate
+	numPhases
+)
+
+// phases names each phase, as its RoundStatus phase, its round.phase
+// event and its trace span, and its mcs_protocol_phase_seconds series.
+var phases = [numPhases]struct{ name, series string }{
+	phaseCollectBids: {PhaseCollectBids, `mcs_protocol_phase_seconds{phase="collect"}`},
+	phaseAuction:     {PhaseAuction, `mcs_protocol_phase_seconds{phase="auction"}`},
+	phaseLabels:      {PhaseLabels, `mcs_protocol_phase_seconds{phase="labels"}`},
+	phaseAggregate:   {PhaseAggregate, `mcs_protocol_phase_seconds{phase="aggregate"}`},
 }
 
 // platformMetrics bundles the platform's telemetry handles. All fields
@@ -66,21 +86,15 @@ type platformMetrics struct {
 	budgetRefusals *telemetry.Counter
 
 	// Round latency, total and per phase.
-	roundSeconds   *telemetry.Histogram
-	phaseCollect   *telemetry.Histogram
-	phaseAuction   *telemetry.Histogram
-	phaseLabels    *telemetry.Histogram
-	phaseAggregate *telemetry.Histogram
+	roundSeconds *telemetry.Histogram
+	phaseSeconds [numPhases]*telemetry.Histogram
 }
 
 // newPlatformMetrics registers the platform's metric families eagerly,
 // so a scrape during the first bid window already sees every series at
 // zero. A nil registry yields all-nil handles (the nop).
 func newPlatformMetrics(reg *telemetry.Registry) platformMetrics {
-	const (
-		roundsHelp = "Auction rounds by final outcome."
-		phaseHelp  = "Wall-clock time per round phase."
-	)
+	const roundsHelp = "Auction rounds by final outcome."
 	m := platformMetrics{
 		// A family's first help wins, so the bids family keeps this one.
 		bidsAccepted: reg.Counter(`mcs_protocol_bids_total{result="accepted"}`, "Bid handshake outcomes per connection."),
@@ -99,13 +113,12 @@ func newPlatformMetrics(reg *telemetry.Registry) platformMetrics {
 
 		roundSeconds: reg.Histogram("mcs_protocol_round_seconds",
 			"End-to-end wall-clock time per round.", telemetry.TimeBuckets),
-		phaseCollect:   reg.Histogram(`mcs_protocol_phase_seconds{phase="collect"}`, phaseHelp, telemetry.TimeBuckets),
-		phaseAuction:   reg.Histogram(`mcs_protocol_phase_seconds{phase="auction"}`, phaseHelp, telemetry.TimeBuckets),
-		phaseLabels:    reg.Histogram(`mcs_protocol_phase_seconds{phase="labels"}`, phaseHelp, telemetry.TimeBuckets),
-		phaseAggregate: reg.Histogram(`mcs_protocol_phase_seconds{phase="aggregate"}`, phaseHelp, telemetry.TimeBuckets),
 	}
 	for k, fk := range faultKinds {
 		m.faults[k] = reg.Counter(fk.series, "Post-auction per-session faults the round tolerated.")
+	}
+	for ph, row := range phases {
+		m.phaseSeconds[ph] = reg.Histogram(row.series, "Wall-clock time per round phase.", telemetry.TimeBuckets)
 	}
 	return m
 }

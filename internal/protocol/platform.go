@@ -101,7 +101,8 @@ type PlatformConfig struct {
 	// privacy accountant. Nil disables all recording at zero cost.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records one span tree per round
-	// (round -> collect-bids / auction / labels / aggregate).
+	// (round -> collect-bids / auction / labels / aggregate); a round
+	// that ends early holds only the phases it ran.
 	Tracer *telemetry.Tracer
 	// Checkpoints, when non-nil, journals campaign progress: a
 	// round.begin record before each round attempt and a round.complete
@@ -525,8 +526,8 @@ type deadlineListener interface {
 
 // runRoundCollecting is RunRound plus the raw label reports, which the
 // multi-round campaign feeds to truth discovery. It wraps roundPhases
-// with the round-level telemetry: one span tree, the end-to-end
-// latency, and the final outcome tally.
+// with the round-level telemetry: the round's timeline, and the final
+// outcome tally.
 func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (RoundReport, []crowd.Report, error) {
 	dl, ok := ln.(deadlineListener)
 	if !ok {
@@ -536,7 +537,6 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	if err := dl.SetDeadline(time.Time{}); err != nil {
 		return RoundReport{}, nil, fmt.Errorf("%w: clearing the accept deadline: %v", ErrBadPlatform, err)
 	}
-	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
 	round := p.claimRound()
 	if p.cfg.Checkpoints != nil {
@@ -547,16 +547,14 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 			return RoundReport{Round: round}, nil, fmt.Errorf("protocol: checkpointing round %d begin: %w", round, err)
 		}
 	}
-	start := reg.Now()
 	defer p.setStatus(round, PhaseIdle)
 	p.tally = [numFaultKinds]atomic.Int64{}
-	root := p.cfg.Tracer.StartSpan("round")
+	tl := p.startTimeline(round)
 	ev.Info("round.start", evlog.Int("round", round))
-	rep, reports, err := p.roundPhases(ctx, dl, round, root)
+	rep, reports, err := p.roundPhases(ctx, dl, &tl)
 	rep.Round = round
 	rep.Faults = p.roundFaults()
-	root.End()
-	p.met.roundSeconds.Observe(reg.Since(start))
+	tl.end()
 	switch {
 	case err == nil:
 		if p.cfg.Checkpoints != nil {
@@ -611,6 +609,63 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	return rep, reports, err
 }
 
+// timeline times one round on the wall clock, read once at each
+// boundary. That one reading feeds every record of the boundary:
+// entering a phase publishes it as the platform's status; leaving it
+// takes one duration, which the phase's histogram observes, its
+// round.phase event carries and its trace span lasts; ending the round
+// observes mcs_protocol_round_seconds and hands the finished round tree
+// to the tracer. A phase span starts at its offset from the round's
+// start, so every phase nests inside its round.
+type timeline struct {
+	p     *Platform
+	round int
+	start time.Time // when the round began
+	cur   phase     // the running phase
+	mark  time.Time // when cur began
+	tree  telemetry.Span
+}
+
+// startTimeline opens round's timeline at the round's start.
+func (p *Platform) startTimeline(round int) timeline {
+	now := telemetry.WallClock().Now()
+	return timeline{p: p, round: round, start: now, tree: telemetry.Span{
+		Name:        "round",
+		StartUnixNs: now.UnixNano(),
+		Children:    make([]telemetry.Span, 0, numPhases),
+	}}
+}
+
+// enter starts phase ph and publishes it as the platform's status.
+func (t *timeline) enter(ph phase) {
+	t.cur, t.mark = ph, telemetry.WallClock().Now()
+	t.p.setStatus(t.round, phases[ph].name)
+}
+
+// leave ends the running phase.
+func (t *timeline) leave() {
+	el := telemetry.WallClock().Now().Sub(t.mark)
+	name := phases[t.cur].name
+	t.p.met.phaseSeconds[t.cur].Observe(el.Seconds())
+	t.p.cfg.Events.Debug("round.phase",
+		evlog.String("phase", name),
+		evlog.Int("round", t.round),
+		evlog.Seconds("elapsed_seconds", el))
+	t.tree.Children = append(t.tree.Children, telemetry.Span{
+		Name:        name,
+		StartUnixNs: t.tree.StartUnixNs + t.mark.Sub(t.start).Nanoseconds(),
+		DurationNs:  el.Nanoseconds(),
+	})
+}
+
+// end ends the round and records its tree.
+func (t *timeline) end() {
+	el := telemetry.WallClock().Now().Sub(t.start)
+	t.p.met.roundSeconds.Observe(el.Seconds())
+	t.tree.DurationNs = el.Nanoseconds()
+	t.p.cfg.Tracer.Record(t.tree)
+}
+
 // degradeReason classifies a graceful degradation for the event
 // stream.
 func degradeReason(err error) string {
@@ -625,31 +680,12 @@ func degradeReason(err error) string {
 }
 
 // roundPhases runs the four phases of a round — collect-bids, auction,
-// labels, aggregate — each timed into mcs_protocol_phase_seconds and
-// traced as a child of root. round is the campaign-wide index that
-// roots this round's mechanism randomness and labels its events. The
-// report's Round and Faults are left to the caller.
-func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
-	reg := p.cfg.Telemetry
+// labels, aggregate — each timed on tl. tl.round is the campaign-wide
+// index that roots this round's mechanism randomness and labels its
+// events. The report's Round and Faults are left to the caller.
+func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *timeline) (RoundReport, []crowd.Report, error) {
 	ev := p.cfg.Events
-	// Phase boundaries come from the registry's clock, or the event
-	// logger's when no registry is attached, so a round.phase event
-	// never reads a nil registry's zero as a duration.
-	now := reg.Now
-	if reg == nil {
-		now = ev.Now
-	}
-	// phaseDone times a phase into the histogram and mirrors it as a
-	// round.phase event.
-	phaseDone := func(name string, span *telemetry.Span, h *telemetry.Histogram, start time.Time) {
-		span.End()
-		el := now().Sub(start).Seconds()
-		h.Observe(el)
-		ev.Debug("round.phase",
-			evlog.String("phase", name),
-			evlog.Int("round", round),
-			evlog.Float("elapsed_seconds", el))
-	}
+	round := tl.round
 	if p.cfg.Accountant != nil {
 		// Refuse up front when the budget cannot cover this round: a
 		// doomed round must not even collect bids. The actual debit
@@ -668,11 +704,9 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	p.coord.BeginRound(round)
 	defer p.coord.CloseRound()
 
-	p.setStatus(round, PhaseCollectBids)
-	collectStart := now()
-	collectSpan := root.StartChild("collect-bids")
+	tl.enter(phaseCollectBids)
 	sessions, err := p.collectBids(ctx, ln, round)
-	phaseDone("collect-bids", collectSpan, p.met.phaseCollect, collectStart)
+	tl.leave()
 	if err != nil {
 		return RoundReport{}, nil, err
 	}
@@ -699,11 +733,9 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		evlog.Int("bids", len(sessions)),
 		evlog.Int("faults", p.roundFaults().Total()))
 
-	p.setStatus(round, PhaseAuction)
-	auctionStart := now()
-	auctionSpan := root.StartChild("auction")
+	tl.enter(phaseAuction)
 	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round)
-	phaseDone("auction", auctionSpan, p.met.phaseAuction, auctionStart)
+	tl.leave()
 	if err != nil {
 		refuse(sessions, err)
 		return RoundReport{Sharding: shardOut}, nil, err
@@ -723,9 +755,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		winners[w] = true
 	}
 
-	p.setStatus(round, PhaseLabels)
-	labelsStart := now()
-	labelsSpan := root.StartChild("labels")
+	tl.enter(phaseLabels)
 
 	// Notify losers and release them.
 	for i, s := range sessions {
@@ -776,7 +806,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 		}(i, sessions[i])
 	}
 	wg.Wait()
-	phaseDone("labels", labelsSpan, p.met.phaseLabels, labelsStart)
+	tl.leave()
 
 	var reports []crowd.Report
 	for _, rs := range perWinner {
@@ -784,11 +814,9 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round i
 	}
 	report.ReportsReceived = len(reports)
 
-	p.setStatus(round, PhaseAggregate)
-	aggStart := now()
-	aggSpan := root.StartChild("aggregate")
+	tl.enter(phaseAggregate)
 	agg, err := crowd.WeightedAggregate(reports, skills, p.cfg.NumTasks)
-	phaseDone("aggregate", aggSpan, p.met.phaseAggregate, aggStart)
+	tl.leave()
 	if err != nil {
 		return RoundReport{}, nil, fmt.Errorf("protocol: aggregation: %w", err)
 	}
@@ -912,10 +940,11 @@ func (p *Platform) endSession(s *session) {
 // collectBids accepts connections and performs the hello/announce/bid
 // handshake until the bid window closes, MinWorkers is reached, ctx is
 // cancelled or Accept fails. Individual handshake failures are
-// tolerated faults of round, never fatal. Every way out of the accept
-// loop leaves through one exit, which waits for every handshake the
-// loop started: one that outlived its round could register its bid in
-// the next. After an accept error the exit also ends the sessions those
+// tolerated faults of round, never fatal, even those that come after
+// the window has closed. Every way out of the accept loop leaves
+// through one exit, which waits for every handshake the loop started:
+// one that outlived its round could register its bid in the next.
+// After an accept error the exit also ends the sessions those
 // handshakes registered, and the round fails.
 func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round int) ([]*session, error) {
 	windowCtx, cancel := context.WithTimeout(ctx, p.cfg.BidWindow)
@@ -957,9 +986,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round i
 			// the accept loop like every slow-path interaction.
 			go func() {
 				defer wg.Done()
-				if windowCtx.Err() == nil {
-					p.fault(faultRejected, round, evlog.String("cause", "over_limit"))
-				}
+				p.fault(faultRejected, round, evlog.String("cause", "over_limit"))
 				_ = writeFrame(raw, p.cfg.IOTimeout, TypeError, p.frames.overLimit)
 				_ = raw.Close()
 			}()
@@ -971,15 +998,11 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round i
 			if err != nil {
 				_ = raw.Close()
 				p.releaseConn()
-				// Failures after the window closed are not faults: they
-				// are sessions the close itself cut.
-				if windowCtx.Err() == nil {
-					kind, cause := faultRejected, "rejected"
-					if isTimeout(err) {
-						kind, cause = faultTimedOut, "timeout"
-					}
-					p.fault(kind, round, evlog.String("cause", cause))
+				kind, cause := faultRejected, "rejected"
+				if isTimeout(err) {
+					kind, cause = faultTimedOut, "timeout"
 				}
+				p.fault(kind, round, evlog.String("cause", cause))
 				return
 			}
 			mu.Lock()

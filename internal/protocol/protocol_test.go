@@ -155,7 +155,7 @@ func TestFullRoundEndToEnd(t *testing.T) {
 }
 
 // TestPhaseEventsTimedWithoutRegistry: a round with an event logger but
-// no metrics registry still times its phases, on the logger's clock.
+// no metrics registry still times its phases, on the wall clock.
 // Every round.phase event carries a real duration, and the four of them
 // fit inside the round's wall time.
 func TestPhaseEventsTimedWithoutRegistry(t *testing.T) {

@@ -1,12 +1,12 @@
 // Package telemetry is the repo's stdlib-only observability subsystem:
 // a Registry of atomic counters, gauges and fixed-bucket latency
-// histograms with Prometheus text exposition, plus lightweight span
-// tracing with JSON export.
+// histograms with Prometheus text exposition, plus a recorder of
+// finished span trees with JSON export.
 //
 // Two properties shape the design:
 //
-//  1. Nil is the Nop. A nil *Registry, *Counter, *Gauge, *Histogram,
-//     *Tracer or *Span is fully usable — every method no-ops and
+//  1. Nil is the Nop. A nil *Registry, *Counter, *Gauge, *Histogram
+//     or *Tracer is fully usable — every method no-ops and
 //     allocates nothing — so instrumented hot paths carry telemetry
 //     unconditionally and pay only a nil check when it is disabled.
 //     Packages therefore never branch on "is telemetry on".

@@ -7,20 +7,13 @@ import (
 	"time"
 )
 
-// decodedNode mirrors traceNode for decoding exported traces.
-type decodedNode struct {
-	Name        string        `json:"name"`
-	StartUnixNs int64         `json:"start_unix_ns"`
-	DurationNs  int64         `json:"duration_ns"`
-	Children    []decodedNode `json:"children"`
-}
-
+// decodedTrace mirrors the document WriteJSON produces.
 type decodedTrace struct {
-	Spans   []decodedNode `json:"spans"`
-	Dropped int64         `json:"dropped"`
+	Spans   []Span `json:"spans"`
+	Dropped int64  `json:"dropped"`
 }
 
-func exportTrace(t *testing.T, tr *Tracer) decodedTrace {
+func exportTrace(t *testing.T, tr *Tracer) (decodedTrace, string) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -30,112 +23,89 @@ func exportTrace(t *testing.T, tr *Tracer) decodedTrace {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("decoding trace: %v\n%s", err, buf.String())
 	}
-	return doc
+	return doc, buf.String()
 }
 
-// TestTraceTreeDeterministic drives a span tree on a manual clock and
-// checks the exported JSON: parent links, sibling order by start time,
-// and exact durations.
+// TestTraceTreeDeterministic pins the exported bytes of one round tree:
+// the document -trace-out writes and e2ebench embeds as platform_spans.
 func TestTraceTreeDeterministic(t *testing.T) {
-	mc := NewManualClock(time.Unix(1, 0))
-	tr := NewTracer(WithTracerClock(mc))
-
-	root := tr.StartSpan("round")
-	mc.Advance(10 * time.Millisecond)
-	collect := root.StartChild("collect-bids")
-	mc.Advance(5 * time.Millisecond)
-	collect.End()
-	auction := root.StartChild("auction")
-	mc.Advance(2 * time.Millisecond)
-	auction.End()
-	mc.Advance(time.Millisecond)
-	root.End()
-
-	if got := tr.SpanCount(); got != 3 {
-		t.Fatalf("recorded %d spans, want 3", got)
-	}
-	doc := exportTrace(t, tr)
-	if len(doc.Spans) != 1 {
-		t.Fatalf("got %d roots, want 1", len(doc.Spans))
-	}
-	r := doc.Spans[0]
-	if r.Name != "round" || r.StartUnixNs != time.Second.Nanoseconds() || r.DurationNs != (18*time.Millisecond).Nanoseconds() {
-		t.Errorf("root = %+v, want round @1s for 18ms", r)
-	}
-	if len(r.Children) != 2 {
-		t.Fatalf("root has %d children, want 2", len(r.Children))
-	}
-	if r.Children[0].Name != "collect-bids" || r.Children[1].Name != "auction" {
-		t.Errorf("children order = %q, %q; want collect-bids then auction", r.Children[0].Name, r.Children[1].Name)
-	}
-	if d := r.Children[0].DurationNs; d != (5 * time.Millisecond).Nanoseconds() {
-		t.Errorf("collect duration = %d, want 5ms", d)
-	}
-
-	// Byte-stable: exporting twice yields identical documents.
-	var b1, b2 bytes.Buffer
-	if err := tr.WriteJSON(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("repeated WriteJSON differs")
+	ms := time.Millisecond.Nanoseconds()
+	start := time.Second.Nanoseconds()
+	tr := NewTracer()
+	tr.Record(Span{
+		Name: "round", StartUnixNs: start, DurationNs: 18 * ms,
+		Children: []Span{
+			{Name: "collect-bids", StartUnixNs: start + 10*ms, DurationNs: 5 * ms},
+			{Name: "auction", StartUnixNs: start + 15*ms, DurationNs: 2 * ms},
+		},
+	})
+	const want = `{
+  "spans": [
+    {
+      "name": "round",
+      "start_unix_ns": 1000000000,
+      "duration_ns": 18000000,
+      "children": [
+        {
+          "name": "collect-bids",
+          "start_unix_ns": 1010000000,
+          "duration_ns": 5000000
+        },
+        {
+          "name": "auction",
+          "start_unix_ns": 1015000000,
+          "duration_ns": 2000000
+        }
+      ]
+    }
+  ]
+}
+`
+	for i := 0; i < 2; i++ {
+		if _, got := exportTrace(t, tr); got != want {
+			t.Fatalf("export %d:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }
 
-// TestTraceOrphansAndIdempotentEnd: children of a never-ended parent
-// surface as roots, and double End records once.
-func TestTraceOrphansAndIdempotentEnd(t *testing.T) {
-	mc := NewManualClock(time.Unix(0, 0))
-	tr := NewTracer(WithTracerClock(mc))
-
-	root := tr.StartSpan("never-ended")
-	child := root.StartChild("orphan")
-	mc.Advance(time.Millisecond)
-	child.End()
-	child.End() // idempotent
-
-	if got := tr.SpanCount(); got != 1 {
-		t.Fatalf("recorded %d spans, want 1", got)
-	}
-	doc := exportTrace(t, tr)
-	if len(doc.Spans) != 1 || doc.Spans[0].Name != "orphan" {
-		t.Errorf("orphan not promoted to root: %+v", doc.Spans)
-	}
-}
-
+// TestTraceMaxSpansDropped: a tree that would take the tracer past
+// maxSpans is dropped whole, its spans counted as dropped, and a later
+// tree that still fits is recorded.
 func TestTraceMaxSpansDropped(t *testing.T) {
-	tr := NewTracer(WithTracerClock(NewManualClock(time.Unix(0, 0))), WithMaxSpans(1))
-	tr.StartSpan("kept").End()
-	tr.StartSpan("dropped").End()
-	doc := exportTrace(t, tr)
-	if len(doc.Spans) != 1 || doc.Spans[0].Name != "kept" {
-		t.Errorf("spans = %+v, want just kept", doc.Spans)
+	tree := func(name string, spans int) Span {
+		s := Span{Name: name}
+		for i := 1; i < spans; i++ {
+			s.Children = append(s.Children, Span{Name: "child"})
+		}
+		return s
 	}
-	if doc.Dropped != 1 {
-		t.Errorf("dropped = %d, want 1", doc.Dropped)
+	tr := NewTracer()
+	tr.Record(tree("big", maxSpans-1))
+	tr.Record(tree("over", 2)) // one slot left: dropped whole
+	tr.Record(tree("last", 1)) // fills the cap exactly
+	tr.Record(tree("full", 1))
+	doc, _ := exportTrace(t, tr)
+	if len(doc.Spans) != 2 || doc.Spans[0].Name != "big" || doc.Spans[1].Name != "last" {
+		names := make([]string, len(doc.Spans))
+		for i, s := range doc.Spans {
+			names[i] = s.Name
+		}
+		t.Fatalf("roots = %v, want [big last]", names)
+	}
+	if n := len(doc.Spans[0].Children); n != maxSpans-2 {
+		t.Errorf("big kept %d children, want %d", n, maxSpans-2)
+	}
+	if doc.Dropped != 3 {
+		t.Errorf("dropped = %d, want 3 (the 2-span tree and the 1-span tree past the cap)", doc.Dropped)
 	}
 }
 
+// TestNilTracerSafe: the nil tracer records nothing and exports an
+// empty document.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartSpan("x")
-	sp.StartChild("y").End()
-	sp.End()
-	if tr.SpanCount() != 0 {
-		t.Error("nil tracer must record nothing")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc decodedTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil tracer export undecodable: %v", err)
-	}
-	if len(doc.Spans) != 0 {
-		t.Errorf("nil tracer exported %d spans", len(doc.Spans))
+	tr.Record(Span{Name: "round", Children: []Span{{Name: "collect-bids"}}})
+	if _, got := exportTrace(t, tr); got != "{\n  \"spans\": []\n}\n" {
+		t.Errorf("nil tracer exported %q", got)
 	}
 }
