@@ -329,6 +329,7 @@ func (a *Auction) build(src *Instance) error {
 	bs.cp.reset(&a.inst)
 	for _, s := range bs.scratches {
 		s.arena.reset()
+		s.evals = 0
 	}
 	n := len(a.inst.Workers)
 
@@ -443,7 +444,10 @@ func (a *Auction) build(src *Instance) error {
 	a.mech = mech
 	a.mech.Instrument(reg)
 	a.mech.InstrumentEvents(a.ev)
-	a.gainEvals = int(bs.cp.evals.Load())
+	a.gainEvals = 0
+	for _, s := range bs.scratches {
+		a.gainEvals += s.evals
+	}
 
 	a.ev.Info("core.build",
 		evlog.Int("workers", n),

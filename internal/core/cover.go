@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // residualTol is the tolerance below which a residual demand is
 // considered met; it absorbs floating-point error in the repeated
@@ -26,10 +23,6 @@ type coverProblem struct {
 	// totalQual[i] = sum_j q_ij, the static score the baseline auction
 	// sorts by.
 	totalQual []float64
-	// evals counts marginal-gain evaluations, instrumenting the
-	// lazy-vs-naive greedy ablation; atomic because winner sets for
-	// distinct prices may be computed concurrently.
-	evals atomic.Int64
 }
 
 // reset recomputes the cover view from a validated instance, reusing
@@ -57,7 +50,6 @@ func (cp *coverProblem) reset(inst *Instance) {
 		cp.totalQual = append(cp.totalQual, total)
 	}
 	cp.offs = append(cp.offs, len(cp.taskIdx))
-	cp.evals.Store(0)
 }
 
 // coverScratch holds every transient buffer the winner-set routines
@@ -85,6 +77,11 @@ type coverScratch struct {
 	// arena owns the winner-set memory that outlives the scratch: one
 	// chunk per build holds every retained winner slice back to back.
 	arena intArena
+	// evals counts the marginal-gain evaluations made on this scratch
+	// since the build began; the build sums it over its scratches into
+	// GainEvaluations. The scratch's one owner goroutine is its only
+	// writer, so the count needs no synchronization.
+	evals int
 }
 
 // intArena hands out immutable []int snapshots carved from a shared
@@ -123,21 +120,18 @@ func (a *intArena) reset() { a.buf = a.buf[:0] }
 
 // gain returns the marginal coverage sum_j min(residual_j, q_ij) worker
 // i would contribute given the current residual demands (Algorithm 1
-// line 9).
+// line 9). The sum takes no data-dependent branch: a covered task
+// (residual <= 0, -0 included) adds min(q_ij, +0) = +0, since q_ij is a
+// square and never negative, and adding +0 leaves the bits of the
+// non-negative running sum unchanged. Every gain is therefore bitwise
+// the one a loop skipping covered tasks computes
+// (TestGainMatchesBranchyReference).
 func (cp *coverProblem) gain(i int, residual []float64) float64 {
-	cp.evals.Add(1)
+	lo, hi := cp.offs[i], cp.offs[i+1]
+	qual := cp.qual[lo:hi]
 	g := 0.0
-	for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
-		r := residual[cp.taskIdx[k]]
-		if r <= 0 {
-			continue
-		}
-		q := cp.qual[k]
-		if q < r {
-			g += q
-		} else {
-			g += r
-		}
+	for k, j := range cp.taskIdx[lo:hi] {
+		g += min(qual[k], max(residual[j], 0))
 	}
 	return g
 }
@@ -333,6 +327,7 @@ replay:
 	for ; replayed < len(steps); replayed++ {
 		st := steps[replayed]
 		for _, i := range fresh {
+			s.evals++
 			if cp.gain(i, residual) > st.gain {
 				break replay
 			}
@@ -377,6 +372,7 @@ func (cp *coverProblem) lazyGreedy(s *coverScratch, candidates, selected []int, 
 		if len(steps) > 0 && s.picked[rank] {
 			continue
 		}
+		s.evals++
 		g := cp.gain(i, residual)
 		if g > 0 {
 			h = append(h, gainItem{worker: i, rank: rank, gain: g, round: 0})
@@ -395,6 +391,7 @@ func (cp *coverProblem) lazyGreedy(s *coverScratch, candidates, selected []int, 
 			// Stale gain: re-evaluate against the current residual and
 			// reposition. Submodularity guarantees the fresh gain is
 			// not larger than the cached one.
+			s.evals++
 			fresh := cp.gain(top.worker, residual)
 			if fresh <= 0 {
 				h = h.popTop()
@@ -434,6 +431,7 @@ func (cp *coverProblem) greedyCoverNaive(s *coverScratch, candidates []int) ([]i
 		bestIdx := -1
 		bestGain := 0.0
 		for k, i := range active {
+			s.evals++
 			g := cp.gain(i, residual)
 			if g > bestGain {
 				bestGain = g
