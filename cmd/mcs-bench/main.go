@@ -369,8 +369,9 @@ func absoluteGates(fresh benchFile) []string {
 	return failures
 }
 
-// coreBenches is the original suite: auction construction and sampling
-// plus the telemetry nop-vs-live overhead pair.
+// coreBenches is the original suite: auction construction and sampling,
+// the served path's prepare-and-draw, plus the telemetry nop-vs-live
+// overhead pair.
 func coreBenches(workers int) ([]namedBench, error) {
 	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -421,6 +422,18 @@ func coreBenches(workers int) ([]namedBench, error) {
 			r := rand.New(rand.NewSource(2))
 			for i := 0; i < b.N; i++ {
 				auction.Run(r)
+			}
+		}},
+		// What a served partition pays per round: the preparation pass
+		// plus a draw that covers only the prices it can still pick.
+		{"AuctionDraw", func(b *testing.B) {
+			d := core.NewDrawer()
+			r := rand.New(rand.NewSource(2))
+			for i := 0; i < b.N; i++ {
+				if err := d.Prepare(inst); err != nil {
+					b.Fatal(err)
+				}
+				d.Draw(r)
 			}
 		}},
 		{"TelemetryCounterIncNop", func(b *testing.B) {

@@ -21,7 +21,7 @@ func TestRunBadFlag(t *testing.T) {
 // hot-path benchmark participates, the telemetry overhead pairs do not.
 func TestGatedCoversHotPaths(t *testing.T) {
 	for _, name := range []string{
-		"AuctionNew", "AuctionRebuild", "AuctionRun",
+		"AuctionNew", "AuctionRebuild", "AuctionRun", "AuctionDraw",
 		"CoverGreedyLazy", "CoverGreedyNaive",
 		"ReweightEpsilon", "RebuildEpsilon",
 		"SweepFigure4Sequential", "SweepFigure4Parallel",

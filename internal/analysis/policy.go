@@ -377,10 +377,10 @@ func DefaultPolicy() *Policy {
 			"BudgetState":   {"Spent", "Releases", "Refusals"},
 			"CampaignState": {"NextRound", "TotalPayment"},
 		},
-		// Auction.Run's Outcome is the exponential mechanism's output:
-		// the sanctioned epsilon-DP release. Interprocedural taint
-		// stops at this boundary — winners and payments are publishable
-		// by the paper's own guarantee.
-		DPReleaseFuncs: []string{"Auction.Run"},
+		// Auction.Run's and Drawer.Draw's Outcome is the exponential
+		// mechanism's output: the sanctioned epsilon-DP release.
+		// Interprocedural taint stops at this boundary — winners and
+		// payments are publishable by the paper's own guarantee.
+		DPReleaseFuncs: []string{"Auction.Run", "Drawer.Draw"},
 	}
 }

@@ -87,10 +87,10 @@ func TestGreedyCoverWarmScratchAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, chain); allocs != 0 {
 		t.Fatalf("warm-started greedyCover chain allocates %.1f/op, want 0", allocs)
 	}
-	if !cp.feasible(s, cands) {
-		t.Fatal("feasible disagrees with greedyCover")
+	if f := cp.floor(s, cands); f > n {
+		t.Fatalf("floor %d over %d candidates disagrees with greedyCover", f, n)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { cp.feasible(s, cands) }); allocs != 0 {
-		t.Fatalf("warm feasible allocates %.1f/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { cp.floor(s, cands) }); allocs != 0 {
+		t.Fatalf("warm floor allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -84,11 +84,12 @@ func WithPriceSet(p []float64) Option {
 // the instance, so results are identical to the sequential default.
 // Construction wall-clock and GainEvaluations (each range starts its
 // warm-start chain cold) change with n, never with scheduling. Values
-// below 2 keep the sequential path. Callers that already fan instances
-// across a worker pool (the experiment sweep engine) should keep inner
-// builds sequential: the pool owns the parallelism budget, and nesting
-// the two oversubscribes the scheduler (see DESIGN.md "Hot path &
-// scratch memory").
+// below 2 keep the sequential path, and a Drawer, which covers about
+// one count per draw, ignores the option. Callers that already fan
+// instances across a worker pool (the experiment sweep engine) should
+// keep inner builds sequential: the pool owns the parallelism budget,
+// and nesting the two oversubscribes the scheduler (see DESIGN.md "Hot
+// path & scratch memory").
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
@@ -133,8 +134,9 @@ type PriceInfo struct {
 // winner set and total payment for every support price, and the
 // exponential mechanism over prices. Construct with New; an Auction is
 // immutable between builds and safe for concurrent use. Rebuild
-// replaces the instance in place for round loops that would otherwise
-// pay New's buffer allocations every round.
+// replaces the instance in place, reusing New's buffers. Analyses that
+// need every winner set or the exact PMF use an Auction; a caller that
+// only releases one price per instance uses a Drawer.
 type Auction struct {
 	inst   Instance
 	rule   SelectionRule
@@ -161,29 +163,129 @@ type Auction struct {
 	bs *buildState
 }
 
-// buildState is the reusable scratch memory behind build: the CSR cover
-// problem, the bid-sorted index and bid arrays, the price-to-count
-// tables, the per-count winner cache, the payment vector and the
-// per-goroutine cover scratches, plus the flattened backing arrays for
-// the auction's private instance copy. One buildState serves one
-// auction; nothing here is shared across auctions.
-type buildState struct {
-	cp        coverProblem
-	sorted    []int
-	bids      []float64
-	countOf   []int
-	seenCount []bool
-	distinct  []int
-	// cache is indexed by candidate count (0..N); only entries for the
-	// current build's distinct counts are written and read.
-	cache     []coverResult
-	payments  []float64
-	scratches []*coverScratch
+// prepared is the one preparation pass that New, Rebuild and
+// Drawer.Prepare share: validation, the private instance copy, the CSR
+// cover problem, the bid order, each support price's candidate count
+// and the feasibility floor. Every buffer is reused from pass to pass.
+type prepared struct {
+	inst Instance
+	cp   coverProblem
+	// sorted lists worker indices ascending by bid with index tie-break
+	// (Algorithm 1 line 1); bids holds their bids in that order.
+	sorted []int
+	bids   []float64
+	// support is the mechanism's ascending price support: the
+	// WithPriceSet prices, or else the feasible suffix of the grid.
+	// countOf[k] is support[k]'s candidate count, the number of bids at
+	// or below it; winner sets depend on the price only through it.
+	support []float64
+	countOf []int
+	// counts backs countOf for every candidate price, the grid's
+	// infeasible prefix included.
+	counts []int
+	// floor is the smallest feasible candidate count (coverProblem.floor):
+	// support[k] is feasible exactly when countOf[k] >= floor.
+	floor int
 	// bundleFlat/skillFlat back the instance copy's per-worker bundle
 	// and skill-row slices in two contiguous arrays, replacing the
 	// two-allocations-per-worker deep clone.
 	bundleFlat []int
 	skillFlat  []float64
+}
+
+// prepare runs the preparation pass over src under cfg; s holds the
+// floor's per-task sums. It returns ErrInfeasible when the default
+// support (no WithPriceSet) holds no feasible price.
+func (p *prepared) prepare(src *Instance, cfg *config, s *coverScratch) error {
+	if err := src.Validate(); err != nil {
+		return err
+	}
+	if cfg.hasPriceSet {
+		if err := validateSupport(cfg.priceSet, src.CMax); err != nil {
+			return err
+		}
+	}
+	cloneInto(&p.inst, src, p)
+	p.cp.reset(&p.inst)
+	n := len(p.inst.Workers)
+
+	// The total-order comparator makes the unstable sort reproduce the
+	// previous stable sort exactly.
+	p.sorted = p.sorted[:0]
+	for i := 0; i < n; i++ {
+		p.sorted = append(p.sorted, i)
+	}
+	sort.Sort(&bidOrder{idx: p.sorted, workers: p.inst.Workers})
+	p.bids = p.bids[:0]
+	for _, i := range p.sorted {
+		p.bids = append(p.bids, p.inst.Workers[i].Bid)
+	}
+	p.floor = p.cp.floor(s, p.sorted)
+
+	support := p.inst.PriceGrid
+	if cfg.hasPriceSet {
+		support = cfg.priceSet
+	}
+	p.counts = p.counts[:0]
+	first := len(support)
+	for k, x := range support {
+		count := sort.SearchFloat64s(p.bids, x+priceEps)
+		p.counts = append(p.counts, count)
+		if count >= p.floor && first == len(support) {
+			first = k
+		}
+	}
+	lo := 0
+	if !cfg.hasPriceSet {
+		// Default support: the feasible subset of the grid, exactly the
+		// paper's price set P. Candidate counts ascend with the price,
+		// so that subset is a suffix.
+		if first == len(support) {
+			return ErrInfeasible
+		}
+		lo = first
+	}
+	p.support, p.countOf = support[lo:], p.counts[lo:]
+	return nil
+}
+
+// priceInfo is support price k's entry, given its candidate count's
+// winner set (ignored when the price is infeasible).
+//
+// Infeasible support prices carry the penalty payment pMax*N, the worst
+// payment any feasible price can reach over the support. With an
+// explicit price set the infeasible prices are the LOWEST ones
+// (feasibility is monotone in price), so a per-price penalty x*N could
+// undercut every feasible payment and the payment-minimizing
+// exponential mechanism would preferentially sample infeasible
+// outcomes; pinning the penalty to the support maximum keeps the
+// totality device maximally dispreferred. Sensitivity: every support
+// price lies in (0, cmax] (Validate and validateSupport refuse one
+// above CMax), so every score stays in [0, cmax*N] and a single-bid
+// change moves any price's payment by at most N*cmax, so Theorem 2's
+// 2*N*cmax normalizer in PaymentLogWeight still covers the penalty.
+func (p *prepared) priceInfo(k int, winners []int) PriceInfo {
+	x := p.support[k]
+	if p.countOf[k] < p.floor {
+		return PriceInfo{Price: x, Payment: p.support[len(p.support)-1] * float64(len(p.sorted))}
+	}
+	return PriceInfo{Price: x, Winners: winners, Payment: x * float64(len(winners)), Feasible: true}
+}
+
+// buildState is the reusable memory behind an Auction's build: the
+// preparation pass plus the distinct-count table, the per-count winner
+// cache, the payment vector and the per-goroutine cover scratches. One
+// buildState serves one auction; nothing here is shared across
+// auctions.
+type buildState struct {
+	prepared
+	seenCount []bool
+	distinct  []int
+	// cache is indexed by candidate count (0..N); only entries for the
+	// current build's distinct counts are written and read.
+	cache     [][]int
+	payments  []float64
+	scratches []*coverScratch
 }
 
 // scratch returns the cover scratch owned by pool worker w, creating it
@@ -195,11 +297,11 @@ func (bs *buildState) scratch(w int) *coverScratch {
 	return bs.scratches[w]
 }
 
-// cloneInto deep-copies src into dst reusing dst's and bs's backing
+// cloneInto deep-copies src into dst reusing dst's and p's backing
 // arrays. src must already be validated; src must not alias dst's
 // current backing (Instance() clones, so instances obtained from the
 // auction itself are safe to pass back in).
-func cloneInto(dst *Instance, src *Instance, bs *buildState) {
+func cloneInto(dst *Instance, src *Instance, p *prepared) {
 	dst.NumTasks = src.NumTasks
 	dst.Epsilon = src.Epsilon
 	dst.CMin = src.CMin
@@ -213,13 +315,13 @@ func cloneInto(dst *Instance, src *Instance, bs *buildState) {
 	for i := range src.Skills {
 		ns += len(src.Skills[i])
 	}
-	if cap(bs.bundleFlat) < nb {
-		bs.bundleFlat = make([]int, 0, nb)
+	if cap(p.bundleFlat) < nb {
+		p.bundleFlat = make([]int, 0, nb)
 	}
-	if cap(bs.skillFlat) < ns {
-		bs.skillFlat = make([]float64, 0, ns)
+	if cap(p.skillFlat) < ns {
+		p.skillFlat = make([]float64, 0, ns)
 	}
-	fb, fs := bs.bundleFlat[:0], bs.skillFlat[:0]
+	fb, fs := p.bundleFlat[:0], p.skillFlat[:0]
 	dst.Workers = dst.Workers[:0]
 	dst.Skills = dst.Skills[:0]
 	for i := range src.Workers {
@@ -231,7 +333,7 @@ func cloneInto(dst *Instance, src *Instance, bs *buildState) {
 		fs = append(fs, src.Skills[i]...)
 		dst.Skills = append(dst.Skills, fs[lo:len(fs):len(fs)])
 	}
-	bs.bundleFlat, bs.skillFlat = fb, fs
+	p.bundleFlat, p.skillFlat = fb, fs
 }
 
 // Outcome is the sampled result of one run of the auction.
@@ -270,10 +372,7 @@ func (o Outcome) Payments(numWorkers int) ([]float64, error) {
 // prices. It returns ErrInfeasible if no price in the instance grid is
 // feasible and no explicit price set was provided.
 func New(inst Instance, opts ...Option) (*Auction, error) {
-	cfg := config{rule: RuleGreedy}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := newConfig(opts)
 	a := &Auction{rule: cfg.rule, reg: cfg.telemetry, ev: cfg.events, cfg: cfg, bs: &buildState{}}
 	if err := a.build(&inst); err != nil {
 		return nil, err
@@ -281,15 +380,24 @@ func New(inst Instance, opts ...Option) (*Auction, error) {
 	return a, nil
 }
 
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) config {
+	cfg := config{rule: RuleGreedy}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
 // Rebuild reconstructs the auction in place over a new instance,
 // reusing every build buffer — the CSR cover problem, the price/count
-// tables, the winner-set arena, the prices and payment vectors — so
-// round loops (internal/protocol, internal/shard) pay New's allocations
-// once per partition instead of once per round. The construction
-// options New was given (rule, explicit price set, parallelism,
-// telemetry, event log) carry over, which in particular keeps a
-// WithPriceSet support fixed across rounds exactly as the DP guarantee
-// requires. The result is bitwise-identical to New(inst, sameOptions...).
+// tables, the winner-set arena, the prices and payment vectors — so a
+// caller that builds many instances pays New's allocations once. The
+// construction options New was given (rule, explicit price set,
+// parallelism, telemetry, event log) carry over, which in particular
+// keeps a WithPriceSet support fixed across instances exactly as the DP
+// guarantee requires. The result is bitwise-identical to New(inst,
+// sameOptions...).
 //
 // Rebuild invalidates everything obtained from the previous build:
 // Support/SupportPrices/PMF slices, and any auction derived from the
@@ -318,48 +426,26 @@ func (a *Auction) Rebuild(inst Instance) error {
 // build runs the full construction into the auction's reusable build
 // state. On error the auction is left unusable (mech == nil).
 func (a *Auction) build(src *Instance) error {
-	if err := src.Validate(); err != nil {
-		return err
-	}
 	reg := a.reg
 	buildStart := reg.Now()
 	a.mech = nil
 	bs := a.bs
-	cloneInto(&a.inst, src, bs)
-	bs.cp.reset(&a.inst)
+	err := bs.prepare(src, &a.cfg, bs.scratch(0))
+	a.inst = bs.inst
+	if err != nil {
+		return err
+	}
 	for _, s := range bs.scratches {
 		s.arena.reset()
 		s.evals = 0
 	}
 	n := len(a.inst.Workers)
 
-	// Worker indices ascending by bid with index tie-break (Algorithm 1
-	// line 1); the total-order comparator makes the unstable sort
-	// reproduce the previous stable sort exactly.
-	bs.sorted = bs.sorted[:0]
-	for i := 0; i < n; i++ {
-		bs.sorted = append(bs.sorted, i)
-	}
-	sort.Sort(&bidOrder{idx: bs.sorted, workers: a.inst.Workers})
-	bs.bids = bs.bids[:0]
-	for _, i := range bs.sorted {
-		bs.bids = append(bs.bids, a.inst.Workers[i].Bid)
-	}
-
-	support := a.inst.PriceGrid
-	if a.cfg.hasPriceSet {
-		support = a.cfg.priceSet
-		if err := validateSupport(support); err != nil {
-			return err
-		}
-	}
-
-	// Winner sets depend on the price only through the candidate count
-	// (how many sorted bids are <= price), so compute once per distinct
-	// count. This is the interval-sharing optimization of Algorithm 1
-	// lines 14-15 that removes the dependency on |P|. Each count's
-	// winner set is a pure function of the instance, so WithParallelism
-	// can fan ranges of counts out across goroutines.
+	// Compute each distinct candidate count's winner set once. This is
+	// the interval-sharing optimization of Algorithm 1 lines 14-15 that
+	// removes the dependency on |P|. Each count's winner set is a pure
+	// function of the instance, so WithParallelism can fan ranges of
+	// counts out across goroutines.
 	if cap(bs.seenCount) < n+1 {
 		bs.seenCount = make([]bool, n+1)
 	} else {
@@ -368,72 +454,29 @@ func (a *Auction) build(src *Instance) error {
 			bs.seenCount[i] = false
 		}
 	}
-	bs.countOf = bs.countOf[:0]
 	bs.distinct = bs.distinct[:0]
-	for _, x := range support {
-		count := sort.SearchFloat64s(bs.bids, x+priceEps)
-		bs.countOf = append(bs.countOf, count)
+	for _, count := range bs.counts {
 		if !bs.seenCount[count] {
 			bs.seenCount[count] = true
 			bs.distinct = append(bs.distinct, count)
 		}
 	}
 	if cap(bs.cache) < n+1 {
-		bs.cache = make([]coverResult, n+1)
+		bs.cache = make([][]int, n+1)
 	} else {
 		bs.cache = bs.cache[:n+1]
 	}
 	a.coverByCount()
 
-	if cap(a.prices) < len(support) {
-		a.prices = make([]PriceInfo, 0, len(support))
+	if cap(a.prices) < len(bs.support) {
+		a.prices = make([]PriceInfo, 0, len(bs.support))
 	} else {
 		a.prices = a.prices[:0]
 	}
-	anyFeasible := false
-	// Infeasible support prices carry the penalty payment pMax*N, the
-	// worst payment any feasible price can reach over the support. With
-	// an explicit price set the infeasible prices are the LOWEST ones
-	// (feasibility is monotone in price), so a per-price penalty x*N
-	// could undercut every feasible payment and the payment-minimizing
-	// exponential mechanism would preferentially sample infeasible
-	// outcomes; pinning the penalty to the support maximum keeps the
-	// totality device maximally dispreferred. Sensitivity: with the
-	// support inside the paper's cost set C subset [cmin, cmax], every
-	// score stays in [0, cmax*N] and a single-bid change moves any
-	// price's payment by at most N*cmax, so Theorem 2's 2*N*cmax
-	// normalizer in PaymentLogWeights still covers the penalty.
-	pMax := support[len(support)-1]
-	for pi, x := range support {
-		c := bs.cache[bs.countOf[pi]]
-		info := PriceInfo{Price: x, Winners: c.winners, Feasible: c.feasible}
-		if c.feasible {
-			info.Payment = x * float64(len(c.winners))
-			anyFeasible = true
-		} else {
-			info.Payment = pMax * float64(n)
-		}
-		a.prices = append(a.prices, info)
-	}
-
-	if !a.cfg.hasPriceSet {
-		// Default support: the feasible subset of the grid, exactly the
-		// paper's price set P. Filtered in place; the write index never
-		// passes the read index.
-		kept := a.prices[:0]
-		for _, info := range a.prices {
-			if info.Feasible {
-				kept = append(kept, info)
-			}
-		}
-		a.prices = kept
-	}
-	if len(a.prices) == 0 || (!anyFeasible && !a.cfg.hasPriceSet) {
-		return ErrInfeasible
-	}
-
 	bs.payments = bs.payments[:0]
-	for _, info := range a.prices {
+	for k, count := range bs.countOf {
+		info := bs.priceInfo(k, bs.cache[count])
+		a.prices = append(a.prices, info)
 		bs.payments = append(bs.payments, info.Payment)
 	}
 	logW := mechanism.PaymentLogWeights(bs.payments, a.inst.Epsilon, n, a.inst.CMax)
@@ -448,26 +491,31 @@ func (a *Auction) build(src *Instance) error {
 	for _, s := range bs.scratches {
 		a.gainEvals += s.evals
 	}
+	reportBuild(reg, a.ev, a.rule, &a.inst, len(a.prices), a.gainEvals, reg.Since(buildStart))
+	return nil
+}
 
-	a.ev.Info("core.build",
-		evlog.Int("workers", n),
-		evlog.Int("tasks", a.inst.NumTasks),
-		evlog.Int("support_size", len(a.prices)),
-		evlog.Int("gain_evals", a.gainEvals),
-		evlog.Float("eps", a.inst.Epsilon),
-		evlog.String("rule", a.rule.String()),
+// reportBuild records one construction, an Auction's build or a
+// Drawer's prepare and draw: the core.build event and the mcs_core_*
+// construction metrics.
+func reportBuild(reg *telemetry.Registry, ev *evlog.Logger, rule SelectionRule, inst *Instance, supportSize, gainEvals int, seconds float64) {
+	ev.Info("core.build",
+		evlog.Int("workers", len(inst.Workers)),
+		evlog.Int("tasks", inst.NumTasks),
+		evlog.Int("support_size", supportSize),
+		evlog.Int("gain_evals", gainEvals),
+		evlog.Float("eps", inst.Epsilon),
+		evlog.String("rule", rule.String()),
 		evlog.Bool("shared", false))
-
 	reg.Counter("mcs_core_auctions_total", "DP-hSRC auctions constructed.").Inc()
 	reg.Counter("mcs_core_gain_evals_total",
-		"Marginal-gain evaluations performed by greedy winner-set construction.").Add(int64(a.gainEvals))
+		"Marginal-gain evaluations performed by greedy winner-set construction.").Add(int64(gainEvals))
 	reg.Histogram("mcs_core_support_size",
 		"Candidate-price-set size per constructed auction.", telemetry.SizeBuckets).
-		Observe(float64(len(a.prices)))
+		Observe(float64(supportSize))
 	reg.Histogram("mcs_core_build_seconds",
 		"Full auction construction time (winner sets plus mechanism).", telemetry.TimeBuckets).
-		Observe(reg.Since(buildStart))
-	return nil
+		Observe(seconds)
 }
 
 // priceEps is the tolerance used when comparing bids to grid prices, so
@@ -515,12 +563,6 @@ func (a *Auction) Reweight(eps float64) (*Auction, error) {
 	return nw, nil
 }
 
-// coverResult caches the winner set for one candidate count.
-type coverResult struct {
-	winners  []int
-	feasible bool
-}
-
 // coverByCount computes the winner set for every distinct candidate
 // count into bs.cache, optionally in parallel. The distinct counts
 // ascend with the support, so each count's candidates extend the
@@ -536,8 +578,7 @@ type coverResult struct {
 // worker goroutine.
 func (a *Auction) coverByCount() {
 	bs := a.bs
-	coverSeconds := a.reg.Histogram("mcs_core_cover_seconds",
-		"Winner-set computation time per distinct candidate count.", telemetry.TimeBuckets)
+	coverSeconds := coverSeconds(a.reg)
 	parallelism := a.cfg.parallelism
 	if parallelism > len(bs.distinct) {
 		parallelism = len(bs.distinct)
@@ -560,56 +601,45 @@ func (a *Auction) coverByCount() {
 }
 
 // coverRange computes the winner sets for the ascending candidate
-// counts on one scratch. The feasibility sums extend from one count to
-// the next. Under RuleGreedy each cover also warm-starts from the
-// previous count's trajectory; that chain breaks at every count that
-// fails cp.feasible (no trajectory is recorded there). Neither chain
-// crosses a coverRange call, so a build or Rebuild always starts cold.
+// counts on one scratch; a count below the floor has none. Under
+// RuleGreedy each cover warm-starts from the previous count's
+// trajectory. That chain never crosses a coverRange call, so a build or
+// Rebuild always starts cold.
 func (a *Auction) coverRange(s *coverScratch, counts []int, coverSeconds *telemetry.Histogram) {
 	bs := a.bs
-	cp := &bs.cp
 	reg := a.reg
-	summed, prev := 0, 0
+	prev := 0
 	for _, count := range counts {
 		start := reg.Now()
-		cands := bs.sorted[:count]
-		res := coverResult{}
-		feasible := cp.feasibleFrom(s, cands, summed)
-		summed = count
+		var winners []int
+		feasible := count >= bs.floor
 		if feasible {
-			sel, feas := a.cover(cp, s, cands, prev)
-			res = coverResult{winners: s.arena.save(sel), feasible: feas}
+			winners = s.arena.save(bs.cp.cover(a.rule, s, bs.sorted[:count], prev))
 			if a.rule == RuleGreedy {
 				prev = count
 			}
-		} else {
-			prev = 0
 		}
-		bs.cache[count] = res
+		bs.cache[count] = winners
 		coverSeconds.Observe(reg.Since(start))
 		// Candidate counts and winner-set sizes are population-level;
 		// under WithParallelism the emission order is scheduling-
 		// dependent, which is fine for an observability stream.
-		a.ev.Debug("core.cover",
-			evlog.Int("candidates", count),
-			evlog.Int("winners", len(res.winners)),
-			evlog.Bool("feasible", res.feasible))
+		coverEvent(a.ev, count, winners, feasible)
 	}
 }
 
-// cover dispatches to the configured selection rule; prev is the
-// predecessor count RuleGreedy warm-starts from (0 for a cold cover)
-// and is ignored by the other rules. The returned slice aliases s and
-// must be persisted via s.arena before s is reused.
-func (a *Auction) cover(cp *coverProblem, s *coverScratch, cands []int, prev int) ([]int, bool) {
-	switch a.rule {
-	case RuleGreedyNaive:
-		return cp.greedyCoverNaive(s, cands)
-	case RuleStatic:
-		return cp.staticCover(s, cands)
-	default:
-		return cp.greedyCoverFrom(s, cands, prev)
-	}
+// coverSeconds is the histogram that times each computed winner set.
+func coverSeconds(reg *telemetry.Registry) *telemetry.Histogram {
+	return reg.Histogram("mcs_core_cover_seconds",
+		"Winner-set computation time per distinct candidate count.", telemetry.TimeBuckets)
+}
+
+// coverEvent emits one core.cover event.
+func coverEvent(ev *evlog.Logger, count int, winners []int, feasible bool) {
+	ev.Debug("core.cover",
+		evlog.Int("candidates", count),
+		evlog.Int("winners", len(winners)),
+		evlog.Bool("feasible", feasible))
 }
 
 // bidOrder sorts worker indices ascending by bid, breaking ties by
@@ -631,7 +661,10 @@ func (s *bidOrder) Less(a, b int) bool {
 	return s.idx[a] < s.idx[b]
 }
 
-func validateSupport(p []float64) error {
+// validateSupport checks an explicit price set: non-empty, ascending,
+// positive and at most cmax, so that Eq. 10's 2*N*cmax normalizer
+// bounds every payment it scores.
+func validateSupport(p []float64, cmax float64) error {
 	if len(p) == 0 {
 		return ErrEmptySupport
 	}
@@ -639,6 +672,9 @@ func validateSupport(p []float64) error {
 	for _, x := range p {
 		if x <= prev || x <= 0 {
 			return fmt.Errorf("%w: support value %v after %v", ErrBadPriceGrid, x, prev)
+		}
+		if x > cmax {
+			return fmt.Errorf("%w: support value %v above cmax %v", ErrBadPriceGrid, x, cmax)
 		}
 		prev = x
 	}
@@ -648,17 +684,15 @@ func validateSupport(p []float64) error {
 // Run samples a clearing price from the exponential mechanism
 // (Algorithm 1 line 16) and returns the corresponding outcome.
 func (a *Auction) Run(r *rand.Rand) Outcome {
-	idx := a.mech.Sample(r)
-	return a.outcomeAt(idx)
+	return a.prices[a.mech.Sample(r)].outcome()
 }
 
-// outcomeAt materializes the outcome for support index idx.
-func (a *Auction) outcomeAt(idx int) Outcome {
-	info := a.prices[idx]
-	winners := append([]int(nil), info.Winners...)
+// outcome materializes the outcome that releases this price, with its
+// own copy of the winner set.
+func (info PriceInfo) outcome() Outcome {
 	return Outcome{
 		Price:        info.Price,
-		Winners:      winners,
+		Winners:      append([]int(nil), info.Winners...),
 		TotalPayment: info.Payment,
 		Feasible:     info.Feasible,
 	}

@@ -346,6 +346,10 @@ func TestWithPriceSetValidation(t *testing.T) {
 	if _, err := New(inst, WithPriceSet([]float64{5, 4})); !errors.Is(err, ErrBadPriceGrid) {
 		t.Errorf("descending support: got %v", err)
 	}
+	// Eq. 10's normalizer 2*N*cmax covers a payment only up to cmax*N.
+	if _, err := New(inst, WithPriceSet([]float64{20, inst.CMax + 1})); !errors.Is(err, ErrBadPriceGrid) {
+		t.Errorf("support above cmax: got %v", err)
+	}
 }
 
 func TestWithPriceSetKeepsInfeasiblePrices(t *testing.T) {

@@ -55,13 +55,15 @@ func (cp *coverProblem) reset(inst *Instance) {
 // coverScratch holds every transient buffer the winner-set routines
 // need, so repeated cover computations allocate nothing once the
 // buffers are warm. Each scratch is owned by exactly one goroutine at a
-// time: the sequential build path uses one, and WithParallelism hands
-// each pool worker its own (see Auction.coverByCount). The slices
-// returned by the cover routines alias the scratch and are only valid
-// until its next use; callers persist them through arena.save.
+// time: the sequential build path and a Drawer use one, and
+// WithParallelism hands each pool worker its own (see
+// Auction.coverByCount). The slices returned by the cover routines
+// alias the scratch and are only valid until its next use; callers
+// persist them through arena.save.
 type coverScratch struct {
 	residual []float64
-	cover    []float64
+	// sums holds floor's per-task quality sums.
+	sums     []float64
 	heap     gainHeap
 	selected []int
 	active   []int
@@ -159,40 +161,59 @@ func (cp *coverProblem) apply(i int, residual []float64) float64 {
 	return removed
 }
 
-// feasible reports whether the candidate set can cover all demands at
-// all, i.e. whether taking every candidate satisfies every task's
-// error-bound constraint. This is exactly the paper's notion of a
-// feasible price (Section IV).
-func (cp *coverProblem) feasible(s *coverScratch, candidates []int) bool {
-	return cp.feasibleFrom(s, candidates, 0)
+// floor returns the smallest candidate count c at which order[:c]
+// covers every task: the per-task quality sums of order[:c], added in
+// order, reach each Q_j - residualTol. Adding a quality, never
+// negative, never lowers a sum, so order[:c] covers every task exactly
+// when c >= floor. This is the paper's feasible price (Section IV), and
+// it is the only feasibility test: New's support and Drawer's draw both
+// read it, and a cover's own residual verdict decides nothing. It
+// returns len(order)+1 when even every candidate falls short. The sums
+// live in s.sums.
+func (cp *coverProblem) floor(s *coverScratch, order []int) int {
+	sums := s.sums[:0]
+	short := 0
+	for _, q := range cp.demands {
+		sums = append(sums, 0)
+		if 0 < q-residualTol {
+			short++
+		}
+	}
+	s.sums = sums
+	for c, i := range order {
+		if short == 0 {
+			return c
+		}
+		for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
+			j := cp.taskIdx[k]
+			need, was := cp.demands[j]-residualTol, sums[j]
+			sums[j] += cp.qual[k]
+			if was < need && sums[j] >= need {
+				short--
+			}
+		}
+	}
+	if short > 0 {
+		return len(order) + 1
+	}
+	return len(order)
 }
 
-// feasibleFrom is feasible with the per-task coverage sums of
-// candidates[:prev] already in s.cover (prev == 0 starts from zero), so
-// a chain of ascending candidate counts adds each candidate once. The
-// sums accumulate in candidate order either way, so the answer is
-// bitwise the one feasible gives. The caller guarantees that the last
-// feasibility check on s was over candidates[:prev].
-func (cp *coverProblem) feasibleFrom(s *coverScratch, candidates []int, prev int) bool {
-	cover := s.cover
-	if prev == 0 {
-		cover = cover[:0]
-		for j := 0; j < cp.numTasks; j++ {
-			cover = append(cover, 0)
-		}
-		s.cover = cover
+// cover computes the winner set of candidates under rule. prev is the
+// predecessor count RuleGreedy warm-starts from (0 for a cold cover);
+// the other rules ignore it. The returned slice aliases s and must be
+// persisted via s.arena before s is reused.
+func (cp *coverProblem) cover(rule SelectionRule, s *coverScratch, candidates []int, prev int) []int {
+	var sel []int
+	switch rule {
+	case RuleGreedyNaive:
+		sel, _ = cp.greedyCoverNaive(s, candidates)
+	case RuleStatic:
+		sel, _ = cp.staticCover(s, candidates)
+	default:
+		sel, _ = cp.greedyCoverFrom(s, candidates, prev)
 	}
-	for _, i := range candidates[prev:] {
-		for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
-			cover[cp.taskIdx[k]] += cp.qual[k]
-		}
-	}
-	for j, c := range cover {
-		if c < cp.demands[j]-residualTol {
-			return false
-		}
-	}
-	return true
+	return sel
 }
 
 // coverStep records one greedy selection: the winner's rank in the

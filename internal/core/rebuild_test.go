@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -183,6 +184,9 @@ func TestRebuildDetachesReweightDerived(t *testing.T) {
 	}
 	supportEqual(t, base.Support(), snap)
 	pmfEqual(t, base.PMF(), basePMF)
+	if got := base.Instance(); !reflect.DeepEqual(got.Workers, instA.Workers) || !reflect.DeepEqual(got.Skills, instA.Skills) {
+		t.Fatal("the derived Rebuild overwrote the base auction's instance")
+	}
 
 	fresh := mustAuction(t, instB)
 	supportEqual(t, derived.Support(), fresh.Support())

@@ -144,6 +144,11 @@ func (inst *Instance) Validate() error {
 		if p <= 0 || math.IsNaN(p) || p <= prev {
 			return fmt.Errorf("%w: grid value %v after %v", ErrBadPriceGrid, p, prev)
 		}
+		// Eq. 10's 2*N*cmax normalizer bounds a payment x*|S| only
+		// when x <= cmax; a price above it voids Theorem 2.
+		if p > inst.CMax {
+			return fmt.Errorf("%w: grid value %v above cmax %v", ErrBadPriceGrid, p, inst.CMax)
+		}
 		prev = p
 	}
 	return nil
@@ -229,7 +234,8 @@ func (inst *Instance) Clone() Instance {
 
 // PriceGridRange builds the ascending grid {lo, lo+step, ..., <= hi},
 // matching the paper's price sets (numbers spaced at interval 0.1 in
-// [35, 60] for Settings I-IV).
+// [35, 60] for Settings I-IV). A point that rounding carries just past
+// hi is hi itself, so no point ever exceeds hi.
 func PriceGridRange(lo, hi, step float64) []float64 {
 	if step <= 0 || hi < lo {
 		panic("core: invalid price grid range")
@@ -241,7 +247,7 @@ func PriceGridRange(lo, hi, step float64) []float64 {
 		if v > hi+step*1e-9 {
 			break
 		}
-		grid = append(grid, v)
+		grid = append(grid, min(v, hi))
 	}
 	return grid
 }

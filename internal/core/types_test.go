@@ -133,6 +133,7 @@ func TestValidateRejections(t *testing.T) {
 		{"empty grid", func(i *Instance) { i.PriceGrid = nil }, ErrBadPriceGrid},
 		{"descending grid", func(i *Instance) { i.PriceGrid = []float64{10, 9} }, ErrBadPriceGrid},
 		{"nonpositive grid", func(i *Instance) { i.PriceGrid = []float64{0, 1} }, ErrBadPriceGrid},
+		{"grid above cmax", func(i *Instance) { i.PriceGrid = append(i.PriceGrid, math.Nextafter(i.CMax, 100)) }, ErrBadPriceGrid},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +201,11 @@ func TestPriceGridRange(t *testing.T) {
 	single := PriceGridRange(5, 5, 1)
 	if len(single) != 1 || single[0] != 5 {
 		t.Errorf("degenerate grid = %v", single)
+	}
+	// 0.3 + 6*0.1 rounds to 0.9000000000000001: the last point is hi.
+	short := PriceGridRange(0.3, 0.9, 0.1)
+	if len(short) != 7 || short[6] != 0.9 || short[5] >= short[6] {
+		t.Errorf("grid %v, want 7 ascending points ending at 0.9", short)
 	}
 }
 

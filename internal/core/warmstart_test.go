@@ -134,9 +134,12 @@ func TestWarmStartAuctionMatchesNaive(t *testing.T) {
 		"grid/parallel":      {WithParallelism(3)},
 		"price-set/parallel": {WithPriceSet(priceSet), WithParallelism(3)},
 	}
+	// The first build's instance must admit the price set: cmax 60.
+	first := tinyInstance()
+	first.CMax = 60
 	for name, opts := range optSets {
 		r := rand.New(rand.NewSource(1203))
-		reused := mustAuction(t, tinyInstance(), opts...)
+		reused := mustAuction(t, first, opts...)
 		built, breaks := 0, 0
 		for trial := 0; trial < 80; trial++ {
 			inst := drawInstance(r, trial)
@@ -197,8 +200,8 @@ func TestWarmStartExcludesReplayedWinners(t *testing.T) {
 	cp.reset(&inst)
 	s := &coverScratch{}
 	sorted := bidSorted(&inst)
-	if !cp.feasible(s, sorted[:6]) || cp.feasible(s, sorted[:5]) {
-		t.Fatal("fixture: want count 6 to be the cheapest feasible count")
+	if f := cp.floor(s, sorted); f != 6 {
+		t.Fatalf("fixture: cheapest feasible count %d, want 6", f)
 	}
 	// The premise: after a's apply, a out-gains n, and n out-gains the
 	// step-1 winner b.

@@ -163,13 +163,19 @@ func (e *Exponential) ExpectedScore(score []float64) float64 {
 }
 
 // PaymentLogWeights computes the DP-hSRC log-weights for a slice of
-// candidate total payments: logWeight_i = -eps * payment_i / (2*N*cmax).
-// Equation 10 of the paper with payment = x*|S(x)|.
+// candidate total payments, each by PaymentLogWeight.
 func PaymentLogWeights(payments []float64, eps float64, n int, cmax float64) []float64 {
 	lw := make([]float64, len(payments))
-	denom := 2 * float64(n) * cmax
 	for i, pay := range payments {
-		lw[i] = -eps * pay / denom
+		lw[i] = PaymentLogWeight(pay, eps, n, cmax)
 	}
 	return lw
+}
+
+// PaymentLogWeight is the DP-hSRC log-weight of one candidate total
+// payment, -eps * payment / (2*N*cmax): Equation 10 of the paper with
+// payment = x*|S(x)|. It is <= 0 for every payment >= 0, which is what
+// LazyExponential needs.
+func PaymentLogWeight(payment, eps float64, n int, cmax float64) float64 {
+	return -eps * payment / (2 * float64(n) * cmax)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -163,6 +164,10 @@ func (c *PlatformConfig) validate() error {
 		return fmt.Errorf("%w: epsilon=%v", ErrBadPlatform, c.Epsilon)
 	case len(c.PriceGrid) == 0:
 		return fmt.Errorf("%w: empty price grid", ErrBadPlatform)
+	case slices.ContainsFunc(c.PriceGrid, func(p float64) bool { return !(p >= c.CMin && p <= c.CMax) }):
+		// Core refuses a price above CMax, which would fail every round
+		// as infeasible, and no bid can clear a price below CMin.
+		return fmt.Errorf("%w: price grid leaves the cost range [%v, %v]", ErrBadPlatform, c.CMin, c.CMax)
 	case c.BidWindow <= 0:
 		return fmt.Errorf("%w: BidWindow=%v", ErrBadPlatform, c.BidWindow)
 	case c.Quorum < 0:

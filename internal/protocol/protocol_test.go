@@ -293,6 +293,10 @@ func TestPlatformConfigValidation(t *testing.T) {
 		{"skills", func(c *PlatformConfig) { c.Skills = nil }},
 		{"epsilon", func(c *PlatformConfig) { c.Epsilon = 0 }},
 		{"grid", func(c *PlatformConfig) { c.PriceGrid = nil }},
+		// Every auction would refuse a price above CMax; no bid clears
+		// one below CMin.
+		{"grid above cmax", func(c *PlatformConfig) { c.PriceGrid = core.PriceGridRange(c.CMin, c.CMax+1, 1) }},
+		{"grid below cmin", func(c *PlatformConfig) { c.PriceGrid = core.PriceGridRange(c.CMin-1, c.CMax, 1) }},
 		{"window", func(c *PlatformConfig) { c.BidWindow = 0 }},
 		// Values the announce frame cannot encode.
 		{"NaN threshold", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, math.NaN(), 0.3, 0.3} }},

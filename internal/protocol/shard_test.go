@@ -26,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dphsrc/dphsrc/internal/core"
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/faultnet"
 	"github.com/dphsrc/dphsrc/internal/mechanism"
@@ -196,6 +197,76 @@ func TestShardedRoundEventsCarryNoPrice(t *testing.T) {
 				t.Errorf("unsharded %s carries clearing_price %v (present %v), want the drawn %v",
 					e.Name, price, ok, rep.Outcome.Price)
 			}
+		}
+	}
+}
+
+// TestRoundObservesOneBuildPerPartition: every partition that draws a
+// price records one construction per round, prepare and draw together:
+// mcs_core_build_seconds, mcs_core_support_size and
+// mcs_core_auctions_total each move once for it, and its support size
+// is the one core.New reports over the partition's bids. A partition
+// whose bids cover no price records none.
+func TestRoundObservesOneBuildPerPartition(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		o := shardedOpts(808, 20)
+		reg := telemetry.NewRegistry()
+		o.telemetry = reg
+		rep, _, errs, err := runShardedRound(t, o, shards, nil, 0)
+		if err != nil {
+			t.Fatalf("shards=%d round: %v", shards, err)
+		}
+		for i, werr := range errs {
+			if werr != nil {
+				t.Fatalf("shards=%d worker %d: %v", shards, i, werr)
+			}
+		}
+
+		// The partitions' instances, as runShardedRound's workers bid
+		// them; chaosWorkerID order is ID order.
+		cfg := chaosPlatformConfig(o)
+		bundle := make([]int, cfg.NumTasks)
+		for j := range bundle {
+			bundle[j] = j
+		}
+		parts := make([]core.Instance, shards)
+		for i := 0; i < o.numWorkers; i++ {
+			id := chaosWorkerID(i)
+			inst := &parts[shard.PartitionFor(id, shards)]
+			inst.Workers = append(inst.Workers, core.Worker{ID: id, Bundle: bundle, Bid: 6 + float64(i%20)})
+			inst.Skills = append(inst.Skills, cfg.Skills(id, cfg.NumTasks))
+		}
+		builds, supportSum := 0, 0
+		for p := range parts {
+			inst := &parts[p]
+			inst.NumTasks, inst.Thresholds, inst.Epsilon = cfg.NumTasks, cfg.Thresholds, cfg.Epsilon
+			inst.CMin, inst.CMax, inst.PriceGrid = cfg.CMin, cfg.CMax, cfg.PriceGrid
+			if len(inst.Workers) == 0 {
+				continue
+			}
+			a, err := core.New(*inst)
+			if shards > 1 && (rep.Sharding.Partitions[p].Status == shard.StatusOK) != (err == nil) {
+				t.Fatalf("shards=%d partition %d: status %s, core.New error %v", shards, p, rep.Sharding.Partitions[p].Status, err)
+			}
+			if err == nil {
+				builds++
+				supportSum += len(a.Support())
+			}
+		}
+		if builds < 2 && shards > 1 {
+			t.Fatalf("shards=%d: fixture drew in %d partitions, want several", shards, builds)
+		}
+		buildSeconds := reg.Histogram("mcs_core_build_seconds", "", nil)
+		support := reg.Histogram("mcs_core_support_size", "", nil)
+		if buildSeconds.Count() != int64(builds) || support.Count() != int64(builds) {
+			t.Fatalf("shards=%d: %d build-time and %d support-size observations, want one per drawing partition (%d)",
+				shards, buildSeconds.Count(), support.Count(), builds)
+		}
+		if support.Sum() != float64(supportSum) {
+			t.Fatalf("shards=%d: support sizes sum to %v, core.New's to %d", shards, support.Sum(), supportSum)
+		}
+		if got := reg.Counter("mcs_core_auctions_total", "").Value(); got != int64(builds) {
+			t.Fatalf("shards=%d: auctions_total %d, want %d", shards, got, builds)
 		}
 	}
 }

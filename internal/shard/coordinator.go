@@ -35,15 +35,16 @@ type Coordinator struct {
 	// served, read lock-free by the operator console while rounds run.
 	stats []partStat
 
-	// reuse[i] is partition i's auction from a previous round, rebuilt
-	// in place (core.Auction.Rebuild) instead of reconstructed, and
-	// rows[i] the skill rows of the round's built instance, aligned
-	// with its sorted bids (nil until it is built). Within a round each
-	// entry is touched only by the goroutine building partition i
-	// inside RunRound's build barrier, and rounds run one at a time, so
-	// no extra locking is needed.
-	reuse []*core.Auction
-	rows  [][][]float64
+	// drawers[i] is partition i's price draw, prepared in the build
+	// phase and drawn after the debit, its buffers reused across
+	// rounds, and rows[i] the skill rows of the round's built instance,
+	// aligned with its sorted bids (nil until it is built). Within a
+	// round each entry is touched only by the goroutine building
+	// partition i inside RunRound's build barrier, then by RunRound's
+	// draw loop after it, and rounds run one at a time, so no extra
+	// locking is needed.
+	drawers []*core.Drawer
+	rows    [][][]float64
 }
 
 // NewCoordinator validates the configuration, applies defaults
@@ -66,16 +67,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.Quorum = 1
 	}
 	queues := make([]*queue, cfg.Partitions)
+	drawers := make([]*core.Drawer, cfg.Partitions)
 	for i := range queues {
 		queues[i] = newQueue(cfg.MaxBidsPerPartition)
+		drawers[i] = core.NewDrawer(core.WithTelemetry(cfg.Telemetry), core.WithEventLog(cfg.Events))
 	}
 	return &Coordinator{
-		cfg:    cfg,
-		met:    newShardMetrics(cfg.Telemetry, cfg.Partitions),
-		queues: queues,
-		stats:  make([]partStat, cfg.Partitions),
-		reuse:  make([]*core.Auction, cfg.Partitions),
-		rows:   make([][][]float64, cfg.Partitions),
+		cfg:     cfg,
+		met:     newShardMetrics(cfg.Telemetry, cfg.Partitions),
+		queues:  queues,
+		stats:   make([]partStat, cfg.Partitions),
+		drawers: drawers,
+		rows:    make([][][]float64, cfg.Partitions),
 	}, nil
 }
 
@@ -193,12 +196,11 @@ func (c *Coordinator) SkillRow(workerID string) []float64 {
 type builtPartition struct {
 	status string
 	bids   []Bid
-	a      *core.Auction
 	err    error
 }
 
 // buildPartition sorts the partition's admitted bids, consults the
-// chaos seam, and builds (but does not run) its core auction. A kill
+// chaos seam, and prepares (but does not draw) its price draw. A kill
 // or cancellation surfaces as StatusKilled, an uncoverable bid set as
 // StatusInfeasible — both degrade the partition, never the process.
 func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtPartition {
@@ -215,30 +217,16 @@ func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtP
 	}
 	inst := c.cfg.buildInstance(bids)
 	c.rows[idx] = inst.Skills
-	if prev := c.reuse[idx]; prev != nil {
-		// Rebuild in place: bitwise-identical to a fresh New, without
-		// its per-round allocations. A failed rebuild leaves the
-		// auction unusable, so drop it for reconstruction next round.
-		if err := prev.Rebuild(inst); err != nil {
-			c.reuse[idx] = nil
-			return builtPartition{status: StatusInfeasible, bids: bids, err: fmt.Errorf("shard: building auction: %w", err)}
-		}
-		return builtPartition{status: StatusOK, bids: bids, a: prev}
-	}
-	a, err := core.New(inst,
-		core.WithTelemetry(c.cfg.Telemetry),
-		core.WithEventLog(c.cfg.Events))
-	if err != nil {
+	if err := c.drawers[idx].Prepare(inst); err != nil {
 		return builtPartition{status: StatusInfeasible, bids: bids, err: fmt.Errorf("shard: building auction: %w", err)}
 	}
-	c.reuse[idx] = a
-	return builtPartition{status: StatusOK, bids: bids, a: a}
+	return builtPartition{status: StatusOK, bids: bids}
 }
 
-// RunRound closes the round (if still open), builds every partition's
-// auction concurrently, debits the accountant once with the
-// parallel-composed epsilon over the surviving partitions, then draws
-// each survivor's clearing price (see drawOutcome) and merges the
+// RunRound closes the round (if still open), prepares every
+// partition's price draw concurrently, debits the accountant once with
+// the parallel-composed epsilon over the surviving partitions, then
+// draws each survivor's clearing price (see drawOutcome) and merges the
 // outcomes deterministically (partition order; winners sorted by
 // worker ID).
 //
@@ -331,7 +319,7 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 		if b.status != StatusOK {
 			continue
 		}
-		oc := drawOutcome(b.a, roundSeed, i, n)
+		oc := drawOutcome(c.drawers[i], roundSeed, i, n)
 		rep := &out.Partitions[i]
 		rep.Price = oc.Price
 		rep.TotalPayment = oc.TotalPayment

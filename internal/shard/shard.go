@@ -11,9 +11,10 @@
 //     across rounds, up to a per-round admission cap: a full partition
 //     pushes back with ErrOverloaded rather than buffering without
 //     bound;
-//   - at round close every partition builds and runs its own core
-//     auction concurrently, and the per-partition outcomes are merged
-//     in partition order into one deterministic RoundOutcome;
+//   - at round close every partition prepares its own core price draw
+//     concurrently, draws after the round's one debit, and the
+//     per-partition outcomes are merged in partition order into one
+//     deterministic RoundOutcome;
 //   - the merged round debits the shared privacy accountant exactly
 //     once, with privacy.ParallelComposedEpsilon of the per-partition
 //     epsilons: partitions hold disjoint worker sets, so parallel
@@ -225,8 +226,8 @@ func partitionSeed(roundSeed int64, idx int) int64 {
 
 // buildInstance assembles one partition's core auction instance from
 // its admitted bids (already sorted by worker ID). The instance aliases
-// the config's thresholds and grid and the bids' bundles: core.New and
-// Auction.Rebuild validate it and build from their own deep copy.
+// the config's thresholds and grid and the bids' bundles: Drawer.Prepare
+// validates it and draws from its own deep copy.
 func (c *Config) buildInstance(bids []Bid) core.Instance {
 	inst := core.Instance{
 		NumTasks:   c.NumTasks,
@@ -255,15 +256,16 @@ func mergeEpsilon(eps float64, survivors int) float64 {
 	return privacy.ParallelComposedEpsilon(per...)
 }
 
-// drawOutcome runs partition idx's built auction. Each of several
-// partitions draws from its own derived seed; a lone partition draws
-// from the round seed itself, so an unsharded round samples exactly
-// the stream a single auction seeded with it would.
-func drawOutcome(a *core.Auction, roundSeed int64, idx, partitions int) core.Outcome {
+// drawOutcome draws partition idx's clearing price from its prepared
+// drawer. Each of several partitions draws from its own derived seed; a
+// lone partition draws from the round seed itself, so an unsharded
+// round releases exactly the outcome core.New(inst).Run seeded with it
+// would.
+func drawOutcome(d *core.Drawer, roundSeed int64, idx, partitions int) core.Outcome {
 	if partitions > 1 {
 		roundSeed = partitionSeed(roundSeed, idx)
 	}
-	return a.Run(rand.New(rand.NewSource(roundSeed)))
+	return d.Draw(rand.New(rand.NewSource(roundSeed)))
 }
 
 // sortBids orders a partition's admitted bids by worker ID so the
