@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -95,6 +96,11 @@ func run(args []string) error {
 	// the round only after its bids are in.
 	if !(*skillLo >= 0 && *skillLo <= *skillHi && *skillHi <= 1) {
 		return fmt.Errorf("-skill-lo %v and -skill-hi %v must satisfy 0 <= lo <= hi <= 1", *skillLo, *skillHi)
+	}
+	// The price grid is built from the cost range below, before the
+	// platform validates anything.
+	if !(*cmin >= 0 && *cmin <= *cmax) || math.IsInf(*cmax, 1) {
+		return fmt.Errorf("-cmin %v and -cmax %v must be finite and satisfy 0 <= cmin <= cmax", *cmin, *cmax)
 	}
 
 	// The event logger is the daemon's only log: every operational line

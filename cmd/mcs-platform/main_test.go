@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -67,6 +68,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "-skill-lo") {
 			t.Errorf("%v: run = %v, want the skill bounds rejected", skills, err)
 		}
+	}
+	// So do bad cost bounds, before the price grid is built from them.
+	for _, costs := range [][]string{
+		{"-cmin", "10", "-cmax", "5"},
+		{"-cmin", "-1"},
+		{"-cmin", "NaN"},
+		{"-cmax", "NaN"},
+		{"-cmax", "+Inf"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet"}, costs...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-cmin") || !strings.Contains(err.Error(), "-cmax") {
+			t.Errorf("%v: run = %v, want the cost bounds rejected", costs, err)
+		}
+	}
+	// A threshold core would refuse fails the platform's validation,
+	// not every round once its bids are in.
+	if err := run([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet", "-delta", "1.5"}); !errors.Is(err, protocol.ErrBadPlatform) {
+		t.Errorf("-delta 1.5: run = %v, want ErrBadPlatform", err)
 	}
 }
 

@@ -235,9 +235,11 @@ func (inst *Instance) Clone() Instance {
 // PriceGridRange builds the ascending grid {lo, lo+step, ..., <= hi},
 // matching the paper's price sets (numbers spaced at interval 0.1 in
 // [35, 60] for Settings I-IV). A point that rounding carries just past
-// hi is hi itself, so no point ever exceeds hi.
+// hi is hi itself, so no point ever exceeds hi. It panics unless lo, hi
+// and step are finite with lo <= hi and step > 0: with a NaN or an
+// infinite input the grid would never end.
 func PriceGridRange(lo, hi, step float64) []float64 {
-	if step <= 0 || hi < lo {
+	if !(step > 0 && lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(step, 0) {
 		panic("core: invalid price grid range")
 	}
 	var grid []float64

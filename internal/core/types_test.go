@@ -209,13 +209,29 @@ func TestPriceGridRange(t *testing.T) {
 	}
 }
 
+// TestPriceGridRangePanics: a range that is reversed, a step that is
+// not positive, and any NaN or infinite input panic instead of
+// building a grid, which for NaN and infinities would never end.
 func TestPriceGridRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad range")
-		}
-	}()
-	PriceGridRange(10, 5, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range [][3]float64{
+		{10, 5, 1},
+		{5, 30, 0},
+		{5, 30, -1},
+		{nan, 30, 1}, {5, nan, 1}, {5, 30, nan},
+		{-inf, 30, 1}, {inf, inf, 1},
+		{5, inf, 1}, {-inf, -inf, 1},
+		{5, 30, inf}, {5, 30, -inf},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PriceGridRange(%v, %v, %v) did not panic", tc[0], tc[1], tc[2])
+				}
+			}()
+			PriceGridRange(tc[0], tc[1], tc[2])
+		}()
+	}
 }
 
 func TestSelectionRuleString(t *testing.T) {

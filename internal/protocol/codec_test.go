@@ -87,12 +87,12 @@ func exchange(id string, tasks, frames int) error {
 	c := NewConn(client, 5*time.Second)
 	defer c.release()
 	err = func() error {
-		terms, err := c.expectAnnounce()
+		announce, err := c.Expect(TypeAnnounce)
 		if err != nil {
 			return err
 		}
-		if terms.NumTasks != tasks || terms.CMax != float64(frames) {
-			return fmt.Errorf("client of %s read announce %+v", id, terms)
+		if announce.NumTasks != tasks || announce.CMax != float64(frames) {
+			return fmt.Errorf("client of %s read announce %+v", id, announce)
 		}
 		for k := 0; k < frames; k++ {
 			if err := c.Send(Message{Type: TypeBid, WorkerID: id, Bundle: bidBundle(k), Price: bidPrice(k, frames)}); err != nil {

@@ -36,10 +36,9 @@ func FuzzMessageDecode(f *testing.F) {
 	})
 }
 
-// FuzzConnRecv streams arbitrary bytes into a live Conn, read both as
-// any message (Recv) and as a worker reads an announce: each must
+// FuzzConnRecv streams arbitrary bytes into a live Conn: Recv must
 // return a value or an error, never hang past its deadline or panic.
-// Each Conn then releases its codec to the pool the next one draws
+// The Conn then releases its codec to the pool the next one draws
 // from.
 func FuzzConnRecv(f *testing.F) {
 	f.Add([]byte(`{"type":"hello","worker_id":"w"}` + "\n"))
@@ -47,37 +46,25 @@ func FuzzConnRecv(f *testing.F) {
 	f.Add([]byte(`{"type":`))
 	// One bid frame past the 1 MiB frame cap.
 	f.Add([]byte(`{"type":"bid","bundle":[` + strings.Repeat("0,", maxFrameBytes/2) + "0]}\n"))
-	reads := map[string]func(*Conn) error{
-		"Recv": func(c *Conn) error {
-			_, err := c.Recv()
-			return err
-		},
-		"expectAnnounce": func(c *Conn) error {
-			_, err := c.expectAnnounce()
-			return err
-		},
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for name, read := range reads {
-			client, server := net.Pipe()
-			go func() {
-				_, _ = client.Write(data)
-				_ = client.Close()
-			}()
-			conn := NewConn(server, 500*time.Millisecond)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				_ = read(conn)
-			}()
-			select {
-			case <-done:
-			case <-time.After(3 * time.Second):
-				t.Fatalf("%s hung past its deadline", name)
-			}
+		client, server := net.Pipe()
+		go func() {
+			_, _ = client.Write(data)
 			_ = client.Close()
-			_ = server.Close()
-			conn.release()
+		}()
+		conn := NewConn(server, 500*time.Millisecond)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = conn.Recv()
+		}()
+		select {
+		case <-done:
+		case <-time.After(3 * time.Second):
+			t.Fatal("Recv hung past its deadline")
 		}
+		_ = client.Close()
+		_ = server.Close()
+		conn.release()
 	})
 }

@@ -2,9 +2,11 @@ package protocol
 
 // Handshake suite: the platform's constant frames (announce, a loser's
 // outcome, done) are encoded once yet reach the wire byte-identical to
-// json.Encoder's output, no transport modifies them, the worker's
-// reduced announce decode agrees with the full one, and a malformed
-// bid bundle costs only its own session.
+// json.Encoder's output, and no transport modifies them; the announce
+// carries only the bid terms, whatever the config's size, and a worker
+// still bids against an older platform's announce that carries the
+// thresholds and price grid too; and a malformed bid bundle costs only
+// its own session.
 
 import (
 	"bufio"
@@ -46,11 +48,9 @@ func announceMessage(cfg PlatformConfig) Message {
 	return Message{
 		Type:            TypeAnnounce,
 		NumTasks:        cfg.NumTasks,
-		Thresholds:      cfg.Thresholds,
 		Epsilon:         cfg.Epsilon,
 		CMin:            cfg.CMin,
 		CMax:            cfg.CMax,
-		PriceGrid:       cfg.PriceGrid,
 		BidWindowMillis: cfg.BidWindow.Milliseconds(),
 	}
 }
@@ -93,8 +93,7 @@ func readerConn(b []byte) *Conn {
 
 // TestAnnounceFrameMatchesEncoder: the announce a handshake writes is
 // byte-identical to json.Encoder's encoding of the same Message, and
-// the worker's reduced decode of it reads the same terms as
-// Expect(TypeAnnounce).
+// Expect(TypeAnnounce) reads the config's bid terms from it.
 func TestAnnounceFrameMatchesEncoder(t *testing.T) {
 	for name, cfg := range announceShapes(t) {
 		t.Run(name, func(t *testing.T) {
@@ -125,23 +124,140 @@ func TestAnnounceFrameMatchesEncoder(t *testing.T) {
 				t.Fatal("handshake succeeded without a bid")
 			}
 
-			full, err := readerConn(got).Expect(TypeAnnounce)
+			announce, err := readerConn(got).Expect(TypeAnnounce)
 			if err != nil {
 				t.Fatal(err)
 			}
-			terms, err := readerConn(got).expectAnnounce()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if terms.NumTasks != full.NumTasks || terms.CMin != full.CMin || terms.CMax != full.CMax {
-				t.Fatalf("reduced decode %+v, full decode num_tasks=%d cmin=%v cmax=%v",
-					terms, full.NumTasks, full.CMin, full.CMax)
-			}
-			if terms.NumTasks != cfg.NumTasks || terms.CMin != cfg.CMin || terms.CMax != cfg.CMax {
-				t.Fatalf("reduced decode %+v, config num_tasks=%d cmin=%v cmax=%v",
-					terms, cfg.NumTasks, cfg.CMin, cfg.CMax)
+			if announce.NumTasks != cfg.NumTasks || announce.CMin != cfg.CMin || announce.CMax != cfg.CMax {
+				t.Fatalf("announce read as %+v, config num_tasks=%d cmin=%v cmax=%v",
+					announce, cfg.NumTasks, cfg.CMin, cfg.CMax)
 			}
 		})
+	}
+}
+
+// TestAnnounceSizeIndependentOfTerms: the announce carries no
+// threshold and no grid price, so a config with 10,000 tasks, or with
+// a 131,072-price grid (1 MiB of float64s, past the frame cap had the
+// announce carried it), builds and announces in at most 128 bytes.
+func TestAnnounceSizeIndependentOfTerms(t *testing.T) {
+	manyPrices := testPlatformConfig(t)
+	manyPrices.PriceGrid = make([]float64, maxFrameBytes/8)
+	for k := range manyPrices.PriceGrid {
+		manyPrices.PriceGrid[k] = 10 + 20*float64(k)/float64(len(manyPrices.PriceGrid))
+	}
+	manyTasks := testPlatformConfig(t)
+	manyTasks.NumTasks = 10000
+	manyTasks.Thresholds = make([]float64, manyTasks.NumTasks)
+	for j := range manyTasks.Thresholds {
+		manyTasks.Thresholds[j] = 0.2
+	}
+	for name, cfg := range map[string]PlatformConfig{"131072 prices": manyPrices, "10000 tasks": manyTasks} {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewPlatform(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := p.frames.announce
+			if len(frame) > 128 {
+				t.Errorf("announce of %d bytes, want at most 128: %s", len(frame), frame)
+			}
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(frame, &keys); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"thresholds", "price_grid"} {
+				if _, ok := keys[key]; ok {
+					t.Errorf("announce carries %q: %s", key, frame)
+				}
+			}
+		})
+	}
+}
+
+// TestAnnounceFromOlderPlatform: a platform built before the announce
+// dropped its thresholds and price grid still sends both. A worker
+// reads its bid terms from that announce as from a current one: it
+// bids its bundle, within num_tasks, at its cost clamped to
+// [cmin, cmax], and settles as a loser.
+func TestAnnounceFromOlderPlatform(t *testing.T) {
+	// olderAnnounce is the announce as such a platform encoded it.
+	type olderAnnounce struct {
+		Type            Type      `json:"type"`
+		NumTasks        int       `json:"num_tasks,omitempty"`
+		Thresholds      []float64 `json:"thresholds,omitempty"`
+		Epsilon         float64   `json:"epsilon,omitempty"`
+		CMin            float64   `json:"cmin,omitempty"`
+		CMax            float64   `json:"cmax,omitempty"`
+		PriceGrid       []float64 `json:"price_grid,omitempty"`
+		BidWindowMillis int64     `json:"bid_window_millis,omitempty"`
+	}
+	announce, err := json.Marshal(olderAnnounce{
+		Type:            TypeAnnounce,
+		NumTasks:        4,
+		Thresholds:      []float64{0.3, 0.3, 0.3, 0.3},
+		Epsilon:         0.5,
+		CMin:            5,
+		CMax:            30,
+		PriceGrid:       core.PriceGridRange(10, 30, 1),
+		BidWindowMillis: 2000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	bundle := []int{0, 2, 3}
+	// serve runs one older platform's conversation with a loser whose
+	// bid must carry bundle at price.
+	serve := func(price float64) error {
+		raw, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		c := NewConn(raw, 5*time.Second)
+		defer func() {
+			_ = c.Close()
+			c.release()
+		}()
+		if _, err := c.Expect(TypeHello); err != nil {
+			return err
+		}
+		if err := c.sendFrame(TypeAnnounce, append(announce, '\n')); err != nil {
+			return err
+		}
+		bid, err := c.Expect(TypeBid)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(bid.Bundle, bundle) || bid.Price != price {
+			return fmt.Errorf("bid %+v, want bundle %v at %v", bid, bundle, price)
+		}
+		if err := c.Send(Message{Type: TypeOutcome}); err != nil {
+			return err
+		}
+		return c.Send(Message{Type: TypeDone})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, tc := range []struct{ cost, price float64 }{{1, 5}, {12.5, 12.5}, {100, 30}} {
+		served := make(chan error, 1)
+		go func() { served <- serve(tc.price) }()
+		rep, err := Participate(ctx, ln.Addr().String(), WorkerConfig{
+			ID:     "w",
+			Bundle: bundle,
+			Cost:   tc.cost,
+			Labels: func(int) crowd.Label { return crowd.Positive },
+		})
+		if serr := <-served; serr != nil {
+			t.Errorf("cost %v: platform: %v", tc.cost, serr)
+		}
+		if err != nil || rep.Won || rep.Attempts != 1 {
+			t.Errorf("cost %v: Participate = %+v, %v; want one attempt settled as a loser", tc.cost, rep, err)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ type Type string
 const (
 	// TypeHello is the worker's first message, identifying itself.
 	TypeHello Type = "hello"
-	// TypeAnnounce is the platform's task announcement with the auction
-	// parameters.
+	// TypeAnnounce is the platform's task announcement: the terms a bid
+	// must meet.
 	TypeAnnounce Type = "announce"
 	// TypeBid is the worker's sealed bid (bundle + price).
 	TypeBid Type = "bid"
@@ -50,24 +50,22 @@ type LabelReport struct {
 	Label int8 `json:"label"`
 }
 
-// Message is the wire envelope every frame is encoded from; unused
-// fields are omitted per type. Every frame decodes into it too, except
-// the announce on the worker side, which decodes into announceTerms so
-// the thresholds and price grid no bid depends on are skipped, not
-// parsed.
+// Message is the wire envelope every frame is encoded from and decoded
+// into; unused fields are omitted per type.
 type Message struct {
 	Type Type `json:"type"`
 
 	// Hello / Bid / Labels.
 	WorkerID string `json:"worker_id,omitempty"`
 
-	// Announce.
-	NumTasks   int       `json:"num_tasks,omitempty"`
-	Thresholds []float64 `json:"thresholds,omitempty"`
-	Epsilon    float64   `json:"epsilon,omitempty"`
-	CMin       float64   `json:"cmin,omitempty"`
-	CMax       float64   `json:"cmax,omitempty"`
-	PriceGrid  []float64 `json:"price_grid,omitempty"`
+	// Announce: the bid terms. A bid is a bundle within NumTasks and a
+	// price in [CMin, CMax] (Section III-A), so the announce carries no
+	// per-task threshold and no price grid; both stay public through the
+	// operator's configuration.
+	NumTasks int     `json:"num_tasks,omitempty"`
+	Epsilon  float64 `json:"epsilon,omitempty"`
+	CMin     float64 `json:"cmin,omitempty"`
+	CMax     float64 `json:"cmax,omitempty"`
 	// BidWindowMillis tells workers how long the platform will accept
 	// bids.
 	BidWindowMillis int64 `json:"bid_window_millis,omitempty"`
@@ -110,17 +108,6 @@ func checkBundle(bundle []int, numTasks int) error {
 	return nil
 }
 
-// announceTerms is the part of a TypeAnnounce frame a worker acts on:
-// the task count its bundle must fit and the cost range its bid is
-// clamped to. Type and Err keep Expect's verdicts for the frame.
-type announceTerms struct {
-	Type     Type    `json:"type"`
-	Err      string  `json:"err"`
-	NumTasks int     `json:"num_tasks"`
-	CMin     float64 `json:"cmin"`
-	CMax     float64 `json:"cmax"`
-}
-
 // encodeFrame encodes m as one wire frame: json.Marshal plus the
 // newline, byte-identical to what Send writes for m.
 func encodeFrame(m Message) ([]byte, error) {
@@ -132,10 +119,10 @@ func encodeFrame(m Message) ([]byte, error) {
 }
 
 // maxFrameBytes caps one inbound frame at 1 MiB, the size of a WAL
-// record (store.MaxRecordBytes). The largest frame the protocol sends
-// is the announce, which NewPlatform holds under the cap. Without it,
-// one endless value from a peer grows the reader's buffer until the IO
-// timeout.
+// record (store.MaxRecordBytes). The frames that grow with a round's
+// shape are a bid's bundle and a winner's labels, at most one entry per
+// task each. Without the cap, one endless value from a peer grows the
+// reader's buffer until the IO timeout.
 const maxFrameBytes = 1 << 20
 
 // MaxWorkerIDBytes caps a worker ID. The platform journals a round's
@@ -161,13 +148,12 @@ type codec struct {
 	wire wire
 	dec  *json.Decoder
 	enc  *json.Encoder
-	// msg and terms are the scratch, so a frame allocates only the
-	// slices and strings it carries. Each decode zeroes its scratch
-	// first: the decoder leaves absent fields as they were and appends
-	// into a non-nil slice's backing array, which a previous frame's
-	// reader may still hold.
-	msg   Message
-	terms announceTerms
+	// msg is the scratch, so a frame allocates only the slices and
+	// strings it carries. Each decode zeroes it first: the decoder
+	// leaves absent fields as they were and appends into a non-nil
+	// slice's backing array, which a previous frame's reader may still
+	// hold.
+	msg Message
 }
 
 // wire binds a codec to its current connection: dec reads r through
@@ -238,7 +224,7 @@ func (c *Conn) release() {
 		return
 	}
 	c.codec = nil
-	cd.wire, cd.msg, cd.terms = wire{}, Message{}, announceTerms{}
+	cd.wire, cd.msg = wire{}, Message{}
 	if !c.failed && drained(cd.dec) {
 		codecs.Put(cd)
 	}
@@ -306,27 +292,19 @@ func writeFrame(raw net.Conn, timeout time.Duration, t Type, frame []byte) error
 	return nil
 }
 
-// recv decodes the next frame into v, scratch the caller has zeroed.
-func (c *Conn) recv(v any) error {
-	if c.timeout > 0 {
-		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
-		}
-	}
-	c.codec.wire.left = maxFrameBytes
-	if err := c.codec.dec.Decode(v); err != nil {
-		c.failed = true
-		return fmt.Errorf("protocol: recv: %w", err)
-	}
-	return nil
-}
-
 // Recv reads the next message.
 func (c *Conn) Recv() (Message, error) {
+	if c.timeout > 0 {
+		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
+			return Message{}, err
+		}
+	}
 	m := &c.codec.msg
 	*m = Message{}
-	if err := c.recv(m); err != nil {
-		return Message{}, err
+	c.codec.wire.left = maxFrameBytes
+	if err := c.codec.dec.Decode(m); err != nil {
+		c.failed = true
+		return Message{}, fmt.Errorf("protocol: recv: %w", err)
 	}
 	return *m, nil
 }
@@ -338,36 +316,13 @@ func (c *Conn) Expect(want Type) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if err := checkType(m.Type, want, m.Err); err != nil {
-		return Message{}, err
+	if m.Type == TypeError {
+		return Message{}, fmt.Errorf("%w: %s", ErrRemote, m.Err)
+	}
+	if m.Type != want {
+		return Message{}, fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, m.Type, want)
 	}
 	return m, nil
-}
-
-// expectAnnounce is Expect(TypeAnnounce) decoding only the terms a
-// worker acts on.
-func (c *Conn) expectAnnounce() (announceTerms, error) {
-	a := &c.codec.terms
-	*a = announceTerms{}
-	if err := c.recv(a); err != nil {
-		return announceTerms{}, err
-	}
-	if err := checkType(a.Type, TypeAnnounce, a.Err); err != nil {
-		return announceTerms{}, err
-	}
-	return *a, nil
-}
-
-// checkType is Expect's verdict on a frame of type got carrying the
-// error reason remoteErr.
-func checkType(got, want Type, remoteErr string) error {
-	if got == TypeError {
-		return fmt.Errorf("%w: %s", ErrRemote, remoteErr)
-	}
-	if got != want {
-		return fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, got, want)
-	}
-	return nil
 }
 
 // Close closes the underlying connection.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -151,19 +152,27 @@ type PlatformConfig struct {
 	MaxConns int
 }
 
-// validate checks the configuration.
+// validate checks the configuration. It refuses every public term
+// core.Validate would refuse, which would otherwise fail each round
+// only after its bids are in.
 func (c *PlatformConfig) validate() error {
 	switch {
 	case c.NumTasks <= 0:
 		return fmt.Errorf("%w: NumTasks=%d", ErrBadPlatform, c.NumTasks)
 	case len(c.Thresholds) != c.NumTasks:
 		return fmt.Errorf("%w: %d thresholds for %d tasks", ErrBadPlatform, len(c.Thresholds), c.NumTasks)
+	case slices.ContainsFunc(c.Thresholds, func(d float64) bool { return !(d > 0 && d < 1) }):
+		return fmt.Errorf("%w: threshold outside (0, 1)", ErrBadPlatform)
 	case c.Skills == nil:
 		return fmt.Errorf("%w: nil SkillFunc", ErrBadPlatform)
-	case c.Epsilon <= 0:
+	case !(c.Epsilon > 0) || math.IsInf(c.Epsilon, 1):
 		return fmt.Errorf("%w: epsilon=%v", ErrBadPlatform, c.Epsilon)
+	case !(c.CMin >= 0 && c.CMin <= c.CMax) || math.IsInf(c.CMax, 1):
+		return fmt.Errorf("%w: cost range [%v, %v]", ErrBadPlatform, c.CMin, c.CMax)
 	case len(c.PriceGrid) == 0:
 		return fmt.Errorf("%w: empty price grid", ErrBadPlatform)
+	case !ascendingPositive(c.PriceGrid):
+		return fmt.Errorf("%w: price grid not strictly ascending and positive", ErrBadPlatform)
 	case slices.ContainsFunc(c.PriceGrid, func(p float64) bool { return !(p >= c.CMin && p <= c.CMax) }):
 		// Core refuses a price above CMax, which would fail every round
 		// as infeasible, and no bid can clear a price below CMin.
@@ -182,6 +191,19 @@ func (c *PlatformConfig) validate() error {
 		return fmt.Errorf("%w: MaxConns=%d", ErrBadPlatform, c.MaxConns)
 	}
 	return nil
+}
+
+// ascendingPositive reports whether p is strictly ascending from above
+// zero; NaN fails it.
+func ascendingPositive(p []float64) bool {
+	prev := 0.0
+	for _, x := range p {
+		if !(x > prev) {
+			return false
+		}
+		prev = x
+	}
+	return true
 }
 
 // RoundSeed derives the mechanism seed for one round from the
@@ -324,8 +346,7 @@ type Platform struct {
 // built: a transport that modified a frame it was handed would corrupt
 // every later connection's copy.
 type platformFrames struct {
-	// announce carries the tasks and auction parameters of every
-	// handshake.
+	// announce carries the bid terms of every handshake.
 	announce []byte
 	// lost is a loser's outcome.
 	lost []byte
@@ -335,33 +356,24 @@ type platformFrames struct {
 	overLimit []byte
 }
 
-// newPlatformFrames encodes cfg's constant frames. An announce that
-// cannot be encoded (a NaN or infinite threshold or grid price) or
-// that exceeds the frame cap is a configuration error: it would fail
-// every handshake.
-func newPlatformFrames(cfg *PlatformConfig) (platformFrames, error) {
-	announce, err := encodeFrame(Message{
+// newPlatformFrames encodes the constant frames of cfg, a validated
+// configuration. The announce carries only the terms a bid reads, so
+// its size does not grow with the task count or the price grid, and
+// validate has refused the NaN and infinite values json cannot encode:
+// no frame can fail.
+func newPlatformFrames(cfg *PlatformConfig) platformFrames {
+	announce, _ := encodeFrame(Message{
 		Type:            TypeAnnounce,
 		NumTasks:        cfg.NumTasks,
-		Thresholds:      cfg.Thresholds,
 		Epsilon:         cfg.Epsilon,
 		CMin:            cfg.CMin,
 		CMax:            cfg.CMax,
-		PriceGrid:       cfg.PriceGrid,
 		BidWindowMillis: cfg.BidWindow.Milliseconds(),
 	})
-	if err != nil {
-		return platformFrames{}, fmt.Errorf("%w: %v", ErrBadPlatform, err)
-	}
-	if len(announce) > maxFrameBytes {
-		return platformFrames{}, fmt.Errorf("%w: announce of %d bytes exceeds the %d-byte frame cap",
-			ErrBadPlatform, len(announce), maxFrameBytes)
-	}
-	// No other frame carries a configured value, so none can fail.
 	lost, _ := encodeFrame(Message{Type: TypeOutcome})
 	done, _ := encodeFrame(Message{Type: TypeDone})
 	overLimit, _ := encodeFrame(Message{Type: TypeError, Err: ErrTooManyConnections.Error()})
-	return platformFrames{announce: announce, lost: lost, done: done, overLimit: overLimit}, nil
+	return platformFrames{announce: announce, lost: lost, done: done, overLimit: overLimit}
 }
 
 // RoundStatus is the platform's live position in the round lifecycle,
@@ -426,10 +438,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		//mcslint:allow MCS-DET002 fallback seed for callers that supplied none; the chosen value is logged and exported via mcs_protocol_seed_info so the run stays replayable after the fact
 		cfg.Seed = time.Now().UnixNano()
 	}
-	frames, err := newPlatformFrames(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	coord, err := shard.NewCoordinator(shard.Config{
 		Partitions:          max(cfg.Shards, 1),
 		MaxBidsPerPartition: cfg.ShardMaxBids,
@@ -453,7 +461,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		cfg:       cfg,
 		met:       newPlatformMetrics(cfg.Telemetry),
 		coord:     coord,
-		frames:    frames,
+		frames:    newPlatformFrames(&cfg),
 		nextRound: cfg.StartRound,
 		status:    RoundStatus{Round: cfg.StartRound, Phase: PhaseIdle},
 	}

@@ -298,16 +298,20 @@ func TestPlatformConfigValidation(t *testing.T) {
 		{"grid above cmax", func(c *PlatformConfig) { c.PriceGrid = core.PriceGridRange(c.CMin, c.CMax+1, 1) }},
 		{"grid below cmin", func(c *PlatformConfig) { c.PriceGrid = core.PriceGridRange(c.CMin-1, c.CMax, 1) }},
 		{"window", func(c *PlatformConfig) { c.BidWindow = 0 }},
-		// Values the announce frame cannot encode.
+		// Public terms core.Validate refuses: each would fail every
+		// round once its bids are in.
 		{"NaN threshold", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, math.NaN(), 0.3, 0.3} }},
+		{"threshold 0", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, 0, 0.3, 0.3} }},
+		{"threshold 1", func(c *PlatformConfig) { c.Thresholds = []float64{0.3, 1, 0.3, 0.3} }},
+		{"threshold 1.5", func(c *PlatformConfig) { c.Thresholds = []float64{1.5, 1.5, 1.5, 1.5} }},
+		{"NaN epsilon", func(c *PlatformConfig) { c.Epsilon = math.NaN() }},
+		{"+Inf epsilon", func(c *PlatformConfig) { c.Epsilon = math.Inf(1) }},
+		{"negative cmin", func(c *PlatformConfig) { c.CMin = -1 }},
+		{"cmin above cmax", func(c *PlatformConfig) { c.CMin, c.CMax = 30, 10 }},
+		{"+Inf cmax", func(c *PlatformConfig) { c.CMax = math.Inf(1) }},
 		{"+Inf grid", func(c *PlatformConfig) { c.PriceGrid = append(core.PriceGridRange(10, 30, 1), math.Inf(1)) }},
-		// An announce no worker could read under the frame cap.
-		{"announce over the frame cap", func(c *PlatformConfig) {
-			c.PriceGrid = make([]float64, maxFrameBytes/8)
-			for k := range c.PriceGrid {
-				c.PriceGrid[k] = 10 + 20*float64(k)/float64(len(c.PriceGrid))
-			}
-		}},
+		{"descending grid", func(c *PlatformConfig) { c.PriceGrid = []float64{20, 15, 10} }},
+		{"repeated grid price", func(c *PlatformConfig) { c.PriceGrid = []float64{10, 15, 15, 20} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,22 +371,17 @@ func TestConnExpectErrors(t *testing.T) {
 	c1 := NewConn(client, time.Second)
 	c2 := NewConn(server, time.Second)
 
-	go func() { _ = c1.Send(Message{Type: TypeHello, WorkerID: "x"}) }()
-	if _, err := c2.Expect(TypeBid); !errors.Is(err, ErrUnexpectedType) {
-		t.Errorf("want ErrUnexpectedType, got %v", err)
-	}
-	go func() { _ = c1.Send(Message{Type: TypeError, Err: "boom"}) }()
-	if _, err := c2.Expect(TypeBid); !errors.Is(err, ErrRemote) {
-		t.Errorf("want ErrRemote, got %v", err)
-	}
-	// The worker's reduced announce decode gives the same verdicts.
-	go func() { _ = c1.Send(Message{Type: TypeHello, WorkerID: "x"}) }()
-	if _, err := c2.expectAnnounce(); !errors.Is(err, ErrUnexpectedType) {
-		t.Errorf("announce: want ErrUnexpectedType, got %v", err)
-	}
-	go func() { _ = c1.Send(Message{Type: TypeError, Err: "boom"}) }()
-	if _, err := c2.expectAnnounce(); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("announce: want ErrRemote carrying the reason, got %v", err)
+	// Each verdict holds for a worker awaiting the announce as for a
+	// platform awaiting a bid.
+	for _, want := range []Type{TypeBid, TypeAnnounce} {
+		go func() { _ = c1.Send(Message{Type: TypeHello, WorkerID: "x"}) }()
+		if _, err := c2.Expect(want); !errors.Is(err, ErrUnexpectedType) {
+			t.Errorf("%s: want ErrUnexpectedType, got %v", want, err)
+		}
+		go func() { _ = c1.Send(Message{Type: TypeError, Err: "boom"}) }()
+		if _, err := c2.Expect(want); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("%s: want ErrRemote carrying the reason, got %v", want, err)
+		}
 	}
 }
 

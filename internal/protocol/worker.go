@@ -187,7 +187,7 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	if err := conn.Send(Message{Type: TypeHello, WorkerID: cfg.ID}); err != nil {
 		return WorkerReport{}, err
 	}
-	announce, err := conn.expectAnnounce()
+	announce, err := conn.Expect(TypeAnnounce)
 	if err != nil {
 		return WorkerReport{}, err
 	}
