@@ -52,6 +52,10 @@ import (
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
+// gridStep spaces the price grid the platform draws from, which runs
+// from -cmin to -cmax.
+const gridStep = 0.5
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mcs-platform:", err)
@@ -101,6 +105,9 @@ func run(args []string) error {
 	// platform validates anything.
 	if !(*cmin >= 0 && *cmin <= *cmax) || math.IsInf(*cmax, 1) {
 		return fmt.Errorf("-cmin %v and -cmax %v must be finite and satisfy 0 <= cmin <= cmax", *cmin, *cmax)
+	}
+	if (*cmax-*cmin)/gridStep >= core.MaxPriceGridPoints {
+		return fmt.Errorf("-cmin %v and -cmax %v span more than %d grid prices at step %v", *cmin, *cmax, core.MaxPriceGridPoints, gridStep)
 	}
 
 	// The event logger is the daemon's only log: every operational line
@@ -219,7 +226,7 @@ func run(args []string) error {
 		Epsilon:    *eps,
 		CMin:       *cmin,
 		CMax:       *cmax,
-		PriceGrid:  core.PriceGridRange(*cmin, *cmax, 0.5),
+		PriceGrid:  core.PriceGridRange(*cmin, *cmax, gridStep),
 		Skills:     hashedSkills(*skillLo, *skillHi),
 		BidWindow:  *window,
 		MinWorkers: *minWorkers,

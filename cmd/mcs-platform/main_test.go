@@ -69,13 +69,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("%v: run = %v, want the skill bounds rejected", skills, err)
 		}
 	}
-	// So do bad cost bounds, before the price grid is built from them.
+	// So do bad cost bounds, before the price grid is built from them,
+	// and a cost range too wide for the grid's point cap.
 	for _, costs := range [][]string{
 		{"-cmin", "10", "-cmax", "5"},
 		{"-cmin", "-1"},
 		{"-cmin", "NaN"},
 		{"-cmax", "NaN"},
 		{"-cmax", "+Inf"},
+		// 2*10^12 grid prices: refused before the grid is built.
+		{"-cmax", "1e12"},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet"}, costs...)
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "-cmin") || !strings.Contains(err.Error(), "-cmax") {

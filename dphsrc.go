@@ -102,6 +102,9 @@ func WithRule(r SelectionRule) Option { return core.WithRule(r) }
 func WithPriceSet(p []float64) Option { return core.WithPriceSet(p) }
 
 // PriceGridRange builds the ascending grid {lo, lo+step, ..., <= hi}.
+// It panics unless lo, hi and step are finite with lo <= hi and
+// step > 0, and the grid holds at most 2^20 points. See
+// core.PriceGridRange.
 func PriceGridRange(lo, hi, step float64) []float64 { return core.PriceGridRange(lo, hi, step) }
 
 // ErrInfeasible reports that no price in the instance grid admits a

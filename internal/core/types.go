@@ -232,19 +232,34 @@ func (inst *Instance) Clone() Instance {
 	return cp
 }
 
+// MaxPriceGridPoints caps the points PriceGridRange builds: 2^20
+// prices, 8 MiB. The paper's grids hold 251 points, and mcs-platform's
+// default grid 51.
+const MaxPriceGridPoints = 1 << 20
+
 // PriceGridRange builds the ascending grid {lo, lo+step, ..., <= hi},
 // matching the paper's price sets (numbers spaced at interval 0.1 in
 // [35, 60] for Settings I-IV). A point that rounding carries just past
 // hi is hi itself, so no point ever exceeds hi. It panics unless lo, hi
-// and step are finite with lo <= hi and step > 0: with a NaN or an
-// infinite input the grid would never end.
+// and step are finite with lo <= hi and step > 0, and the grid's
+// ⌊(hi-lo)/step⌋+1 points are at most MaxPriceGridPoints: with a NaN or
+// an infinite input the grid would never end, and with a step too
+// small for the range it would exhaust memory or, where lo + k*step
+// rounds to lo, never end.
 func PriceGridRange(lo, hi, step float64) []float64 {
 	if !(step > 0 && lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(step, 0) {
 		panic("core: invalid price grid range")
 	}
+	span := (hi - lo) / step // +Inf when hi - lo overflows
+	if !(span < MaxPriceGridPoints) {
+		panic("core: price grid range exceeds MaxPriceGridPoints points")
+	}
 	var grid []float64
-	// Generate by index to avoid accumulating floating-point error.
-	for k := 0; ; k++ {
+	// Generate by index to avoid accumulating floating-point error. k
+	// stops one past ⌊span⌋, the last point rounding can carry to hi,
+	// so a step below lo's precision, which never moves v past hi,
+	// cannot loop on.
+	for k := 0; k <= int(span)+1; k++ {
 		v := lo + float64(k)*step
 		if v > hi+step*1e-9 {
 			break

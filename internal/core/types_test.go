@@ -207,11 +207,23 @@ func TestPriceGridRange(t *testing.T) {
 	if len(short) != 7 || short[6] != 0.9 || short[5] >= short[6] {
 		t.Errorf("grid %v, want 7 ascending points ending at 0.9", short)
 	}
+	// The cap admits MaxPriceGridPoints points.
+	if full := PriceGridRange(0, MaxPriceGridPoints-1, 1); len(full) != MaxPriceGridPoints {
+		t.Errorf("grid of %d points, want %d", len(full), MaxPriceGridPoints)
+	}
+	// 1 + k*1e-300 rounds to 1 for every k the old loop would try: the
+	// grid still ends.
+	if tiny := PriceGridRange(1, 1, 1e-300); len(tiny) == 0 || len(tiny) > 2 {
+		t.Errorf("grid %v, want lo and at most the point rounding carries to hi", tiny)
+	}
 }
 
 // TestPriceGridRangePanics: a range that is reversed, a step that is
-// not positive, and any NaN or infinite input panic instead of
-// building a grid, which for NaN and infinities would never end.
+// not positive, any NaN or infinite input, and a range of more than
+// MaxPriceGridPoints steps panic instead of building a grid, which for
+// NaN and infinities, or a step that lo + k*step rounds away, would
+// never end. The oversized ranges panic before allocating: 2*10^12
+// points would exhaust memory.
 func TestPriceGridRangePanics(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range [][3]float64{
@@ -222,6 +234,9 @@ func TestPriceGridRangePanics(t *testing.T) {
 		{-inf, 30, 1}, {inf, inf, 1},
 		{5, inf, 1}, {-inf, -inf, 1},
 		{5, 30, inf}, {5, 30, -inf},
+		{0, 1e12, 0.5}, {1, 2, 1e-300},
+		{0, MaxPriceGridPoints, 1},
+		{-math.MaxFloat64, math.MaxFloat64, 1}, // hi - lo overflows
 	} {
 		func() {
 			defer func() {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +167,76 @@ func TestRunCampaignLearnsSkills(t *testing.T) {
 	}
 	if math.Abs(sharp-0.9) < 1e-9 {
 		t.Error("sharp workers' accuracy never updated from the prior")
+	}
+}
+
+// TestCampaignDropsUnlabeledReports: winners whose LabelFunc leaves
+// task 2 Unlabeled send label 0 for it. The platform drops those
+// reports, so truth discovery sees only +1 and -1 labels, and the
+// campaign completes both rounds with task 2 unaggregated.
+func TestCampaignDropsUnlabeledReports(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const numWorkers, rounds = 6, 2
+	store := NewSkillStore(0.9)
+	cfg := testPlatformConfig(t)
+	cfg.Skills = store.Func()
+	platform, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	type result struct {
+		campaign CampaignReport
+		err      error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		c, err := platform.RunCampaignTolerant(ctx, ln, rounds, store)
+		resCh <- result{c, err}
+	}()
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < numWorkers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, err := Participate(ctx, ln.Addr().String(), WorkerConfig{
+					ID:     workerID(i),
+					Bundle: []int{0, 1, 2, 3},
+					Cost:   6 + float64(i),
+					Labels: func(task int) crowd.Label {
+						if task == 2 {
+							return crowd.Unlabeled
+						}
+						return crowd.Positive
+					},
+					IOTimeout: 2 * time.Second,
+				})
+				if err != nil {
+					t.Errorf("round %d worker %d: %v", round, i, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	res := <-resCh
+	if res.err != nil {
+		t.Fatalf("campaign: %v", res.err)
+	}
+	if len(res.campaign.Rounds) != rounds {
+		t.Fatalf("campaign completed %d rounds, want %d", len(res.campaign.Rounds), rounds)
+	}
+	for _, r := range res.campaign.Rounds {
+		want := []crowd.Label{crowd.Positive, crowd.Positive, crowd.Unlabeled, crowd.Positive}
+		if !slices.Equal(r.Aggregated, want) || r.ReportsReceived != 3*len(r.Outcome.Winners) {
+			t.Errorf("round %d aggregated %v from %d reports of %d winners; want %v from three each",
+				r.Round, r.Aggregated, r.ReportsReceived, len(r.Outcome.Winners), want)
+		}
 	}
 }
 

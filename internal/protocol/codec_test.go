@@ -3,8 +3,10 @@ package protocol
 // Codec pool suite: connections share pooled JSON decoders and
 // encoders. Many connections at once each read exactly their own
 // frames; a codec released dirty (after an error, with unread input,
-// or after a frame over the cap) never reaches a later connection; and
-// one endless frame fails its read after about one cap.
+// or after a frame over the cap) never reaches a later connection; a
+// warm connection decodes a bid's bundle in one exact-length slice that
+// the next frame leaves alone; and one endless frame fails its read
+// after about one cap.
 
 import (
 	"bufio"
@@ -137,6 +139,82 @@ func TestCodecPoolConcurrentStreams(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// frameLoop is a connection whose reads replay frames in turn,
+// forever, without allocating, so AllocsPerRun counts only what Recv
+// allocates. Only Read is implemented: a Conn with no timeout calls
+// nothing else before release.
+type frameLoop struct {
+	net.Conn
+	frames [][]byte
+	k, off int
+}
+
+func (l *frameLoop) Read(p []byte) (int, error) {
+	f := l.frames[l.k%len(l.frames)]
+	n := copy(p, f[l.off:])
+	if l.off += n; l.off == len(f) {
+		l.k, l.off = l.k+1, 0
+	}
+	return n, nil
+}
+
+// TestBundleDecodeCost: a warm connection reads a 150-task bid in at
+// most three allocations (the type, the worker ID and the bundle),
+// every bundle is allocated at its exact length, and a bundle kept from
+// one frame still holds its tasks after the next frame is read.
+func TestBundleDecodeCost(t *testing.T) {
+	const tasks = 150
+	want := make([][]int, 2)
+	frames := make([][]byte, len(want))
+	for f := range want {
+		want[f] = make([]int, tasks)
+		for j := range want[f] {
+			want[f][j] = 2*j + f
+		}
+		frames[f] = encoderFrame(t, Message{Type: TypeBid, WorkerID: fmt.Sprintf("w%d", f), Bundle: want[f], Price: 12.5})
+	}
+	c := NewConn(&frameLoop{frames: frames}, 0)
+	defer c.release()
+	var kept []int
+	for k := 0; k < 8; k++ {
+		bid, err := c.Expect(TypeBid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(bid.Bundle, want[k%2]) || cap(bid.Bundle) != len(bid.Bundle) {
+			t.Fatalf("frame %d: bundle of len %d, cap %d, equal to the sent one: %v",
+				k, len(bid.Bundle), cap(bid.Bundle), slices.Equal(bid.Bundle, want[k%2]))
+		}
+		if k > 0 && !slices.Equal(kept, want[(k-1)%2]) {
+			t.Fatalf("frame %d overwrote frame %d's bundle: %v", k, k-1, kept)
+		}
+		kept = bid.Bundle
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Recv of a %d-task bid: %v allocations, want at most 3", tasks, allocs)
+	}
+}
+
+// TestBundleRejectsMalformedJSON: called directly, Bundle.UnmarshalJSON
+// refuses what is not JSON, which encoding/json's scanner refuses
+// before a frame reaches it.
+func TestBundleRejectsMalformedJSON(t *testing.T) {
+	for _, in := range []string{
+		"", "[", "]", " [1]", "[1] ", "[1]x", "[01]", "[-]", "[-01]", "[+1]",
+		"[1,]", "[,1]", "[1 2]", "[1,,2]", "[nul]", "[nulll]", "[1.]", "[0x1]",
+	} {
+		var b Bundle
+		if err := b.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("%q: decoded %v, want an error", in, b)
+		}
+	}
 }
 
 // TestCodecPoolDropsDirtyCodecs: a connection released after a read,

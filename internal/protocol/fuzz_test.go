@@ -3,13 +3,27 @@ package protocol
 import (
 	"encoding/json"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
+// sliceMessage decodes as Message does, except that its bundle is the
+// plain []int encoding/json decodes by reflection: the reference
+// Bundle.UnmarshalJSON must match. Its Bundle hides Message's under the
+// same key.
+type sliceMessage struct {
+	Message
+	Bundle []int `json:"bundle,omitempty"`
+}
+
 // FuzzMessageDecode feeds arbitrary bytes through the wire decoder: it
-// must never panic, and anything it accepts must re-encode.
+// must never panic, anything it accepts must re-encode, and it must
+// accept exactly what a plain []int bundle accepts, with the same tasks
+// (nil and empty count as equal; checkBundle refuses both). The seeds
+// under testdata/fuzz/FuzzMessageDecode named bundle-* hold the cases
+// random inputs rarely reach, such as a null element or a repeated key.
 func FuzzMessageDecode(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(`{"type":"hello","worker_id":"w"}`),
@@ -27,8 +41,16 @@ func FuzzMessageDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		if err := json.Unmarshal(data, &m); err != nil {
+		var ref sliceMessage
+		err, refErr := json.Unmarshal(data, &m), json.Unmarshal(data, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: Bundle decode error %v, []int decode error %v", data, err, refErr)
+		}
+		if err != nil {
 			return // malformed input is fine; no panic is the property
+		}
+		if !slices.Equal(m.Bundle, ref.Bundle) {
+			t.Fatalf("%q: Bundle decoded %v, []int decoded %v", data, m.Bundle, ref.Bundle)
 		}
 		if _, err := json.Marshal(m); err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)

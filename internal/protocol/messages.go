@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -71,7 +72,7 @@ type Message struct {
 	BidWindowMillis int64 `json:"bid_window_millis,omitempty"`
 
 	// Bid.
-	Bundle []int   `json:"bundle,omitempty"`
+	Bundle Bundle  `json:"bundle,omitempty"`
 	Price  float64 `json:"price,omitempty"`
 
 	// Outcome / Payment.
@@ -84,6 +85,130 @@ type Message struct {
 
 	// Error.
 	Err string `json:"err,omitempty"`
+}
+
+// Bundle is a bid's task bundle. It encodes as a []int does, and
+// decodes without reflection into one slice allocated at the array's
+// length (see UnmarshalJSON): the platform decodes every bidder's
+// bundle before a round can draw its price, and encoding/json grows a
+// []int element by element through reflect.
+type Bundle []int
+
+// UnmarshalJSON decodes data exactly as encoding/json decodes a []int,
+// in verdict and in value:
+//   - null gives nil, and [] an empty bundle;
+//   - a null element decodes as 0, -0 as 0;
+//   - an element that is not an integer within int (a fraction, an
+//     exponent, a string, a bool, an array or an object), and a value
+//     that is neither an array nor null, is an error.
+//
+// The tasks land in a fresh slice unless *b already holds some, which
+// only a repeated key in one JSON object does: the array then decodes
+// over the previous one in place, as encoding/json's does, so a null
+// element keeps what that array held at its index.
+func (b *Bundle) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*b = nil
+		return nil
+	}
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return errors.New("protocol: bundle is neither an array nor null")
+	}
+	body := data[1 : len(data)-1]
+	i := skipSpace(body, 0)
+	if i == len(body) {
+		*b = Bundle{}
+		return nil
+	}
+	// Commas only separate elements in an array of integers and nulls;
+	// an input with more commas fails at an element below.
+	n := bytes.Count(body, []byte{','}) + 1
+	tasks := *b
+	if cap(tasks) < n {
+		tasks = make(Bundle, n)
+		copy(tasks, (*b)[:cap(*b)])
+	}
+	tasks = tasks[:n]
+	for k := range tasks {
+		if k > 0 {
+			if i == len(body) || body[i] != ',' {
+				return errors.New("protocol: malformed bundle array")
+			}
+			i = skipSpace(body, i+1)
+		}
+		end, err := decodeTask(body, i, &tasks[k])
+		if err != nil {
+			return fmt.Errorf("protocol: bundle element %d: %w", k, err)
+		}
+		i = skipSpace(body, end)
+	}
+	if i != len(body) {
+		return errors.New("protocol: malformed bundle array")
+	}
+	*b = tasks
+	return nil
+}
+
+// errNotInt is a bundle element encoding/json would not decode into an
+// int.
+var errNotInt = errors.New("not an integer within int")
+
+// decodeTask decodes the array element at data[i:] into *task and
+// returns the index past it. null leaves *task as it was. Otherwise the
+// element must be a JSON integer (-?(0|[1-9][0-9]*)) within int.
+func decodeTask(data []byte, i int, task *int) (int, error) {
+	if i < len(data) && data[i] == 'n' {
+		if !bytes.HasPrefix(data[i:], []byte("null")) {
+			return 0, errNotInt
+		}
+		return i + 4, nil
+	}
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(data); i++ {
+		d := data[i] - '0'
+		if d > 9 {
+			break
+		}
+		u = u*10 + uint64(d)
+	}
+	// Nineteen digits fit u exactly; twenty or more, with no leading
+	// zero, exceed every int64.
+	switch n := i - start; {
+	case n == 0, n > 1 && data[start] == '0', n > 19:
+		return 0, errNotInt
+	case i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E'):
+		return 0, errNotInt
+	case neg && u > 1<<63, !neg && u > math.MaxInt64:
+		return 0, errNotInt
+	}
+	v := int64(u) // 1<<63 wraps to MinInt64, which negation keeps
+	if neg {
+		v = -v
+	}
+	if int64(int(v)) != v { // int has 32 bits on some platforms
+		return 0, errNotInt
+	}
+	*task = int(v)
+	return i, nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte of
+// data at or after i, by JSON's definition of whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) {
+		switch data[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
 }
 
 // checkBundle reports why bundle is not a valid bid bundle over

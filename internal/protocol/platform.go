@@ -297,7 +297,8 @@ type RoundReport struct {
 	// Aggregated is the platform's label estimate per task after
 	// weighted aggregation of winner reports.
 	Aggregated []crowd.Label
-	// ReportsReceived counts label reports collected from winners.
+	// ReportsReceived counts the label reports admitted from winners:
+	// one per task of a winner's bid bundle, labelled +1 or -1.
 	ReportsReceived int
 	// Faults accounts the per-session failures the round survived.
 	Faults RoundFaults
@@ -806,14 +807,19 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 				p.fault(faultWinnerEvicted, round, evlog.String("worker", s.workerID))
 				return
 			}
-			var got []crowd.Report
+			// A winner labels the tasks it bid for, once each, +1 or -1:
+			// aggregation weighs a label by its value, and truth
+			// discovery refuses any other. The rest is dropped. got[k]
+			// holds the label admitted for s.bundle[k], Unlabeled until
+			// one is.
+			got := make([]crowd.Report, len(s.bundle))
 			for _, lr := range m.Reports {
-				if lr.Task < 0 || lr.Task >= p.cfg.NumTasks {
-					continue
+				k, in := slices.BinarySearch(s.bundle, lr.Task)
+				if in && got[k].Label == crowd.Unlabeled && (lr.Label == 1 || lr.Label == -1) {
+					got[k] = crowd.Report{Worker: i, Task: lr.Task, Label: crowd.Label(lr.Label)}
 				}
-				got = append(got, crowd.Report{Worker: i, Task: lr.Task, Label: crowd.Label(lr.Label)})
 			}
-			perWinner[i] = got
+			perWinner[i] = slices.DeleteFunc(got, func(r crowd.Report) bool { return r.Label == crowd.Unlabeled })
 			_ = s.conn.Send(Message{Type: TypePayment, Amount: winnerPrices[i]})
 			_ = s.conn.sendFrame(TypeDone, p.frames.done)
 		}(i, sessions[i])

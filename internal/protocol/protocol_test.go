@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,121 @@ func TestFullRoundEndToEnd(t *testing.T) {
 	}
 	if winners != len(rep.Outcome.Winners) {
 		t.Errorf("client winners %d != platform winners %d", winners, len(rep.Outcome.Winners))
+	}
+}
+
+// rawBidder bids bundle at price over a bare Conn and, if it wins,
+// sends labels(bundle) as its reports: labels Participate would never
+// send.
+func rawBidder(addr, id string, bundle []int, price float64, labels func([]int) []LabelReport) error {
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	c := NewConn(raw, 2*time.Second)
+	defer c.Close()
+	if err := c.Send(Message{Type: TypeHello, WorkerID: id}); err != nil {
+		return err
+	}
+	if _, err := c.Expect(TypeAnnounce); err != nil {
+		return err
+	}
+	if err := c.Send(Message{Type: TypeBid, WorkerID: id, Bundle: bundle, Price: price}); err != nil {
+		return err
+	}
+	outcome, err := c.Expect(TypeOutcome)
+	if err != nil || !outcome.Won {
+		return err
+	}
+	if err := c.Send(Message{Type: TypeLabels, WorkerID: id, Reports: labels(bundle)}); err != nil {
+		return err
+	}
+	if _, err := c.Expect(TypePayment); err != nil {
+		return err
+	}
+	_, err = c.Expect(TypeDone)
+	return err
+}
+
+// TestLabelsAdmittedOncePerBundleTask: a winner's labels count only for
+// the tasks of its bid bundle, once each, and only as +1 or -1. Winners
+// that also send a label of 127, a second, flipped label for a task and
+// a label for a task outside their bundle leave the round's aggregate
+// and its report count exactly as the honest round leaves them.
+func TestLabelsAdmittedOncePerBundleTask(t *testing.T) {
+	truth := []crowd.Label{crowd.Positive, crowd.Negative, crowd.Positive, crowd.Negative}
+	// Each bidder leaves out one task, every task has four bidders or
+	// more, and task 1 leads two bundles.
+	bundles := [][]int{{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}, {1, 2, 3}}
+	honest := func(bundle []int) []LabelReport {
+		var reports []LabelReport
+		for _, j := range bundle {
+			reports = append(reports, LabelReport{Task: j, Label: int8(truth[j])})
+		}
+		return reports
+	}
+	padded := func(bundle []int) []LabelReport {
+		outside := 0
+		for slices.Contains(bundle, outside) {
+			outside++
+		}
+		reports := []LabelReport{{Task: bundle[0], Label: 127}}
+		reports = append(reports, honest(bundle)...)
+		return append(reports,
+			LabelReport{Task: bundle[1], Label: -int8(truth[bundle[1]])},
+			LabelReport{Task: outside, Label: -int8(truth[outside])})
+	}
+	round := func(labels func([]int) []LabelReport) RoundReport {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		platform, err := NewPlatform(testPlatformConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		type result struct {
+			report RoundReport
+			err    error
+		}
+		resCh := make(chan result, 1)
+		go func() {
+			rep, err := platform.RunRound(ctx, ln)
+			resCh <- result{rep, err}
+		}()
+		var wg sync.WaitGroup
+		for i, bundle := range bundles {
+			wg.Add(1)
+			go func(i int, bundle []int) {
+				defer wg.Done()
+				if err := rawBidder(ln.Addr().String(), workerID(i), bundle, 6+float64(i), labels); err != nil {
+					t.Errorf("bidder %d: %v", i, err)
+				}
+			}(i, bundle)
+		}
+		wg.Wait()
+		res := <-resCh
+		if res.err != nil {
+			t.Fatalf("round: %v", res.err)
+		}
+		return res.report
+	}
+
+	want := round(honest)
+	if !slices.Equal(want.Aggregated, truth) || want.ReportsReceived != 3*len(want.Outcome.Winners) {
+		t.Fatalf("honest round aggregated %v from %d reports of %d winners; want %v from three each",
+			want.Aggregated, want.ReportsReceived, len(want.Outcome.Winners), truth)
+	}
+	got := round(padded)
+	if !slices.Equal(got.Outcome.Winners, want.Outcome.Winners) {
+		t.Fatalf("winners %v, want the honest round's %v", got.Outcome.Winners, want.Outcome.Winners)
+	}
+	if !slices.Equal(got.Aggregated, want.Aggregated) || got.ReportsReceived != want.ReportsReceived {
+		t.Errorf("padded labels aggregated %v from %d reports, want %v from %d",
+			got.Aggregated, got.ReportsReceived, want.Aggregated, want.ReportsReceived)
 	}
 }
 
