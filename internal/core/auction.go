@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -50,7 +49,6 @@ type config struct {
 	rule        SelectionRule
 	priceSet    []float64
 	hasPriceSet bool
-	parallelism int
 	telemetry   *telemetry.Registry
 	events      *evlog.Logger
 }
@@ -70,28 +68,12 @@ func WithRule(r SelectionRule) Option {
 // current bids are kept in the support with the maximal penalty payment
 // pMax*N (support maximum times worker count) so the mechanism remains
 // total while never preferring an infeasible outcome; see
-// PriceInfo.Feasible and the penalty note in New.
+// PriceInfo.Feasible and the penalty note on prepared.priceInfo.
 func WithPriceSet(p []float64) Option {
 	return func(c *config) {
 		c.priceSet = append([]float64(nil), p...)
 		c.hasPriceSet = true
 	}
-}
-
-// WithParallelism computes the winner sets for distinct candidate
-// counts on up to n goroutines, each taking one contiguous range of the
-// ascending counts. The winner set for each count is a pure function of
-// the instance, so results are identical to the sequential default.
-// Construction wall-clock and GainEvaluations (each range starts its
-// warm-start chain cold) change with n, never with scheduling. Values
-// below 2 keep the sequential path, and a Drawer, which covers about
-// one count per draw, ignores the option. Callers that already fan
-// instances across a worker pool (the experiment sweep engine) should
-// keep inner builds sequential: the pool owns the parallelism budget,
-// and nesting the two oversubscribes the scheduler (see DESIGN.md "Hot
-// path & scratch memory").
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithTelemetry records construction metrics (mcs_core_*) and the
@@ -139,22 +121,15 @@ type PriceInfo struct {
 // only releases one price per instance uses a Drawer.
 type Auction struct {
 	inst   Instance
-	rule   SelectionRule
 	prices []PriceInfo
 	mech   *mechanism.Exponential
-	// reg is the telemetry registry the auction was constructed with
-	// (nil is the nop registry); Reweight instruments derived mechanisms
-	// against the same registry.
-	reg *telemetry.Registry
-	// ev is the structured event log (nil is the nop); inherited by
-	// Reweight-derived auctions so epsilon sweeps keep their audit
-	// trail.
-	ev *evlog.Logger
 	// gainEvals counts marginal-gain evaluations performed during the
 	// latest build; exposed for the lazy-vs-naive ablation.
 	gainEvals int
-	// cfg preserves the construction options so Rebuild reconstructs
-	// under exactly the rule, support and parallelism New was given.
+	// cfg preserves the construction options, so Rebuild reconstructs
+	// under exactly the rule, support, telemetry registry and event log
+	// New was given, and Reweight-derived auctions inherit the registry
+	// and the event log.
 	cfg config
 	// bs owns every reusable build buffer. It is nil on Reweight-derived
 	// auctions, whose prices alias the base auction's buffers; Rebuild
@@ -187,8 +162,7 @@ type prepared struct {
 	// support[k] is feasible exactly when countOf[k] >= floor.
 	floor int
 	// bundleFlat/skillFlat back the instance copy's per-worker bundle
-	// and skill-row slices in two contiguous arrays, replacing the
-	// two-allocations-per-worker deep clone.
+	// and skill-row slices (Instance.copyFrom).
 	bundleFlat []int
 	skillFlat  []float64
 }
@@ -201,11 +175,14 @@ func (p *prepared) prepare(src *Instance, cfg *config, s *coverScratch) error {
 		return err
 	}
 	if cfg.hasPriceSet {
-		if err := validateSupport(cfg.priceSet, src.CMax); err != nil {
+		if len(cfg.priceSet) == 0 {
+			return ErrEmptySupport
+		}
+		if err := checkPrices(cfg.priceSet, src.CMax); err != nil {
 			return err
 		}
 	}
-	cloneInto(&p.inst, src, p)
+	p.bundleFlat, p.skillFlat = p.inst.copyFrom(src, p.bundleFlat, p.skillFlat)
 	p.cp.reset(&p.inst)
 	n := len(p.inst.Workers)
 
@@ -260,10 +237,10 @@ func (p *prepared) prepare(src *Instance, cfg *config, s *coverScratch) error {
 // exponential mechanism would preferentially sample infeasible
 // outcomes; pinning the penalty to the support maximum keeps the
 // totality device maximally dispreferred. Sensitivity: every support
-// price lies in (0, cmax] (Validate and validateSupport refuse one
-// above CMax), so every score stays in [0, cmax*N] and a single-bid
-// change moves any price's payment by at most N*cmax, so Theorem 2's
-// 2*N*cmax normalizer in PaymentLogWeight still covers the penalty.
+// price lies in (0, cmax] (checkPrices refuses one above CMax), so
+// every score stays in [0, cmax*N] and a single-bid change moves any
+// price's payment by at most N*cmax, so Theorem 2's 2*N*cmax
+// normalizer in PaymentLogWeight still covers the penalty.
 func (p *prepared) priceInfo(k int, winners []int) PriceInfo {
 	x := p.support[k]
 	if p.countOf[k] < p.floor {
@@ -274,66 +251,18 @@ func (p *prepared) priceInfo(k int, winners []int) PriceInfo {
 
 // buildState is the reusable memory behind an Auction's build: the
 // preparation pass plus the distinct-count table, the per-count winner
-// cache, the payment vector and the per-goroutine cover scratches. One
-// buildState serves one auction; nothing here is shared across
-// auctions.
+// cache, the payment vector and the one cover scratch every cover of
+// the build runs on. One buildState serves one auction; nothing here is
+// shared across auctions.
 type buildState struct {
 	prepared
+	s         coverScratch
 	seenCount []bool
 	distinct  []int
 	// cache is indexed by candidate count (0..N); only entries for the
 	// current build's distinct counts are written and read.
-	cache     [][]int
-	payments  []float64
-	scratches []*coverScratch
-}
-
-// scratch returns the cover scratch owned by pool worker w, creating it
-// on first use. Callers hand index 0 to the sequential path.
-func (bs *buildState) scratch(w int) *coverScratch {
-	for len(bs.scratches) <= w {
-		bs.scratches = append(bs.scratches, &coverScratch{})
-	}
-	return bs.scratches[w]
-}
-
-// cloneInto deep-copies src into dst reusing dst's and p's backing
-// arrays. src must already be validated; src must not alias dst's
-// current backing (Instance() clones, so instances obtained from the
-// auction itself are safe to pass back in).
-func cloneInto(dst *Instance, src *Instance, p *prepared) {
-	dst.NumTasks = src.NumTasks
-	dst.Epsilon = src.Epsilon
-	dst.CMin = src.CMin
-	dst.CMax = src.CMax
-	dst.Thresholds = append(dst.Thresholds[:0], src.Thresholds...)
-	dst.PriceGrid = append(dst.PriceGrid[:0], src.PriceGrid...)
-	nb, ns := 0, 0
-	for i := range src.Workers {
-		nb += len(src.Workers[i].Bundle)
-	}
-	for i := range src.Skills {
-		ns += len(src.Skills[i])
-	}
-	if cap(p.bundleFlat) < nb {
-		p.bundleFlat = make([]int, 0, nb)
-	}
-	if cap(p.skillFlat) < ns {
-		p.skillFlat = make([]float64, 0, ns)
-	}
-	fb, fs := p.bundleFlat[:0], p.skillFlat[:0]
-	dst.Workers = dst.Workers[:0]
-	dst.Skills = dst.Skills[:0]
-	for i := range src.Workers {
-		w := &src.Workers[i]
-		lo := len(fb)
-		fb = append(fb, w.Bundle...)
-		dst.Workers = append(dst.Workers, Worker{ID: w.ID, Bundle: fb[lo:len(fb):len(fb)], Bid: w.Bid})
-		lo = len(fs)
-		fs = append(fs, src.Skills[i]...)
-		dst.Skills = append(dst.Skills, fs[lo:len(fs):len(fs)])
-	}
-	p.bundleFlat, p.skillFlat = fb, fs
+	cache    [][]int
+	payments []float64
 }
 
 // Outcome is the sampled result of one run of the auction.
@@ -372,8 +301,7 @@ func (o Outcome) Payments(numWorkers int) ([]float64, error) {
 // prices. It returns ErrInfeasible if no price in the instance grid is
 // feasible and no explicit price set was provided.
 func New(inst Instance, opts ...Option) (*Auction, error) {
-	cfg := newConfig(opts)
-	a := &Auction{rule: cfg.rule, reg: cfg.telemetry, ev: cfg.events, cfg: cfg, bs: &buildState{}}
+	a := &Auction{cfg: newConfig(opts), bs: &buildState{}}
 	if err := a.build(&inst); err != nil {
 		return nil, err
 	}
@@ -394,8 +322,8 @@ func newConfig(opts []Option) config {
 // tables, the winner-set arena, the prices and payment vectors — so a
 // caller that builds many instances pays New's allocations once. The
 // construction options New was given (rule, explicit price set,
-// parallelism, telemetry, event log) carry over, which in particular
-// keeps a WithPriceSet support fixed across instances exactly as the DP
+// telemetry, event log) carry over, which in particular keeps a
+// WithPriceSet support fixed across instances exactly as the DP
 // guarantee requires. The result is bitwise-identical to New(inst,
 // sameOptions...).
 //
@@ -418,7 +346,7 @@ func (a *Auction) Rebuild(inst Instance) error {
 	if err := a.build(&inst); err != nil {
 		return err
 	}
-	a.reg.Counter("mcs_core_rebuilds_total",
+	a.cfg.telemetry.Counter("mcs_core_rebuilds_total",
 		"In-place auction reconstructions that reuse build buffers across rounds.").Inc()
 	return nil
 }
@@ -426,26 +354,22 @@ func (a *Auction) Rebuild(inst Instance) error {
 // build runs the full construction into the auction's reusable build
 // state. On error the auction is left unusable (mech == nil).
 func (a *Auction) build(src *Instance) error {
-	reg := a.reg
+	reg := a.cfg.telemetry
 	buildStart := reg.Now()
 	a.mech = nil
 	bs := a.bs
-	err := bs.prepare(src, &a.cfg, bs.scratch(0))
+	err := bs.prepare(src, &a.cfg, &bs.s)
 	a.inst = bs.inst
 	if err != nil {
 		return err
 	}
-	for _, s := range bs.scratches {
-		s.arena.reset()
-		s.evals = 0
-	}
+	bs.s.arena.reset()
+	bs.s.evals = 0
 	n := len(a.inst.Workers)
 
 	// Compute each distinct candidate count's winner set once. This is
 	// the interval-sharing optimization of Algorithm 1 lines 14-15 that
-	// removes the dependency on |P|. Each count's winner set is a pure
-	// function of the instance, so WithParallelism can fan ranges of
-	// counts out across goroutines.
+	// removes the dependency on |P|.
 	if cap(bs.seenCount) < n+1 {
 		bs.seenCount = make([]bool, n+1)
 	} else {
@@ -486,12 +410,9 @@ func (a *Auction) build(src *Instance) error {
 	}
 	a.mech = mech
 	a.mech.Instrument(reg)
-	a.mech.InstrumentEvents(a.ev)
-	a.gainEvals = 0
-	for _, s := range bs.scratches {
-		a.gainEvals += s.evals
-	}
-	reportBuild(reg, a.ev, a.rule, &a.inst, len(a.prices), a.gainEvals, reg.Since(buildStart))
+	a.mech.InstrumentEvents(a.cfg.events)
+	a.gainEvals = bs.s.evals
+	reportBuild(reg, a.cfg.events, a.cfg.rule, &a.inst, len(a.prices), a.gainEvals, reg.Since(buildStart))
 	return nil
 }
 
@@ -543,20 +464,20 @@ func (a *Auction) Reweight(eps float64) (*Auction, error) {
 	// construction, and Instance() clones before handing them out.
 	inst := a.inst
 	inst.Epsilon = eps
-	nw := &Auction{inst: inst, rule: a.rule, prices: a.prices, reg: a.reg, ev: a.ev, gainEvals: a.gainEvals, cfg: a.cfg}
+	nw := &Auction{inst: inst, prices: a.prices, gainEvals: a.gainEvals, cfg: a.cfg}
 	logW := mechanism.PaymentLogWeights(nw.paymentVector(), eps, len(inst.Workers), inst.CMax)
 	mech, err := mechanism.NewExponential(logW)
 	if err != nil {
 		return nil, fmt.Errorf("core: reweighting exponential mechanism: %w", err)
 	}
 	nw.mech = mech
-	nw.mech.Instrument(a.reg)
-	nw.mech.InstrumentEvents(a.ev)
-	a.reg.Counter("mcs_core_reweights_total",
+	nw.mech.Instrument(a.cfg.telemetry)
+	nw.mech.InstrumentEvents(a.cfg.events)
+	a.cfg.telemetry.Counter("mcs_core_reweights_total",
 		"Mechanism-only rebuilds that reuse an auction's winner sets across a privacy-budget sweep.").Inc()
 	// shared:true is the ledger's record that this sweep point reused
 	// the receiver's winner sets instead of rebuilding them.
-	a.ev.Info("core.reweight",
+	a.cfg.events.Info("core.reweight",
 		evlog.Float("eps", eps),
 		evlog.Int("support_size", len(nw.prices)),
 		evlog.Bool("shared", true))
@@ -564,67 +485,33 @@ func (a *Auction) Reweight(eps float64) (*Auction, error) {
 }
 
 // coverByCount computes the winner set for every distinct candidate
-// count into bs.cache, optionally in parallel. The distinct counts
-// ascend with the support, so each count's candidates extend the
-// previous count's, and coverRange warm-starts each RuleGreedy cover
-// from its predecessor's trajectory. WithParallelism splits the counts
-// into one contiguous range per goroutine, each chained on its own, so
-// the work done — and GainEvaluations — is a pure function of the
-// instance and the options, never of scheduling. Each goroutine owns
-// one coverScratch, so the hot cover routines run allocation-free;
-// retained winner slices are saved into the computing goroutine's
-// arena. Per-count evaluation time lands in mcs_core_cover_seconds; the
-// histogram is atomic, so the parallel path observes safely from every
-// worker goroutine.
+// count into bs.cache; a count below the floor has none. The distinct
+// counts ascend with the support, so each count's candidates extend the
+// previous count's, and under RuleGreedy each cover warm-starts from its
+// predecessor's trajectory. The chain never outlives one build, so a
+// build or Rebuild always starts cold, and GainEvaluations is a pure
+// function of the instance, the rule and the support. Retained winner
+// slices are saved into the scratch's arena. Per-count evaluation time
+// lands in mcs_core_cover_seconds.
 func (a *Auction) coverByCount() {
 	bs := a.bs
-	coverSeconds := coverSeconds(a.reg)
-	parallelism := a.cfg.parallelism
-	if parallelism > len(bs.distinct) {
-		parallelism = len(bs.distinct)
-	}
-	if parallelism < 2 {
-		a.coverRange(bs.scratch(0), bs.distinct, coverSeconds)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		lo := w * len(bs.distinct) / parallelism
-		hi := (w + 1) * len(bs.distinct) / parallelism
-		wg.Add(1)
-		go func(s *coverScratch, counts []int) {
-			defer wg.Done()
-			a.coverRange(s, counts, coverSeconds)
-		}(bs.scratch(w), bs.distinct[lo:hi])
-	}
-	wg.Wait()
-}
-
-// coverRange computes the winner sets for the ascending candidate
-// counts on one scratch; a count below the floor has none. Under
-// RuleGreedy each cover warm-starts from the previous count's
-// trajectory. That chain never crosses a coverRange call, so a build or
-// Rebuild always starts cold.
-func (a *Auction) coverRange(s *coverScratch, counts []int, coverSeconds *telemetry.Histogram) {
-	bs := a.bs
-	reg := a.reg
+	reg, rule := a.cfg.telemetry, a.cfg.rule
+	coverSeconds := coverSeconds(reg)
 	prev := 0
-	for _, count := range counts {
+	for _, count := range bs.distinct {
 		start := reg.Now()
 		var winners []int
 		feasible := count >= bs.floor
 		if feasible {
-			winners = s.arena.save(bs.cp.cover(a.rule, s, bs.sorted[:count], prev))
-			if a.rule == RuleGreedy {
+			winners = bs.s.arena.save(bs.cp.cover(rule, &bs.s, bs.sorted[:count], prev))
+			if rule == RuleGreedy {
 				prev = count
 			}
 		}
 		bs.cache[count] = winners
 		coverSeconds.Observe(reg.Since(start))
-		// Candidate counts and winner-set sizes are population-level;
-		// under WithParallelism the emission order is scheduling-
-		// dependent, which is fine for an observability stream.
-		coverEvent(a.ev, count, winners, feasible)
+		// Candidate counts and winner-set sizes are population-level.
+		coverEvent(a.cfg.events, count, winners, feasible)
 	}
 }
 
@@ -659,26 +546,6 @@ func (s *bidOrder) Less(a, b int) bool {
 		return ba < bb
 	}
 	return s.idx[a] < s.idx[b]
-}
-
-// validateSupport checks an explicit price set: non-empty, ascending,
-// positive and at most cmax, so that Eq. 10's 2*N*cmax normalizer
-// bounds every payment it scores.
-func validateSupport(p []float64, cmax float64) error {
-	if len(p) == 0 {
-		return ErrEmptySupport
-	}
-	prev := -1.0
-	for _, x := range p {
-		if x <= prev || x <= 0 {
-			return fmt.Errorf("%w: support value %v after %v", ErrBadPriceGrid, x, prev)
-		}
-		if x > cmax {
-			return fmt.Errorf("%w: support value %v above cmax %v", ErrBadPriceGrid, x, cmax)
-		}
-		prev = x
-	}
-	return nil
 }
 
 // Run samples a clearing price from the exponential mechanism
@@ -773,7 +640,7 @@ func (a *Auction) Mechanism() *mechanism.Exponential { return a.mech }
 func (a *Auction) Instance() Instance { return a.inst.Clone() }
 
 // Rule returns the configured selection rule.
-func (a *Auction) Rule() SelectionRule { return a.rule }
+func (a *Auction) Rule() SelectionRule { return a.cfg.rule }
 
 // GainEvaluations returns the number of marginal-gain evaluations
 // accounted during the latest build (ablation instrumentation; zero for

@@ -54,12 +54,9 @@ func (cp *coverProblem) reset(inst *Instance) {
 
 // coverScratch holds every transient buffer the winner-set routines
 // need, so repeated cover computations allocate nothing once the
-// buffers are warm. Each scratch is owned by exactly one goroutine at a
-// time: the sequential build path and a Drawer use one, and
-// WithParallelism hands each pool worker its own (see
-// Auction.coverByCount). The slices returned by the cover routines
-// alias the scratch and are only valid until its next use; callers
-// persist them through arena.save.
+// buffers are warm. An Auction's build and a Drawer each own one. The
+// slices returned by the cover routines alias the scratch and are only
+// valid until its next use; callers persist them through arena.save.
 type coverScratch struct {
 	residual []float64
 	// sums holds floor's per-task quality sums.
@@ -80,9 +77,8 @@ type coverScratch struct {
 	// chunk per build holds every retained winner slice back to back.
 	arena intArena
 	// evals counts the marginal-gain evaluations made on this scratch
-	// since the build began; the build sums it over its scratches into
-	// GainEvaluations. The scratch's one owner goroutine is its only
-	// writer, so the count needs no synchronization.
+	// since its build or draw began; GainEvaluations and
+	// mcs_core_gain_evals_total report it.
 	evals int
 }
 
@@ -303,7 +299,7 @@ func (h gainHeap) popTop() gainHeap {
 // used to cross-check this in tests and ablation benches.
 //
 // A standalone call is always cold: it never replays a trajectory left
-// in s by an earlier call. Auction.coverRange warm-starts consecutive
+// in s by an earlier call. Auction.coverByCount warm-starts consecutive
 // candidate counts through greedyCoverFrom instead.
 func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, bool) {
 	return cp.greedyCoverFrom(s, candidates, 0)

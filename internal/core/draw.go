@@ -37,8 +37,7 @@ type countCover struct {
 }
 
 // NewDrawer returns a Drawer configured by New's options: the selection
-// rule, an explicit price set, telemetry and the event log
-// (WithParallelism does not apply to a draw).
+// rule, an explicit price set, telemetry and the event log.
 func NewDrawer(opts ...Option) *Drawer {
 	d := &Drawer{cfg: newConfig(opts)}
 	d.mech.Instrument(d.cfg.telemetry, d.cfg.events)

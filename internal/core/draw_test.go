@@ -280,6 +280,9 @@ func TestDrawerPrepareErrors(t *testing.T) {
 		{"grid above cmax", aboveCMax, nil, ErrBadPriceGrid},
 		{"price set above cmax", tinyInstance(), []Option{WithPriceSet([]float64{20, 26})}, ErrBadPriceGrid},
 		{"empty price set", tinyInstance(), []Option{WithPriceSet(nil)}, ErrEmptySupport},
+		{"NaN price set", tinyInstance(), []Option{WithPriceSet([]float64{math.NaN()})}, ErrBadPriceGrid},
+		{"unsorted price set with NaN", tinyInstance(), []Option{WithPriceSet([]float64{20, math.NaN(), 10})}, ErrBadPriceGrid},
+		{"NaN inside a price set", tinyInstance(), []Option{WithPriceSet([]float64{10, math.NaN(), 20})}, ErrBadPriceGrid},
 	} {
 		_, errNew := New(tc.inst, tc.opts...)
 		d := NewDrawer(tc.opts...)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -54,6 +55,39 @@ func FuzzValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPriceSet drives WithPriceSet with small price sets on
+// tinyInstance, NaN and infinities included: New and Drawer.Prepare
+// must accept exactly the same sets, and every accepted set must draw a
+// finite price and payment.
+func FuzzPriceSet(f *testing.F) {
+	f.Add(uint8(3), 10.0, 15.0, 20.0)
+	f.Add(uint8(1), 25.0, 0.0, 0.0)
+	f.Add(uint8(2), 20.0, 10.0, 0.0)
+	f.Add(uint8(3), 5.0, 25.0, math.Inf(1))
+	f.Add(uint8(2), math.Inf(-1), 5.0, 0.0)
+	f.Add(uint8(0), 0.0, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, n uint8, p0, p1, p2 float64) {
+		set := []float64{p0, p1, p2}[:n%4]
+		inst := tinyInstance()
+		a, errNew := New(inst, WithPriceSet(set))
+		d := NewDrawer(WithPriceSet(set))
+		errPrep := d.Prepare(inst)
+		if (errNew == nil) != (errPrep == nil) {
+			t.Fatalf("price set %v: New error %v, Prepare error %v", set, errNew, errPrep)
+		}
+		if errNew != nil {
+			return
+		}
+		for _, out := range []Outcome{a.Run(rand.New(rand.NewSource(1))), d.Draw(rand.New(rand.NewSource(1)))} {
+			if !finite(out.Price) || !finite(out.TotalPayment) {
+				t.Fatalf("price set %v drew price %v, payment %v", set, out.Price, out.TotalPayment)
+			}
+		}
+	})
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func maxInt(a, b int) int {
 	if a > b {

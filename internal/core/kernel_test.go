@@ -153,37 +153,28 @@ func supportDigest(a *Auction) string {
 // TestServedShapePinned pins a served-shape build to the gain
 // evaluation count and support digest the atomic-counter, branchy
 // kernel recorded, for New and for a Rebuild over another instance's
-// buffers, sequentially and with WithParallelism(2) and (3). A
-// per-scratch count that lost an evaluation, or a kernel that moved one
+// buffers. A count that lost an evaluation, or a kernel that moved one
 // bit of a gain far enough to change a comparison, shows here.
 func TestServedShapePinned(t *testing.T) {
-	const digest = "ad02c1ed4a6e7b0dd5fb57df5864bee90e6d4233d135208b1693cfa64a46753e"
+	const (
+		digest = "ad02c1ed4a6e7b0dd5fb57df5864bee90e6d4233d135208b1693cfa64a46753e"
+		evals  = 37259
+	)
 	inst := servedShapeInstance(2502)
-	other := servedShapeInstance(2503)
-	for _, tc := range []struct {
-		parallelism int
-		evals       int
-	}{
-		{1, 37259},
-		{2, 39738},
-		{3, 41561},
-	} {
-		opts := []Option{WithParallelism(tc.parallelism)}
-		fresh := mustAuction(t, inst, opts...)
-		reused := mustAuction(t, other, opts...)
-		if err := reused.Rebuild(inst); err != nil {
-			t.Fatal(err)
+	fresh := mustAuction(t, inst)
+	reused := mustAuction(t, servedShapeInstance(2503))
+	if err := reused.Rebuild(inst); err != nil {
+		t.Fatal(err)
+	}
+	for _, built := range []struct {
+		how string
+		a   *Auction
+	}{{"New", fresh}, {"Rebuild", reused}} {
+		if got := built.a.GainEvaluations(); got != evals {
+			t.Errorf("%s: %d gain evaluations, want %d", built.how, got, evals)
 		}
-		for _, built := range []struct {
-			how string
-			a   *Auction
-		}{{"New", fresh}, {"Rebuild", reused}} {
-			if got := built.a.GainEvaluations(); got != tc.evals {
-				t.Errorf("parallelism %d %s: %d gain evaluations, want %d", tc.parallelism, built.how, got, tc.evals)
-			}
-			if got := supportDigest(built.a); got != digest {
-				t.Errorf("parallelism %d %s: support digest %s, want %s", tc.parallelism, built.how, got, digest)
-			}
+		if got := supportDigest(built.a); got != digest {
+			t.Errorf("%s: support digest %s, want %s", built.how, got, digest)
 		}
 	}
 }

@@ -139,17 +139,24 @@ func (inst *Instance) Validate() error {
 	if len(inst.PriceGrid) == 0 {
 		return fmt.Errorf("%w: empty grid", ErrBadPriceGrid)
 	}
-	prev := math.Inf(-1)
-	for _, p := range inst.PriceGrid {
-		if p <= 0 || math.IsNaN(p) || p <= prev {
-			return fmt.Errorf("%w: grid value %v after %v", ErrBadPriceGrid, p, prev)
+	return checkPrices(inst.PriceGrid, inst.CMax)
+}
+
+// checkPrices checks a price grid or an explicit price set: every
+// price positive, strictly above the one before it and at most cmax.
+// Eq. 10's 2*N*cmax normalizer bounds a payment x*|S| only when
+// x <= cmax; a price above it voids Theorem 2. The order test is
+// written !(x > prev) so that a NaN, which compares false, fails it.
+func checkPrices(prices []float64, cmax float64) error {
+	prev := 0.0
+	for _, x := range prices {
+		if !(x > prev) {
+			return fmt.Errorf("%w: price %v not above %v", ErrBadPriceGrid, x, prev)
 		}
-		// Eq. 10's 2*N*cmax normalizer bounds a payment x*|S| only
-		// when x <= cmax; a price above it voids Theorem 2.
-		if p > inst.CMax {
-			return fmt.Errorf("%w: grid value %v above cmax %v", ErrBadPriceGrid, p, inst.CMax)
+		if x > cmax {
+			return fmt.Errorf("%w: price %v above cmax %v", ErrBadPriceGrid, x, cmax)
 		}
-		prev = p
+		prev = x
 	}
 	return nil
 }
@@ -194,42 +201,60 @@ func qualityOf(theta float64) float64 {
 // one row can never clobber a neighbour), keeping the clone at a
 // handful of allocations instead of two per worker.
 func (inst *Instance) Clone() Instance {
-	cp := Instance{
-		NumTasks:   inst.NumTasks,
-		Thresholds: append([]float64(nil), inst.Thresholds...),
-		Workers:    make([]Worker, len(inst.Workers)),
-		Skills:     make([][]float64, len(inst.Skills)),
-		Epsilon:    inst.Epsilon,
-		CMin:       inst.CMin,
-		CMax:       inst.CMax,
-		PriceGrid:  append([]float64(nil), inst.PriceGrid...),
-	}
+	var cp Instance
+	cp.copyFrom(inst, nil, nil)
+	return cp
+}
+
+// copyFrom makes inst a deep copy of src, as Clone does, reusing inst's
+// slices and the flat bundle and skill backing arrays fb and fs, which
+// it returns for the next copy. An empty bundle or skill row copies as
+// nil. src must not share memory with inst or with fb and fs.
+func (inst *Instance) copyFrom(src *Instance, fb []int, fs []float64) ([]int, []float64) {
+	inst.NumTasks = src.NumTasks
+	inst.Epsilon = src.Epsilon
+	inst.CMin = src.CMin
+	inst.CMax = src.CMax
+	inst.Thresholds = append(inst.Thresholds[:0], src.Thresholds...)
+	inst.PriceGrid = append(inst.PriceGrid[:0], src.PriceGrid...)
 	nb, ns := 0, 0
-	for i := range inst.Workers {
-		nb += len(inst.Workers[i].Bundle)
+	for i := range src.Workers {
+		nb += len(src.Workers[i].Bundle)
 	}
-	for i := range inst.Skills {
-		ns += len(inst.Skills[i])
+	for i := range src.Skills {
+		ns += len(src.Skills[i])
 	}
-	flatB := make([]int, 0, nb)
-	flatS := make([]float64, 0, ns)
-	for i, w := range inst.Workers {
-		lo := len(flatB)
-		flatB = append(flatB, w.Bundle...)
+	fb, fs = withCap(fb, nb), withCap(fs, ns)
+	inst.Workers = withCap(inst.Workers, len(src.Workers))
+	for _, w := range src.Workers {
+		lo := len(fb)
+		fb = append(fb, w.Bundle...)
 		var bundle []int
 		if len(w.Bundle) > 0 {
-			bundle = flatB[lo:len(flatB):len(flatB)]
+			bundle = fb[lo:len(fb):len(fb)]
 		}
-		cp.Workers[i] = Worker{ID: w.ID, Bundle: bundle, Bid: w.Bid}
+		inst.Workers = append(inst.Workers, Worker{ID: w.ID, Bundle: bundle, Bid: w.Bid})
 	}
-	for i, row := range inst.Skills {
-		lo := len(flatS)
-		flatS = append(flatS, row...)
+	inst.Skills = withCap(inst.Skills, len(src.Skills))
+	for _, row := range src.Skills {
+		lo := len(fs)
+		fs = append(fs, row...)
+		var rowCopy []float64
 		if len(row) > 0 {
-			cp.Skills[i] = flatS[lo:len(flatS):len(flatS)]
+			rowCopy = fs[lo:len(fs):len(fs)]
 		}
+		inst.Skills = append(inst.Skills, rowCopy)
 	}
-	return cp
+	return fb, fs
+}
+
+// withCap returns s emptied, with room for n elements: s's own backing
+// array when it is large enough, else one new exactly sized array.
+func withCap[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // MaxPriceGridPoints caps the points PriceGridRange builds: 2^20
@@ -258,13 +283,16 @@ func PriceGridRange(lo, hi, step float64) []float64 {
 	// Generate by index to avoid accumulating floating-point error. k
 	// stops one past ⌊span⌋, the last point rounding can carry to hi,
 	// so a step below lo's precision, which never moves v past hi,
-	// cannot loop on.
+	// cannot loop on. Such a step rounds several k to one point; only
+	// the first is kept, so the grid stays strictly ascending.
 	for k := 0; k <= int(span)+1; k++ {
 		v := lo + float64(k)*step
 		if v > hi+step*1e-9 {
 			break
 		}
-		grid = append(grid, min(v, hi))
+		if v = min(v, hi); len(grid) == 0 || v > grid[len(grid)-1] {
+			grid = append(grid, v)
+		}
 	}
 	return grid
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -185,6 +186,23 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneLayout: Clone copies an empty bundle or skill row as nil,
+// and lays every bundle and row out in two flat arrays, so a
+// served-shape clone takes six allocations whatever its worker count.
+func TestCloneLayout(t *testing.T) {
+	inst := tinyInstance()
+	inst.Workers[1].Bundle = []int{}
+	inst.Skills[2] = []float64{}
+	cp := inst.Clone()
+	if cp.Workers[1].Bundle != nil || cp.Skills[2] != nil {
+		t.Errorf("empty bundle cloned as %#v, empty row as %#v; want nil", cp.Workers[1].Bundle, cp.Skills[2])
+	}
+	served := servedShapeInstance(2502)
+	if allocs := testing.AllocsPerRun(10, func() { served.Clone() }); allocs != 6 {
+		t.Errorf("Clone allocates %.0f times, want 6", allocs)
+	}
+}
+
 func TestPriceGridRange(t *testing.T) {
 	grid := PriceGridRange(35, 60, 0.1)
 	if len(grid) != 251 {
@@ -211,10 +229,44 @@ func TestPriceGridRange(t *testing.T) {
 	if full := PriceGridRange(0, MaxPriceGridPoints-1, 1); len(full) != MaxPriceGridPoints {
 		t.Errorf("grid of %d points, want %d", len(full), MaxPriceGridPoints)
 	}
-	// 1 + k*1e-300 rounds to 1 for every k the old loop would try: the
-	// grid still ends.
-	if tiny := PriceGridRange(1, 1, 1e-300); len(tiny) == 0 || len(tiny) > 2 {
-		t.Errorf("grid %v, want lo and at most the point rounding carries to hi", tiny)
+	// A step below lo's precision rounds several k to one point, which
+	// the grid holds once: 1 + k*1e-300 rounds to 1, and 1e16 + k*0.5
+	// to 1e16 or 1e16+2.
+	for _, tc := range []struct {
+		lo, hi, step float64
+		want         []float64
+	}{
+		{1, 1, 1e-300, []float64{1}},
+		{1e16, 1e16 + 2, 0.5, []float64{1e16, 1e16 + 2}},
+	} {
+		if got := PriceGridRange(tc.lo, tc.hi, tc.step); !slices.Equal(got, tc.want) {
+			t.Errorf("PriceGridRange(%v, %v, %v) = %v, want %v", tc.lo, tc.hi, tc.step, got, tc.want)
+		}
+	}
+}
+
+// TestPriceGridRangeKeepsPaperGrids: the grids the paper and the served
+// workloads use keep every point bit for bit, each lo + k*step with the
+// last one capped at hi.
+func TestPriceGridRangeKeepsPaperGrids(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi, step float64
+		points       int
+	}{
+		{5, 30, 0.1, 251},
+		{5, 30, 0.5, 51},
+		{5, 30, 1, 26},
+		{35, 60, 0.1, 251},
+	} {
+		grid := PriceGridRange(tc.lo, tc.hi, tc.step)
+		if len(grid) != tc.points {
+			t.Fatalf("PriceGridRange(%v, %v, %v) has %d points, want %d", tc.lo, tc.hi, tc.step, len(grid), tc.points)
+		}
+		for k, got := range grid {
+			if want := min(tc.lo+float64(k)*tc.step, tc.hi); got != want {
+				t.Fatalf("PriceGridRange(%v, %v, %v)[%d] = %v, want %v", tc.lo, tc.hi, tc.step, k, got, want)
+			}
+		}
 	}
 }
 

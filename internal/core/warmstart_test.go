@@ -117,11 +117,10 @@ func TestWarmStartChainMatchesNaive(t *testing.T) {
 }
 
 // TestWarmStartAuctionMatchesNaive: whole builds, whose covers chain
-// through coverRange, match the naive rule price by price, with
+// through coverByCount, match the naive rule price by price, with
 // bitwise-equal PMFs, over the default grid and over WithPriceSet
 // supports whose cheapest prices are infeasible (so every chain opens
-// with counts that break it), sequentially and in WithParallelism
-// ranges that split the chain mid-way. The same instances are also fed
+// with counts that break it). The same instances are also fed
 // through one reused auction's Rebuild, so the chain of builds passes
 // through infeasible instances too. Feasibility is monotone in the
 // count, so within one build infeasible counts can only open a chain;
@@ -129,10 +128,8 @@ func TestWarmStartChainMatchesNaive(t *testing.T) {
 func TestWarmStartAuctionMatchesNaive(t *testing.T) {
 	priceSet := PriceGridRange(5, 60, 1)
 	optSets := map[string][]Option{
-		"grid":               nil,
-		"price-set":          {WithPriceSet(priceSet)},
-		"grid/parallel":      {WithParallelism(3)},
-		"price-set/parallel": {WithPriceSet(priceSet), WithParallelism(3)},
+		"grid":      nil,
+		"price-set": {WithPriceSet(priceSet)},
 	}
 	// The first build's instance must admit the price set: cmax 60.
 	first := tinyInstance()
@@ -257,34 +254,5 @@ func TestWarmStartStrictGainAtTheUlp(t *testing.T) {
 		if !sameCover(got, want) || gotOK != wantOK {
 			t.Fatalf("%s: warm-started cover %v/%v, naive %v/%v", tc.name, got, gotOK, want, wantOK)
 		}
-	}
-}
-
-// TestParallelGainEvaluationsDeterministic: WithParallelism gives every
-// goroutine a fixed contiguous range of counts, each chained on its
-// own, so the gain-evaluation count is a pure function of the instance
-// and options, however the goroutines are scheduled.
-func TestParallelGainEvaluationsDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(1205))
-	checked := 0
-	for trial := 0; trial < 60 && checked < 10; trial++ {
-		inst := drawInstance(r, trial)
-		first, err := New(inst, WithParallelism(4))
-		if errors.Is(err, ErrInfeasible) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 5; rep++ {
-			again := mustAuction(t, inst, WithParallelism(4))
-			if again.GainEvaluations() != first.GainEvaluations() {
-				t.Fatalf("trial %d: gain evaluations %d, then %d", trial, first.GainEvaluations(), again.GainEvaluations())
-			}
-		}
-		checked++
-	}
-	if checked < 5 {
-		t.Fatalf("only %d feasible instances checked", checked)
 	}
 }

@@ -54,17 +54,14 @@ type Config struct {
 	// GUROBI runs took up to 6139 s).
 	Scale float64
 	// Parallelism is the runners' single concurrency budget: it bounds
-	// the worker pool that sweep points and per-point instances fan out
-	// on. Inside the pool every auction construction runs sequentially —
-	// the pool already owns the budget, and nesting core.WithParallelism
-	// under it would schedule parallelism^2 contending goroutines (the
-	// oversubscription bug ISSUE 9 fixed; see DESIGN.md "Hot path &
-	// scratch memory"). Builds that happen outside a pool (Figure 5's
-	// per-profile constructions) do use the full budget. Results are
-	// byte-identical to sequential execution: every job's randomness is
-	// pre-derived from Seed in the sequential order and aggregation
-	// happens in index order. Zero means GOMAXPROCS; 1 forces the
-	// sequential path.
+	// the worker pool that sweep points, per-point instances and the
+	// per-profile constructions of Figure 5 fan out on. Every auction
+	// construction itself runs sequentially, so the pool is the only
+	// owner of the budget (see DESIGN.md "Hot path & scratch memory").
+	// Results are byte-identical to sequential execution: every job's
+	// randomness is pre-derived from Seed in the sequential order and
+	// aggregation happens in index order. Zero means GOMAXPROCS; 1
+	// forces the sequential path.
 	Parallelism int
 	// Telemetry, when non-nil, instruments the measured auction
 	// constructions (mcs_core_*): the payment sweeps count exactly one
@@ -197,31 +194,21 @@ func paymentStats(a *core.Auction, cfg Config, r *rand.Rand) (mean, std float64)
 	return m, math.Sqrt(v)
 }
 
-// buildOptions says how generateFeasible constructs the auction it
-// probes feasibility with. Callers inside a runIndexed pool pass
-// parallelism 1 — the pool owns the concurrency budget (Config.
-// Parallelism doc) — and set telemetry/events only when the returned
-// auction is the measured one rather than a discarded probe.
-type buildOptions struct {
-	parallelism int
-	telemetry   *telemetry.Registry
-	events      *evlog.Logger
-}
-
-// generateFeasible draws instances until one admits a feasible auction,
-// up to a retry cap. The successful auction is returned along with its
-// construction wall-clock time, so callers measuring build cost
-// (Figures 1-4, Table II) reuse it instead of constructing the same
-// auction a second time.
-func generateFeasible(p workload.Params, r *rand.Rand, opt buildOptions) (core.Instance, *core.Auction, time.Duration, error) {
+// generateFeasible draws instances until one admits a feasible auction
+// built with opts, up to a retry cap. The successful auction is returned
+// along with its construction wall-clock time, so callers measuring
+// build cost (Figures 1-4, Table II) reuse it instead of constructing
+// the same auction a second time. Callers pass telemetry and an event
+// log only when the returned auction is the measured one rather than a
+// discarded probe.
+func generateFeasible(p workload.Params, r *rand.Rand, opts ...core.Option) (core.Instance, *core.Auction, time.Duration, error) {
 	for attempt := 0; attempt < 20; attempt++ {
 		inst, err := p.Generate(r)
 		if err != nil {
 			return core.Instance{}, nil, 0, err
 		}
 		start := time.Now()
-		a, err := core.New(inst, core.WithParallelism(opt.parallelism),
-			core.WithTelemetry(opt.telemetry), core.WithEventLog(opt.events))
+		a, err := core.New(inst, opts...)
 		if err == nil {
 			return inst, a, time.Since(start), nil
 		}
@@ -254,10 +241,8 @@ func runSweepInstance(p workload.Params, withOptimal bool, cfg Config, seed int6
 	// The feasibility-probe build IS the measured DP auction: timed,
 	// instrumented, and reused — the old code built it a second time
 	// "to time construction alone" and paid twice per sweep point.
-	// Parallelism 1: this job already runs on the sweep pool, which
-	// owns the concurrency budget.
 	inst, dpAuction, buildTime, err := generateFeasible(p, r,
-		buildOptions{parallelism: 1, telemetry: cfg.Telemetry, events: cfg.Events})
+		core.WithTelemetry(cfg.Telemetry), core.WithEventLog(cfg.Events))
 	if err != nil {
 		res.err = err
 		return res

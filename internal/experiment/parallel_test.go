@@ -88,17 +88,18 @@ func TestParallelTable2StructureMatchesSequential(t *testing.T) {
 	}
 }
 
-// figure5Telemetry runs Figure5 over the given epsilon grid against a
-// fresh registry and returns the auctions/gain-evals/reweights
-// counters. Figure5Epsilons is swapped and restored around the run.
-func figure5Telemetry(t *testing.T, epsilons []float64) (auctions, gainEvals, reweights int64) {
+// figure5Telemetry runs Figure5 over the given epsilon grid at the
+// given parallelism against a fresh registry and returns the
+// auctions/gain-evals/reweights counters. Figure5Epsilons is swapped
+// and restored around the run.
+func figure5Telemetry(t *testing.T, epsilons []float64, parallelism int) (auctions, gainEvals, reweights int64) {
 	t.Helper()
 	saved := Figure5Epsilons
 	Figure5Epsilons = epsilons
 	defer func() { Figure5Epsilons = saved }()
 
 	reg := telemetry.NewRegistry()
-	cfg := Config{Seed: 7, Scale: 0.08, Parallelism: 4, Telemetry: reg}
+	cfg := Config{Seed: 7, Scale: 0.08, Parallelism: parallelism, Telemetry: reg}
 	if _, err := Figure5(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +118,8 @@ func TestFigure5SharesWinnerSetConstruction(t *testing.T) {
 	shortEps := []float64{0.25, 1000}
 	longEps := []float64{0.25, 1, 5, 45, 200, 1000}
 
-	auctionsShort, gainShort, reweightsShort := figure5Telemetry(t, shortEps)
-	auctionsLong, gainLong, reweightsLong := figure5Telemetry(t, longEps)
+	auctionsShort, gainShort, reweightsShort := figure5Telemetry(t, shortEps, 4)
+	auctionsLong, gainLong, reweightsLong := figure5Telemetry(t, longEps, 4)
 
 	if auctionsShort != profiles || auctionsLong != profiles {
 		t.Errorf("auctions_total = %d / %d, want %d for both sweep lengths",
@@ -136,6 +137,19 @@ func TestFigure5SharesWinnerSetConstruction(t *testing.T) {
 	if gainShort != gainLong {
 		t.Errorf("gain_evals_total varies with sweep length: %d (2 eps) vs %d (6 eps) — winner sets rebuilt per epsilon",
 			gainShort, gainLong)
+	}
+}
+
+// TestFigure5GainEvaluationsIgnoreParallelism: Figure 5's 13 profile
+// builds fan out on the experiment pool, and each build is one
+// sequential warm-started chain, so the gain-evaluation count is one
+// value at every parallelism.
+func TestFigure5GainEvaluationsIgnoreParallelism(t *testing.T) {
+	const want = 39733
+	for _, parallelism := range []int{1, 2, 4} {
+		if _, got, _ := figure5Telemetry(t, []float64{0.25, 1000}, parallelism); got != want {
+			t.Errorf("parallelism %d: gain_evals_total = %d, want %d", parallelism, got, want)
+		}
 	}
 }
 

@@ -87,10 +87,9 @@ func Table2(cfg Config) (Table2Result, error) {
 // (params, cfg, seed) so points can run concurrently.
 func table2Point(label string, p workload.Params, cfg Config, seed int64) (Table2Row, error) {
 	r := rand.New(rand.NewSource(seed))
-	// The probe build is the timed one (sequential: the point runs on
-	// the Table II pool, which owns the parallelism budget); add the
-	// price-draw time for the full DP-hSRC execution time.
-	inst, a, buildTime, err := generateFeasible(p, r, buildOptions{parallelism: 1})
+	// The probe build is the timed one; add the price-draw time for the
+	// full DP-hSRC execution time.
+	inst, a, buildTime, err := generateFeasible(p, r)
 	if err != nil {
 		return Table2Row{}, err
 	}

@@ -39,19 +39,18 @@ func Figure5(cfg Config) (Figure5Result, error) {
 	r := seeder.NewRand()
 
 	// One base instance reused across the epsilon sweep so the curves
-	// vary only with epsilon, as in the paper.
-	// The probe auction is discarded (the sweep builds its own below
-	// with the fixed support), so it stays uninstrumented; this build
-	// happens before the pool fans out, so it may use the full budget.
+	// vary only with epsilon, as in the paper. The probe auction's
+	// default support, the feasible subset of the grid, is the paper's
+	// price set P; fixing it for all adjacent profiles matches Algorithm
+	// 1's treatment of P as an input. The probe is otherwise discarded
+	// (the sweep builds its own below with the fixed support), so it
+	// stays uninstrumented.
 	params := workload.SettingIV(200).Scaled(cfg.Scale)
-	inst, _, _, err := generateFeasible(params, r, buildOptions{parallelism: cfg.Parallelism})
+	inst, probe, _, err := generateFeasible(params, r)
 	if err != nil {
 		return Figure5Result{}, err
 	}
-	support := feasibleSupport(inst)
-	if len(support) == 0 {
-		return Figure5Result{}, ErrNoFeasibleInstance
-	}
+	support := probe.SupportPrices()
 
 	// Leakage is a worst-case notion (Definition 8 compares two specific
 	// adjacent profiles; DP bounds the worst pair), so the perturbations
@@ -61,33 +60,31 @@ func Figure5(cfg Config) (Figure5Result, error) {
 	// workers are fixed across the epsilon sweep so the curves vary only
 	// with epsilon.
 	const perturbations = 12
-	perturbed := make([]core.Instance, perturbations)
-	for p := range perturbed {
-		perturbed[p] = perturbExtremeBid(inst, r)
+	profiles := []core.Instance{inst}
+	for p := 0; p < perturbations; p++ {
+		profiles = append(profiles, perturbExtremeBid(inst, r))
 	}
 
 	// Winner sets depend on the bids and the fixed support but never on
 	// epsilon, so each of the 1+perturbations auctions is constructed
-	// exactly once and every sweep point derives from it by Reweight
-	// (mechanism log-weights only). The gain-evaluation telemetry stays
-	// flat across the sweep; only mcs_core_reweights_total advances.
-	build := func(base core.Instance) (*core.Auction, error) {
-		cur := base.Clone()
+	// exactly once, on the pool, and every sweep point derives from it
+	// by Reweight (mechanism log-weights only). The gain-evaluation
+	// telemetry stays flat across the sweep; only
+	// mcs_core_reweights_total advances.
+	auctions := make([]*core.Auction, len(profiles))
+	buildErrs := make([]error, len(profiles))
+	runIndexed(len(profiles), cfg.Parallelism, func(i int) {
+		cur := profiles[i]
 		cur.Epsilon = Figure5Epsilons[0]
-		return core.New(cur, core.WithPriceSet(support),
-			core.WithParallelism(cfg.Parallelism), core.WithTelemetry(cfg.Telemetry),
-			core.WithEventLog(cfg.Events))
-	}
-	baseA, err := build(inst)
-	if err != nil {
-		return Figure5Result{}, fmt.Errorf("experiment fig5 base build: %w", err)
-	}
-	perturbedA := make([]*core.Auction, perturbations)
-	for p := range perturbed {
-		if perturbedA[p], err = build(perturbed[p]); err != nil {
-			return Figure5Result{}, fmt.Errorf("experiment fig5 perturbation: %w", err)
+		auctions[i], buildErrs[i] = core.New(cur, core.WithPriceSet(support),
+			core.WithTelemetry(cfg.Telemetry), core.WithEventLog(cfg.Events))
+	})
+	for i, err := range buildErrs {
+		if err != nil {
+			return Figure5Result{}, fmt.Errorf("experiment fig5 profile %d build: %w", i, err)
 		}
 	}
+	baseA, perturbedA := auctions[0], auctions[1:]
 
 	res := Figure5Result{
 		Epsilons: Figure5Epsilons,
@@ -166,17 +163,6 @@ func (f Figure5Result) Series() []plot.Series {
 		{Name: "Platform's Average Total Payment", X: f.Epsilons, Y: f.Payment},
 		{Name: "Privacy Leakage", X: f.Epsilons, Y: f.Leakage},
 	}
-}
-
-// feasibleSupport computes the paper's price set P for an instance: the
-// feasible subset of its grid. Fixing this as the support for all
-// adjacent profiles matches Algorithm 1's treatment of P as an input.
-func feasibleSupport(inst core.Instance) []float64 {
-	a, err := core.New(inst)
-	if err != nil {
-		return nil
-	}
-	return a.SupportPrices()
 }
 
 // perturbExtremeBid returns a copy of inst with one uniformly chosen
