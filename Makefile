@@ -92,12 +92,14 @@ test-recovery:
 	$(GO) test -race -count=1 -run 'Restore|Recover|Journal' \
 		./internal/mechanism/ ./internal/telemetry/evlog/
 
-# Short fuzzing passes over the wire-format, instance-validation,
-# price-set and WAL-recovery targets, seeded from the on-disk corpora
-# under testdata/fuzz/.
+# Short fuzzing passes over the wire-format (frame decode, stream
+# decode against json.Decoder, frame encode against json.Marshal),
+# instance-validation, price-set and WAL-recovery targets, seeded from
+# the on-disk corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz='^FuzzMessageDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz='^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/protocol/ -run='^$$' -fuzz='^FuzzMessageEncode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzPriceSet$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store/ -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME)

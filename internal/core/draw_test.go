@@ -270,6 +270,10 @@ func TestDrawerPrepareErrors(t *testing.T) {
 	badEps.Epsilon = 0
 	aboveCMax := tinyInstance()
 	aboveCMax.PriceGrid = append(aboveCMax.PriceGrid, 26)
+	infCMax := tinyInstance()
+	infCMax.CMax = math.Inf(1)
+	infPrice := infCMax
+	infPrice.PriceGrid = append(slices.Clone(infPrice.PriceGrid), math.Inf(1))
 	for _, tc := range []struct {
 		name string
 		inst Instance
@@ -278,6 +282,8 @@ func TestDrawerPrepareErrors(t *testing.T) {
 	}{
 		{"epsilon", badEps, nil, ErrBadEpsilon},
 		{"grid above cmax", aboveCMax, nil, ErrBadPriceGrid},
+		{"infinite cmax", infCMax, nil, ErrBadCostRange},
+		{"infinite cmax and price", infPrice, nil, ErrBadCostRange},
 		{"price set above cmax", tinyInstance(), []Option{WithPriceSet([]float64{20, 26})}, ErrBadPriceGrid},
 		{"empty price set", tinyInstance(), []Option{WithPriceSet(nil)}, ErrEmptySupport},
 		{"NaN price set", tinyInstance(), []Option{WithPriceSet([]float64{math.NaN()})}, ErrBadPriceGrid},

@@ -98,7 +98,9 @@ func (inst *Instance) Validate() error {
 			return fmt.Errorf("%w: task %d has delta=%v", ErrBadThreshold, j, d)
 		}
 	}
-	if !(inst.CMin >= 0 && inst.CMax >= inst.CMin) {
+	// cmax must be finite: Eq. 10 divides by 2*N*cmax, so an infinite
+	// one makes every price equally likely, whatever it pays.
+	if !(inst.CMin >= 0 && inst.CMax >= inst.CMin) || math.IsInf(inst.CMax, 1) {
 		return fmt.Errorf("%w: [%v, %v]", ErrBadCostRange, inst.CMin, inst.CMax)
 	}
 	if inst.Epsilon <= 0 || math.IsNaN(inst.Epsilon) || math.IsInf(inst.Epsilon, 0) {

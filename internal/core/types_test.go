@@ -120,6 +120,8 @@ func TestValidateRejections(t *testing.T) {
 		{"threshold zero", func(i *Instance) { i.Thresholds[0] = 0 }, ErrBadThreshold},
 		{"threshold one", func(i *Instance) { i.Thresholds[1] = 1 }, ErrBadThreshold},
 		{"cost range", func(i *Instance) { i.CMax = i.CMin - 1 }, ErrBadCostRange},
+		{"infinite cmax", func(i *Instance) { i.CMax = math.Inf(1) }, ErrBadCostRange},
+		{"infinite cost range", func(i *Instance) { i.CMin, i.CMax = math.Inf(1), math.Inf(1) }, ErrBadCostRange},
 		{"epsilon zero", func(i *Instance) { i.Epsilon = 0 }, ErrBadEpsilon},
 		{"epsilon nan", func(i *Instance) { i.Epsilon = math.NaN() }, ErrBadEpsilon},
 		{"skill rows", func(i *Instance) { i.Skills = i.Skills[:1] }, ErrSkillMismatch},

@@ -1,19 +1,26 @@
 package protocol
 
-// Codec pool suite: connections share pooled JSON decoders and
-// encoders. Many connections at once each read exactly their own
-// frames; a codec released dirty (after an error, with unread input,
-// or after a frame over the cap) never reaches a later connection; a
-// warm connection decodes a bid's bundle in one exact-length slice that
-// the next frame leaves alone; and one endless frame fails its read
+// Codec suite: connections share pooled codecs. Many connections at
+// once each read exactly their own frames; a codec released dirty
+// (after an error, with unread input, or after a frame over the cap)
+// never reaches a later connection; a warm connection decodes a bid's
+// bundle in one exact-length slice that the next frame leaves alone,
+// and reads and writes every frame in a bounded number of allocations;
+// Send writes each frame in one Write; a frame split into one-byte
+// reads is scanned once; a malformed frame fails at its first invalid
+// byte, not at the IO timeout; and one endless frame fails its read
 // after about one cap.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -161,9 +168,10 @@ func (l *frameLoop) Read(p []byte) (int, error) {
 }
 
 // TestBundleDecodeCost: a warm connection reads a 150-task bid in at
-// most three allocations (the type, the worker ID and the bundle),
-// every bundle is allocated at its exact length, and a bundle kept from
-// one frame still holds its tasks after the next frame is read.
+// most two allocations (the worker ID and the bundle; the type is
+// interned), every bundle is allocated at its exact length, and a
+// bundle kept from one frame still holds its tasks after the next frame
+// is read.
 func TestBundleDecodeCost(t *testing.T) {
 	const tasks = 150
 	want := make([][]int, 2)
@@ -197,23 +205,181 @@ func TestBundleDecodeCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("Recv of a %d-task bid: %v allocations, want at most 3", tasks, allocs)
+	if allocs > 2 {
+		t.Errorf("Recv of a %d-task bid: %v allocations, want at most 2", tasks, allocs)
 	}
 }
 
-// TestBundleRejectsMalformedJSON: called directly, Bundle.UnmarshalJSON
-// refuses what is not JSON, which encoding/json's scanner refuses
-// before a frame reaches it.
+// TestBundleRejectsMalformedJSON: a bid frame whose bundle is not a
+// JSON array of values fails its read. The scanner refuses it before
+// the hand decoder, which counts commas, sees it.
 func TestBundleRejectsMalformedJSON(t *testing.T) {
 	for _, in := range []string{
-		"", "[", "]", " [1]", "[1] ", "[1]x", "[01]", "[-]", "[-01]", "[+1]",
+		"", "[", "]", "[1]x", "[01]", "[-]", "[-01]", "[+1]",
 		"[1,]", "[,1]", "[1 2]", "[1,,2]", "[nul]", "[nulll]", "[1.]", "[0x1]",
 	} {
-		var b Bundle
-		if err := b.UnmarshalJSON([]byte(in)); err == nil {
-			t.Errorf("%q: decoded %v, want an error", in, b)
+		frame := `{"type":"bid","worker_id":"w","bundle":` + in + `,"price":10}` + "\n"
+		if m, err := readerConn([]byte(frame)).Recv(); err == nil {
+			t.Errorf("%q: decoded %+v, want an error", frame, m)
 		}
+	}
+}
+
+// writeLog is a connection that records each Write. Only Write is
+// implemented: a Conn with no timeout calls nothing else to send.
+type writeLog struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// discard is a connection whose writes go nowhere, without allocating.
+type discard struct{ net.Conn }
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// labelsMessage is a winner's labels frame of n reports.
+func labelsMessage(n int) Message {
+	m := Message{Type: TypeLabels, WorkerID: "w-label", Reports: make([]LabelReport, n)}
+	for j := range m.Reports {
+		m.Reports[j] = LabelReport{Task: 3 * j, Label: int8(1 - 2*(j%2))}
+	}
+	return m
+}
+
+// TestCodecRecvAllocations: a warm connection reads an announce and
+// the platform's settlement frames without allocating, and a 150-report
+// labels frame in two allocations (the worker ID and the reports, one
+// slice of their exact count), each frame as it was sent.
+func TestCodecRecvAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		m      Message
+		allocs float64
+	}{
+		{"announce", Message{Type: TypeAnnounce, NumTasks: 200, Epsilon: 0.5, CMin: 5, CMax: 30, BidWindowMillis: 2000}, 0},
+		{"outcome", Message{Type: TypeOutcome, Won: true, ClearingPrice: 17.5}, 0},
+		{"payment", Message{Type: TypePayment, Amount: 52.5}, 0},
+		{"labels", labelsMessage(150), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewConn(&frameLoop{frames: [][]byte{encoderFrame(t, tc.m)}}, 0)
+			defer c.release()
+			m, err := c.Recv()
+			if err != nil || !reflect.DeepEqual(m, tc.m) || cap(m.Reports) != len(m.Reports) {
+				t.Fatalf("read %+v (reports cap %d), %v; want %+v", m, cap(m.Reports), err, tc.m)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := c.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.allocs {
+				t.Errorf("Recv: %v allocations, want at most %v", allocs, tc.allocs)
+			}
+		})
+	}
+}
+
+// TestCodecSendOneWrite: Send writes every frame in one Write, the
+// bytes of json.Encoder, and allocates nothing on a warm connection.
+// A NaN or infinite float is refused before anything is written, with
+// an error that names the field but not the value, which may be a bid.
+func TestCodecSendOneWrite(t *testing.T) {
+	bundle := make([]int, 150)
+	for j := range bundle {
+		bundle[j] = 2 * j
+	}
+	for _, m := range []Message{
+		{Type: TypeHello, WorkerID: "w-17"},
+		{Type: TypeAnnounce, NumTasks: 200, Epsilon: 0.5, CMin: 5, CMax: 30, BidWindowMillis: 2000},
+		{Type: TypeBid, WorkerID: "w-17", Bundle: bundle, Price: 12.3},
+		{Type: TypeOutcome, Won: true, ClearingPrice: 1e21},
+		labelsMessage(150),
+		{Type: TypePayment, Amount: 1e-7},
+		{Type: TypeError, Err: `protocol: duplicate worker id "<w&17>"`},
+	} {
+		w := &writeLog{}
+		c := NewConn(w, 0)
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if want := encoderFrame(t, m); len(w.writes) != 1 || !bytes.Equal(w.writes[0], want) {
+			t.Errorf("%s: writes %q, want one write of %q", m.Type, w.writes, want)
+		}
+		c.release()
+		if m.Type == TypeError {
+			continue // its string needs escaping, which json.Marshal does
+		}
+		c = NewConn(discard{}, 0)
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.Send(m) }); allocs != 0 {
+			t.Errorf("%s: Send allocated %v times, want 0", m.Type, allocs)
+		}
+		c.release()
+	}
+	for _, price := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := &writeLog{}
+		c := NewConn(w, 0)
+		err := c.Send(Message{Type: TypeBid, WorkerID: "w", Bundle: []int{0}, Price: price})
+		if err == nil || len(w.writes) != 0 || !strings.Contains(err.Error(), "price") ||
+			strings.Contains(err.Error(), fmt.Sprint(price)) {
+			t.Errorf("Send at a price of %v: error %v after %d writes; want an error naming only the field", price, err, len(w.writes))
+		}
+		c.release()
+	}
+}
+
+// oneByteReader hands out r one byte per Read.
+type oneByteReader struct{ r io.Reader }
+
+func (o oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p[:min(len(p), 1)]) }
+
+// TestCodecScansSplitFrameOnce: a 690 KB bid frame arriving one byte
+// per Read is read in time linear in its length. Scanning it again from
+// its start after every read would take about 2.4e11 byte steps.
+func TestCodecScansSplitFrameOnce(t *testing.T) {
+	bundle := make([]int, 100000)
+	for j := range bundle {
+		bundle[j] = 100000 + j
+	}
+	want := Message{Type: TypeBid, WorkerID: "w", Bundle: bundle, Price: 10}
+	frame := encoderFrame(t, want)
+	c := &Conn{codec: bindCodec(oneByteReader{bytes.NewReader(frame)})}
+	defer c.release()
+	start := time.Now()
+	m, err := c.Recv()
+	if err != nil || !reflect.DeepEqual(m, want) {
+		t.Fatalf("read a %d-byte frame as %d tasks, %v", len(frame), len(m.Bundle), err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("a %d-byte frame in one-byte reads took %v", len(frame), took)
+	}
+}
+
+// TestCodecRejectsMalformedAtOnce: a frame fails at its first invalid
+// byte, as encoding/json's scanner fails it, while its peer keeps the
+// connection open: no malformed frame waits for the IO timeout.
+func TestCodecRejectsMalformedAtOnce(t *testing.T) {
+	for _, frame := range []string{
+		`{"type":x`, `{"type":"hello"]`, `{"type" "hello"}`, "{\"type\":\"hel\x01", `{"type":tru3`,
+		`{"type":"\q"}`, `{"type":"\u12x4"}`, `{"price":-x`, `{"price":1.x`, `{"price":1ex`,
+		`{,`, `[1,]`, `}`, `{"type":5}`, strings.Repeat("[", maxNestingDepth+1),
+	} {
+		client, server := net.Pipe()
+		c := NewConn(server, 10*time.Second)
+		go func() { _, _ = client.Write([]byte(frame)) }()
+		start := time.Now()
+		_, err := c.Recv()
+		if took := time.Since(start); err == nil || isTimeout(err) || took > 2*time.Second {
+			t.Errorf("%.40q: Recv = %v after %v; want an error at once", frame, err, took)
+		}
+		_ = client.Close()
+		_ = server.Close()
+		c.release()
 	}
 }
 
@@ -356,5 +522,46 @@ func TestFrameCapEndsEndlessBid(t *testing.T) {
 	}
 	if read < maxFrameBytes || read > maxFrameBytes+len(chunk) {
 		t.Fatalf("platform read %d bytes of the frame, want about the %d-byte cap", read, maxFrameBytes)
+	}
+}
+
+// BenchmarkCodec times a warm connection's Recv and Send of the frames
+// whose size grows with a round's shape, and of the announce.
+func BenchmarkCodec(b *testing.B) {
+	bundle := make([]int, 150)
+	for j := range bundle {
+		bundle[j] = 2 * j
+	}
+	for _, tc := range []struct {
+		name string
+		m    Message
+	}{
+		{"announce", Message{Type: TypeAnnounce, NumTasks: 200, Epsilon: 0.5, CMin: 5, CMax: 30, BidWindowMillis: 2000}},
+		{"bid-150", Message{Type: TypeBid, WorkerID: "w-17", Bundle: bundle, Price: 12.3}},
+		{"labels-150", labelsMessage(150)},
+	} {
+		frame, err := json.Marshal(tc.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame = append(frame, '\n')
+		b.Run("Recv/"+tc.name, func(b *testing.B) {
+			c := NewConn(&frameLoop{frames: [][]byte{frame}}, 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Recv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("Send/"+tc.name, func(b *testing.B) {
+			c := NewConn(discard{}, 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.Send(tc.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -88,7 +88,7 @@ func announceShapes(t *testing.T) map[string]PlatformConfig {
 
 // readerConn decodes frames from b with no deadline.
 func readerConn(b []byte) *Conn {
-	return &Conn{codec: bindCodec(bytes.NewReader(b), nil)}
+	return &Conn{codec: bindCodec(bytes.NewReader(b))}
 }
 
 // TestAnnounceFrameMatchesEncoder: the announce a handshake writes is

@@ -321,6 +321,12 @@ type Platform struct {
 	// frames holds the frames that never change within a campaign,
 	// encoded once by NewPlatform.
 	frames platformFrames
+	// bidders holds the worker IDs whose bids the running round has
+	// admitted, so a second bid under one ID is refused. Only
+	// collectBids' handshakes touch it, under its mu. Each round clears
+	// it first, and collectBids waits out every handshake before it
+	// returns, so one map serves every round.
+	bidders map[string]bool
 	// tally counts the running round's tolerated faults by kind. Any
 	// of the round's goroutines may add to it; each round clears it
 	// first and reads it once they have ended.
@@ -463,6 +469,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		met:       newPlatformMetrics(cfg.Telemetry),
 		coord:     coord,
 		frames:    newPlatformFrames(&cfg),
+		bidders:   make(map[string]bool),
 		nextRound: cfg.StartRound,
 		status:    RoundStatus{Round: cfg.StartRound, Phase: PhaseIdle},
 	}
@@ -972,9 +979,9 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round i
 	var (
 		mu       sync.Mutex
 		sessions []*session
-		seen     = make(map[string]bool)
 		wg       sync.WaitGroup
 	)
+	clear(p.bidders)
 
 	// Unblock Accept when the window ends: SetDeadline applies to an
 	// Accept that is already blocked, so setting a deadline in the past
@@ -1025,7 +1032,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round i
 				return
 			}
 			mu.Lock()
-			if seen[s.workerID] {
+			if p.bidders[s.workerID] {
 				mu.Unlock()
 				// The rejection itself happens outside the critical
 				// section: SendError sits on a network write deadline
@@ -1047,7 +1054,7 @@ func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, round i
 				p.endSession(s)
 				return
 			}
-			seen[s.workerID] = true
+			p.bidders[s.workerID] = true
 			sessions = append(sessions, s)
 			quorum := p.cfg.MinWorkers > 0 && len(sessions) >= p.cfg.MinWorkers
 			mu.Unlock()

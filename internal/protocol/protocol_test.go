@@ -448,6 +448,9 @@ func TestWorkerConfigValidation(t *testing.T) {
 		{ID: "w"},
 		{ID: "w", Bundle: []int{0}},
 		{ID: "w", Bundle: []int{0}, Labels: labels, Cost: -1},
+		// A cost that is not finite could never be bid.
+		{ID: "w", Bundle: []int{0}, Labels: labels, Cost: math.NaN()},
+		{ID: "w", Bundle: []int{0}, Labels: labels, Cost: math.Inf(1)},
 		// The bundle must be sorted and unique over non-negative tasks.
 		{ID: "w", Bundle: []int{1, 0}, Labels: labels, Cost: 1},
 		{ID: "w", Bundle: []int{2, 2}, Labels: labels, Cost: 1},

@@ -32,8 +32,8 @@ type WorkerConfig struct {
 	// unique over non-negative task indices, or Participate fails with
 	// ErrBadWorker.
 	Bundle []int
-	// Cost is the worker's true cost; under the mechanism's approximate
-	// truthfulness the client bids it directly.
+	// Cost is the worker's true cost, finite and non-negative; under the
+	// mechanism's approximate truthfulness the client bids it directly.
 	Cost float64
 	// Labels senses a task; required.
 	Labels LabelFunc
@@ -67,8 +67,10 @@ func (c *WorkerConfig) validate() error {
 	switch {
 	case c.Labels == nil:
 		return fmt.Errorf("%w: nil LabelFunc", ErrBadWorker)
-	case c.Cost < 0:
-		return fmt.Errorf("%w: negative cost", ErrBadWorker)
+	case !(c.Cost >= 0) || math.IsInf(c.Cost, 1):
+		// A NaN cost would fail the bid's encoding on every attempt, and
+		// an infinite one would bid cmax and settle a win at -Inf utility.
+		return fmt.Errorf("%w: cost must be finite and non-negative", ErrBadWorker)
 	}
 	return nil
 }
