@@ -14,7 +14,7 @@
 //
 // With -baseline the fresh run is compared against the committed file
 // and the exit status is 1 when any gated benchmark — the auction
-// build/rebuild hot path (core suite) or the cover/gain construction
+// build and run paths (core suite) or the cover/gain construction
 // and the Figure 4 sweeps (experiment suite) — regresses by more than
 // 25% in ns/op or allocs/op (the `make bench-diff` /
 // `make bench-diff-core` gates; other benchmarks are reported but do
@@ -86,8 +86,9 @@ const allocGateFloor = 64
 const auctionNewAllocCeiling = 300
 
 // gated reports whether a benchmark participates in the bench-diff
-// regression gate: the auction build/rebuild/run path (which every
-// sharded partition now executes per round), the winner-set cover
+// regression gate once its baseline holds a row for it: the auction
+// build and run paths, the draw a served partition runs per round
+// (AuctionDraw: Drawer.Prepare plus Draw), the winner-set cover
 // construction and marginal-gain hot paths the CSR layout exists to
 // keep fast, and the Figure 4 payment sweeps whose wall clock the
 // single-parallelism-budget pool protects.
@@ -402,18 +403,6 @@ func coreBenches(workers int) ([]namedBench, error) {
 			reg := telemetry.NewRegistry()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.New(inst, core.WithTelemetry(reg)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"AuctionRebuild", func(b *testing.B) {
-			a, err := core.New(inst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := a.Rebuild(inst); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -65,9 +65,9 @@ type (
 	Worker = core.Worker
 	// Auction is a fully precomputed DP-hSRC auction; safe for
 	// concurrent reads (Run, Support, PMF, Reweight). Rebuild
-	// reconstructs it in place for a new instance — bitwise-identical
-	// to a fresh New, reusing the build's scratch memory — and must
-	// not race with any other method.
+	// replaces it in place with New over a new instance under the same
+	// options, changing nothing obtained from it before, and must not
+	// race with any other method.
 	Auction = core.Auction
 	// Outcome is one sampled auction result.
 	Outcome = core.Outcome

@@ -36,24 +36,6 @@ func TestAuctionNewAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestAuctionRebuildAllocCeiling: a warm Rebuild reuses every build
-// buffer, so only the mechanism's weight copies remain.
-func TestAuctionRebuildAllocCeiling(t *testing.T) {
-	inst := allocInstance()
-	a := mustAuction(t, inst)
-	if err := a.Rebuild(inst); err != nil { // warm every buffer
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := a.Rebuild(inst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 16 {
-		t.Fatalf("Rebuild allocates %.0f/op, ceiling 16", allocs)
-	}
-}
-
 // TestGreedyCoverWarmScratchAllocFree: with a warm coverScratch the
 // greedy cover inner loop — the single hottest routine in the repo —
 // must not allocate at all, cold or warm-started along a chain of

@@ -115,10 +115,11 @@ type PriceInfo struct {
 // Auction is a fully precomputed DP-hSRC auction over one instance: the
 // winner set and total payment for every support price, and the
 // exponential mechanism over prices. Construct with New; an Auction is
-// immutable between builds and safe for concurrent use. Rebuild
-// replaces the instance in place, reusing New's buffers. Analyses that
-// need every winner set or the exact PMF use an Auction; a caller that
-// only releases one price per instance uses a Drawer.
+// immutable between builds and safe for concurrent use, and every build
+// starts from fresh memory. Analyses that need every winner set or the
+// exact PMF use an Auction; a caller that only releases one price per
+// instance uses a Drawer, the one type that reuses memory across
+// instances.
 type Auction struct {
 	inst   Instance
 	prices []PriceInfo
@@ -131,17 +132,13 @@ type Auction struct {
 	// New was given, and Reweight-derived auctions inherit the registry
 	// and the event log.
 	cfg config
-	// bs owns every reusable build buffer. It is nil on Reweight-derived
-	// auctions, whose prices alias the base auction's buffers; Rebuild
-	// detects that and switches to fresh buffers so it can never clobber
-	// the base.
-	bs *buildState
 }
 
-// prepared is the one preparation pass that New, Rebuild and
+// prepared is the one preparation pass that an Auction's build and
 // Drawer.Prepare share: validation, the private instance copy, the CSR
 // cover problem, the bid order, each support price's candidate count
-// and the feasibility floor. Every buffer is reused from pass to pass.
+// and the feasibility floor. A build starts from a zero prepared; a
+// Drawer reuses every buffer from pass to pass.
 type prepared struct {
 	inst Instance
 	cp   coverProblem
@@ -249,22 +246,6 @@ func (p *prepared) priceInfo(k int, winners []int) PriceInfo {
 	return PriceInfo{Price: x, Winners: winners, Payment: x * float64(len(winners)), Feasible: true}
 }
 
-// buildState is the reusable memory behind an Auction's build: the
-// preparation pass plus the distinct-count table, the per-count winner
-// cache, the payment vector and the one cover scratch every cover of
-// the build runs on. One buildState serves one auction; nothing here is
-// shared across auctions.
-type buildState struct {
-	prepared
-	s         coverScratch
-	seenCount []bool
-	distinct  []int
-	// cache is indexed by candidate count (0..N); only entries for the
-	// current build's distinct counts are written and read.
-	cache    [][]int
-	payments []float64
-}
-
 // Outcome is the sampled result of one run of the auction.
 type Outcome struct {
 	// Price is the sampled clearing price p.
@@ -301,7 +282,7 @@ func (o Outcome) Payments(numWorkers int) ([]float64, error) {
 // prices. It returns ErrInfeasible if no price in the instance grid is
 // feasible and no explicit price set was provided.
 func New(inst Instance, opts ...Option) (*Auction, error) {
-	a := &Auction{cfg: newConfig(opts), bs: &buildState{}}
+	a := &Auction{cfg: newConfig(opts)}
 	if err := a.build(&inst); err != nil {
 		return nil, err
 	}
@@ -317,102 +298,78 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-// Rebuild reconstructs the auction in place over a new instance,
-// reusing every build buffer — the CSR cover problem, the price/count
-// tables, the winner-set arena, the prices and payment vectors — so a
-// caller that builds many instances pays New's allocations once. The
-// construction options New was given (rule, explicit price set,
-// telemetry, event log) carry over, which in particular keeps a
-// WithPriceSet support fixed across instances exactly as the DP
-// guarantee requires. The result is bitwise-identical to New(inst,
-// sameOptions...).
+// Rebuild replaces the auction, in place, with New(inst) under the
+// options New was given (rule, explicit price set, telemetry, event
+// log), which in particular keeps a WithPriceSet support fixed across
+// instances exactly as the DP guarantee requires. The build starts from
+// fresh memory, so nothing obtained before it changes: Support and PMF
+// slices, Run outcomes and Reweight-derived auctions stay as they were.
+// On error the auction is left as it was. The caller must not Rebuild
+// concurrently with any other use of the auction.
+func (a *Auction) Rebuild(inst Instance) error { return a.build(&inst) }
+
+// build constructs the auction over src under a.cfg from a zero
+// preparation pass and a fresh cover scratch. It assigns the auction
+// only on success.
 //
-// Rebuild invalidates everything obtained from the previous build:
-// Support/SupportPrices/PMF slices, and any auction derived from the
-// receiver via Reweight (their winner sets alias the rebuilt buffers).
-// Outcomes from Run are copies and stay valid. Rebuilding a
-// Reweight-derived auction is safe for the base: the derived auction
-// detaches onto fresh buffers first. On error the auction is left
-// unusable (its mechanism is cleared) until a subsequent Rebuild
-// succeeds. An Auction is safe for concurrent readers only between
-// builds; the caller must not Rebuild concurrently with any other use.
-func (a *Auction) Rebuild(inst Instance) error {
-	if a.bs == nil {
-		// Reweight-derived: prices alias the base auction's arena, so
-		// detach onto fresh buffers rather than clobbering the base.
-		a.bs = &buildState{}
-		a.prices = nil
-	}
-	if err := a.build(&inst); err != nil {
-		return err
-	}
-	a.cfg.telemetry.Counter("mcs_core_rebuilds_total",
-		"In-place auction reconstructions that reuse build buffers across rounds.").Inc()
-	return nil
-}
-
-// build runs the full construction into the auction's reusable build
-// state. On error the auction is left unusable (mech == nil).
+// The build covers each distinct candidate count once: the interval
+// sharing of Algorithm 1 lines 14-15 that removes the dependency on
+// |P|. Counts ascend with the price, so a count that differs from the
+// previous price's is new, and its candidates extend the previous
+// count's; under RuleGreedy each cover warm-starts from the previous
+// feasible count's trajectory. A count below the floor has no winner
+// set. The walk runs over every candidate price, the grid's infeasible
+// prefix that the default support drops included, and fills the
+// support's entries as it passes them. GainEvaluations is therefore a
+// pure function of the instance, the rule and the support. Per-count
+// evaluation time lands in mcs_core_cover_seconds.
 func (a *Auction) build(src *Instance) error {
-	reg := a.cfg.telemetry
+	reg, ev, rule := a.cfg.telemetry, a.cfg.events, a.cfg.rule
 	buildStart := reg.Now()
-	a.mech = nil
-	bs := a.bs
-	err := bs.prepare(src, &a.cfg, &bs.s)
-	a.inst = bs.inst
-	if err != nil {
+	var (
+		p prepared
+		s coverScratch
+	)
+	if err := p.prepare(src, &a.cfg, &s); err != nil {
 		return err
 	}
-	bs.s.arena.reset()
-	bs.s.evals = 0
-	n := len(a.inst.Workers)
-
-	// Compute each distinct candidate count's winner set once. This is
-	// the interval-sharing optimization of Algorithm 1 lines 14-15 that
-	// removes the dependency on |P|.
-	if cap(bs.seenCount) < n+1 {
-		bs.seenCount = make([]bool, n+1)
-	} else {
-		bs.seenCount = bs.seenCount[:n+1]
-		for i := range bs.seenCount {
-			bs.seenCount[i] = false
+	coverSeconds := coverSeconds(reg)
+	lo := len(p.counts) - len(p.support)
+	prices := make([]PriceInfo, 0, len(p.support))
+	payments := make([]float64, 0, len(p.support))
+	var winners []int
+	last, prev := -1, 0
+	for k, count := range p.counts {
+		if count != last {
+			last = count
+			start := reg.Now()
+			winners = nil
+			feasible := count >= p.floor
+			if feasible {
+				winners = s.arena.save(p.cp.cover(rule, &s, p.sorted[:count], prev))
+				if rule == RuleGreedy {
+					prev = count
+				}
+			}
+			coverSeconds.Observe(reg.Since(start))
+			// Candidate counts and winner-set sizes are population-level.
+			coverEvent(ev, count, winners, feasible)
+		}
+		if k >= lo {
+			info := p.priceInfo(k-lo, winners)
+			prices = append(prices, info)
+			payments = append(payments, info.Payment)
 		}
 	}
-	bs.distinct = bs.distinct[:0]
-	for _, count := range bs.counts {
-		if !bs.seenCount[count] {
-			bs.seenCount[count] = true
-			bs.distinct = append(bs.distinct, count)
-		}
-	}
-	if cap(bs.cache) < n+1 {
-		bs.cache = make([][]int, n+1)
-	} else {
-		bs.cache = bs.cache[:n+1]
-	}
-	a.coverByCount()
-
-	if cap(a.prices) < len(bs.support) {
-		a.prices = make([]PriceInfo, 0, len(bs.support))
-	} else {
-		a.prices = a.prices[:0]
-	}
-	bs.payments = bs.payments[:0]
-	for k, count := range bs.countOf {
-		info := bs.priceInfo(k, bs.cache[count])
-		a.prices = append(a.prices, info)
-		bs.payments = append(bs.payments, info.Payment)
-	}
-	logW := mechanism.PaymentLogWeights(bs.payments, a.inst.Epsilon, n, a.inst.CMax)
+	logW := mechanism.PaymentLogWeights(payments, p.inst.Epsilon, len(p.inst.Workers), p.inst.CMax)
 	mech, err := mechanism.NewExponential(logW)
 	if err != nil {
 		return fmt.Errorf("core: building exponential mechanism: %w", err)
 	}
-	a.mech = mech
-	a.mech.Instrument(reg)
-	a.mech.InstrumentEvents(a.cfg.events)
-	a.gainEvals = bs.s.evals
-	reportBuild(reg, a.cfg.events, a.cfg.rule, &a.inst, len(a.prices), a.gainEvals, reg.Since(buildStart))
+	mech.Instrument(reg)
+	mech.InstrumentEvents(ev)
+	a.inst, a.prices, a.mech, a.gainEvals = p.inst, prices, mech, s.evals
+	reportBuild(reg, ev, rule, &a.inst, len(prices), s.evals, reg.Since(buildStart))
 	return nil
 }
 
@@ -452,10 +409,8 @@ const priceEps = 1e-9
 // evaluations are performed here and GainEvaluations is inherited
 // unchanged. The receiver is untouched and both auctions remain safe
 // for concurrent use; reweights count into mcs_core_reweights_total on
-// the registry the receiver was constructed with. The derived auction's
-// winner sets alias the receiver's, so a later Rebuild of the receiver
-// invalidates the derived auction (a Rebuild of the derived auction
-// detaches it first and is safe).
+// the registry the receiver was constructed with. The two auctions
+// share winner sets that no later build of either one changes.
 func (a *Auction) Reweight(eps float64) (*Auction, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("%w: eps=%v", ErrBadEpsilon, eps)
@@ -482,37 +437,6 @@ func (a *Auction) Reweight(eps float64) (*Auction, error) {
 		evlog.Int("support_size", len(nw.prices)),
 		evlog.Bool("shared", true))
 	return nw, nil
-}
-
-// coverByCount computes the winner set for every distinct candidate
-// count into bs.cache; a count below the floor has none. The distinct
-// counts ascend with the support, so each count's candidates extend the
-// previous count's, and under RuleGreedy each cover warm-starts from its
-// predecessor's trajectory. The chain never outlives one build, so a
-// build or Rebuild always starts cold, and GainEvaluations is a pure
-// function of the instance, the rule and the support. Retained winner
-// slices are saved into the scratch's arena. Per-count evaluation time
-// lands in mcs_core_cover_seconds.
-func (a *Auction) coverByCount() {
-	bs := a.bs
-	reg, rule := a.cfg.telemetry, a.cfg.rule
-	coverSeconds := coverSeconds(reg)
-	prev := 0
-	for _, count := range bs.distinct {
-		start := reg.Now()
-		var winners []int
-		feasible := count >= bs.floor
-		if feasible {
-			winners = bs.s.arena.save(bs.cp.cover(rule, &bs.s, bs.sorted[:count], prev))
-			if rule == RuleGreedy {
-				prev = count
-			}
-		}
-		bs.cache[count] = winners
-		coverSeconds.Observe(reg.Since(start))
-		// Candidate counts and winner-set sizes are population-level.
-		coverEvent(a.cfg.events, count, winners, feasible)
-	}
 }
 
 // coverSeconds is the histogram that times each computed winner set.
@@ -567,7 +491,7 @@ func (info PriceInfo) outcome() Outcome {
 
 // Support returns the mechanism's price support P with per-price winner
 // sets and payments. The returned slice is shared; callers must not
-// mutate it, and it is only valid until the next Rebuild.
+// mutate it.
 func (a *Auction) Support() []PriceInfo { return a.prices }
 
 // PMF returns the exact output distribution over the support prices.

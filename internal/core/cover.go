@@ -85,8 +85,8 @@ type coverScratch struct {
 // intArena hands out immutable []int snapshots carved from a shared
 // chunk, replacing one short-lived allocation per winner set with an
 // amortized chunk allocation per build. reset reclaims the chunk, which
-// invalidates every slice previously handed out — exactly the
-// documented lifetime of Auction.Support between Rebuild calls.
+// invalidates every slice previously handed out; only a Drawer resets
+// its arena, once per draw, and an Auction's build starts a fresh one.
 type intArena struct {
 	buf []int
 }
@@ -299,7 +299,7 @@ func (h gainHeap) popTop() gainHeap {
 // used to cross-check this in tests and ablation benches.
 //
 // A standalone call is always cold: it never replays a trajectory left
-// in s by an earlier call. Auction.coverByCount warm-starts consecutive
+// in s by an earlier call. An Auction's build warm-starts consecutive
 // candidate counts through greedyCoverFrom instead.
 func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, bool) {
 	return cp.greedyCoverFrom(s, candidates, 0)

@@ -152,9 +152,10 @@ func supportDigest(a *Auction) string {
 
 // TestServedShapePinned pins a served-shape build to the gain
 // evaluation count and support digest the atomic-counter, branchy
-// kernel recorded, for New and for a Rebuild over another instance's
-// buffers. A count that lost an evaluation, or a kernel that moved one
-// bit of a gain far enough to change a comparison, shows here.
+// kernel recorded, for New and for a Rebuild of an auction built on
+// another instance. A count that lost an evaluation, or a kernel that
+// moved one bit of a gain far enough to change a comparison, shows
+// here.
 func TestServedShapePinned(t *testing.T) {
 	const (
 		digest = "ad02c1ed4a6e7b0dd5fb57df5864bee90e6d4233d135208b1693cfa64a46753e"

@@ -163,10 +163,22 @@ func TestVerifyOutcomeRejections(t *testing.T) {
 		t.Errorf("payment: got %v", err)
 	}
 
-	// Infeasible-marked outcomes skip the coverage and payment checks.
-	infeasible := Outcome{Price: good.Price, Winners: nil, Feasible: false}
+	// An outcome flagged infeasible at a price whose candidates cover
+	// every task is rejected, with or without winners.
+	infeasible := Outcome{Price: good.Price, Feasible: false}
+	if err := VerifyOutcome(inst, infeasible); !errors.Is(err, ErrOutcomeCoverage) {
+		t.Errorf("infeasible flag at feasible price %v: got %v", good.Price, err)
+	}
+	bad = Outcome{Price: 25, Winners: []int{3}, TotalPayment: 1e9, Feasible: false}
+	if err := VerifyOutcome(inst, bad); !errors.Is(err, ErrOutcomeWinner) {
+		t.Errorf("infeasible outcome with winners: got %v", err)
+	}
+
+	// At 10 only worker a bids, and a alone leaves task 2 uncovered: an
+	// infeasible outcome there passes, whatever penalty it carries.
+	infeasible = Outcome{Price: 10, TotalPayment: 100, Feasible: false}
 	if err := VerifyOutcome(inst, infeasible); err != nil {
-		t.Errorf("infeasible outcome should pass structural checks: %v", err)
+		t.Errorf("infeasible outcome at infeasible price 10: %v", err)
 	}
 }
 

@@ -18,9 +18,14 @@ var (
 // most the clearing price (individual rationality under truthful
 // bidding, Theorem 4), the winner set satisfies every task's
 // error-bound constraint (Lemma 1), and the total payment equals
-// price times the number of winners. Infeasible outcomes (possible only
-// under an explicitly fixed price support) are rejected unless the
-// instance genuinely admits no cover at that price.
+// price times the number of winners.
+//
+// An outcome flagged infeasible (possible only under an explicitly
+// fixed price support) must name no winners, and its price must be
+// infeasible by the definition New and Draw use: the workers bidding at
+// most that price, taken together, fall short of some task's demand.
+// Its payment is the support's penalty, pMax*N, which depends on the
+// rest of the support and is not checked here.
 //
 // It is intended as a trust-but-verify hook for protocol endpoints and
 // simulations: anything the mechanism emits must pass it.
@@ -41,20 +46,40 @@ func VerifyOutcome(inst Instance, o Outcome) error {
 			return fmt.Errorf("%w: winner %d bid %v above price %v", ErrOutcomeIR, w, inst.Workers[w].Bid, o.Price)
 		}
 	}
-	if o.Feasible {
-		for j := 0; j < inst.NumTasks; j++ {
-			sum := 0.0
-			for _, w := range o.Winners {
-				sum += inst.Quality(w, j)
-			}
-			if sum < inst.Demand(j)-1e-6 {
-				return fmt.Errorf("%w: task %d has coverage %v < %v", ErrOutcomeCoverage, j, sum, inst.Demand(j))
-			}
+	if !o.Feasible {
+		return verifyInfeasible(&inst, o)
+	}
+	for j := 0; j < inst.NumTasks; j++ {
+		sum := 0.0
+		for _, w := range o.Winners {
+			sum += inst.Quality(w, j)
 		}
-		want := o.Price * float64(len(o.Winners))
-		if diff := o.TotalPayment - want; diff > 1e-6 || diff < -1e-6 {
-			return fmt.Errorf("%w: total %v != price*|S| %v", ErrOutcomePayment, o.TotalPayment, want)
+		if sum < inst.Demand(j)-1e-6 {
+			return fmt.Errorf("%w: task %d has coverage %v < %v", ErrOutcomeCoverage, j, sum, inst.Demand(j))
 		}
+	}
+	want := o.Price * float64(len(o.Winners))
+	if diff := o.TotalPayment - want; diff > 1e-6 || diff < -1e-6 {
+		return fmt.Errorf("%w: total %v != price*|S| %v", ErrOutcomePayment, o.TotalPayment, want)
+	}
+	return nil
+}
+
+// verifyInfeasible checks an outcome flagged infeasible: it has no
+// winners, and the preparation pass over o.Price as a one-price support
+// finds that price's candidate count below the feasibility floor.
+func verifyInfeasible(inst *Instance, o Outcome) error {
+	if len(o.Winners) > 0 {
+		return fmt.Errorf("%w: an infeasible outcome names %d winners", ErrOutcomeWinner, len(o.Winners))
+	}
+	var p prepared
+	cfg := config{priceSet: []float64{o.Price}, hasPriceSet: true}
+	if err := p.prepare(inst, &cfg, &coverScratch{}); err != nil {
+		return err
+	}
+	if p.countOf[0] >= p.floor {
+		return fmt.Errorf("%w: outcome flagged infeasible at price %v, where its %d candidates cover every task",
+			ErrOutcomeCoverage, o.Price, p.countOf[0])
 	}
 	return nil
 }

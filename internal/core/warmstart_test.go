@@ -117,7 +117,7 @@ func TestWarmStartChainMatchesNaive(t *testing.T) {
 }
 
 // TestWarmStartAuctionMatchesNaive: whole builds, whose covers chain
-// through coverByCount, match the naive rule price by price, with
+// from count to count, match the naive rule price by price, with
 // bitwise-equal PMFs, over the default grid and over WithPriceSet
 // supports whose cheapest prices are infeasible (so every chain opens
 // with counts that break it). The same instances are also fed

@@ -16,6 +16,10 @@ func WeightedAggregate(reports []Report, skills [][]float64, numTasks int) ([]La
 		if rep.Worker < 0 || rep.Worker >= len(skills) {
 			return nil, fmt.Errorf("%w: report from worker %d of %d", ErrShape, rep.Worker, len(skills))
 		}
+		if rep.Task >= len(skills[rep.Worker]) {
+			return nil, fmt.Errorf("%w: report for task %d from worker %d, whose skill row has %d tasks",
+				ErrShape, rep.Task, rep.Worker, len(skills[rep.Worker]))
+		}
 		weight := 2*skills[rep.Worker][rep.Task] - 1
 		sums[rep.Task] += weight * float64(rep.Label)
 	}

@@ -122,6 +122,9 @@ func TestAggregateShapeErrors(t *testing.T) {
 	if _, err := WeightedAggregate([]Report{{Worker: 5, Task: 0}}, [][]float64{{0.5}}, 1); !errors.Is(err, ErrShape) {
 		t.Errorf("bad worker: got %v", err)
 	}
+	if _, err := WeightedAggregate([]Report{{Worker: 0, Task: 2, Label: Positive}}, [][]float64{{0.9}}, 3); !errors.Is(err, ErrShape) {
+		t.Errorf("short skill row: got %v", err)
+	}
 	if _, err := MajorityVote([]Report{{Worker: 0, Task: 5}}, 1); !errors.Is(err, ErrShape) {
 		t.Errorf("majority bad task: got %v", err)
 	}
