@@ -83,12 +83,13 @@ bench-diff-core:
 # Durability gate: the WAL/snapshot store's unit, fuzz-corpus and
 # replay-exactness property tests (recovery is bitwise-identical to the
 # live accountant and the event fold at every record boundary), plus
-# the kill/restart chaos tests and the round's skill-journal tests, all
+# the kill/restart chaos tests, the round's skill-journal tests and the
+# test that a round journals only the winners it paid, all
 # race-enabled and cache-busted.
 test-recovery:
 	$(GO) test -race -count=1 ./internal/store/
 	$(GO) test -race -count=1 \
-		-run 'KillRestart|Resample|RoundSeedDerivation|SkillJournal' \
+		-run 'KillRestart|Resample|RoundSeedDerivation|SkillJournal|EvictedWinnerIsNotJournaledPaid' \
 		./internal/protocol/
 	$(GO) test -race -count=1 -run 'Restore|Recover|Journal' \
 		./internal/mechanism/ ./internal/telemetry/evlog/

@@ -7,9 +7,10 @@
 //
 //	mcs-platform -addr :7788 -tasks 8 -delta 0.3 -window 10s -min-workers 5
 //
-// Worker skill records are simulated from a per-worker seeded hash (a
-// stand-in for the historical skill store the paper assumes the
-// platform maintains; see DESIGN.md).
+// Worker skills come from the platform's skill store, which starts
+// every worker at the midpoint of -skill-lo and -skill-hi and, over a
+// campaign of several rounds, learns each worker's accuracy from its
+// labels (see DESIGN.md).
 //
 // Operational logging is the structured event stream (JSONL on
 // stderr); -events-out additionally persists it, and -manifest-out
@@ -31,10 +32,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -77,8 +76,8 @@ func run(args []string) error {
 		quorum      = fs.Int("quorum", 1, "minimum accepted bids to run the auction (fewer fails the round typed, spending no budget)")
 		ioTimeout   = fs.Duration("io-timeout", 10*time.Second, "per-message exchange deadline")
 		seed        = fs.Int64("seed", 0, "mechanism seed (0 = from clock)")
-		skillLo     = fs.Float64("skill-lo", 0.75, "lower bound of simulated historical skills")
-		skillHi     = fs.Float64("skill-hi", 0.95, "upper bound of simulated historical skills")
+		skillLo     = fs.Float64("skill-lo", 0.75, "lower bound of the skill range whose midpoint is every new worker's accuracy")
+		skillHi     = fs.Float64("skill-hi", 0.95, "upper bound of the skill range whose midpoint is every new worker's accuracy")
 		metricsAdr  = fs.String("metrics-addr", "", "serve Prometheus /metrics and net/http/pprof on this address (empty = disabled)")
 		consoleAdr  = fs.String("console-addr", "", "serve the live operator console (HTML dashboard + /api/overview,rounds,events) on this address (empty = disabled)")
 		traceOut    = fs.String("trace-out", "", "write the round's span tree as JSON to this file (empty = disabled)")
@@ -97,9 +96,15 @@ func run(args []string) error {
 		return err
 	}
 	// Skills are accuracies: NaN or a value outside [0, 1] would fail
-	// the round only after its bids are in.
+	// the round only after its bids are in. Their midpoint is the skill
+	// store's prior, every new worker's accuracy, which the store takes
+	// only strictly inside (0, 1).
 	if !(*skillLo >= 0 && *skillLo <= *skillHi && *skillHi <= 1) {
 		return fmt.Errorf("-skill-lo %v and -skill-hi %v must satisfy 0 <= lo <= hi <= 1", *skillLo, *skillHi)
+	}
+	prior := (*skillLo + *skillHi) / 2
+	if !(prior > 0 && prior < 1) {
+		return fmt.Errorf("-skill-lo %v and -skill-hi %v have midpoint %v, which must lie strictly between 0 and 1", *skillLo, *skillHi, prior)
 	}
 	// The price grid is built from the cost range below, before the
 	// platform validates anything.
@@ -199,20 +204,14 @@ func run(args []string) error {
 		startRound = persisted.Campaign.NextRound
 	}
 
-	// Multi-round (or durable) runs use the learning skill store the
-	// campaign updates between rounds; the one-shot in-memory path keeps
-	// the original hash-simulated skills.
+	// Every round reads skills from the store; a campaign (several
+	// rounds, or a durable state directory) also updates it between
+	// rounds.
 	multi := roundsTotal > 1 || st != nil
-	var skills *protocol.SkillStore
-	if multi {
-		def := (*skillLo + *skillHi) / 2
-		if st != nil {
-			skills = protocol.NewSkillStoreFromState(def, persisted.Skills)
-			if err := skills.ObserveStore(st); err != nil {
-				return err
-			}
-		} else {
-			skills = protocol.NewSkillStore(def)
+	skills := protocol.NewSkillStoreFromState(prior, persisted.Skills)
+	if st != nil {
+		if err := skills.ObserveStore(st); err != nil {
+			return err
 		}
 	}
 
@@ -227,7 +226,7 @@ func run(args []string) error {
 		CMin:       *cmin,
 		CMax:       *cmax,
 		PriceGrid:  core.PriceGridRange(*cmin, *cmax, gridStep),
-		Skills:     hashedSkills(*skillLo, *skillHi),
+		Skills:     skills.Func(),
 		BidWindow:  *window,
 		MinWorkers: *minWorkers,
 		Quorum:     *quorum,
@@ -242,9 +241,6 @@ func run(args []string) error {
 		Shards:      *shards,
 		ShardQuorum: *shardQuorum,
 		MaxConns:    *maxConns,
-	}
-	if skills != nil {
-		cfg.Skills = skills.Func()
 	}
 	if st != nil {
 		cfg.Checkpoints = st
@@ -357,7 +353,7 @@ func run(args []string) error {
 	out := map[string]any{
 		"bidders":          report.Bidders,
 		"winners":          len(report.Outcome.Winners),
-		"total_payment":    report.Outcome.TotalPayment,
+		"total_payment":    report.DeliveredPayment,
 		"reports_received": report.ReportsReceived,
 		"aggregated":       report.Aggregated,
 		"worker_ids":       report.WorkerIDs,
@@ -464,19 +460,4 @@ func writeTrace(path string, tracer *telemetry.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// hashedSkills derives a deterministic per-worker skill row from the
-// worker's ID, simulating the platform's historical skill store.
-func hashedSkills(lo, hi float64) protocol.SkillFunc {
-	return func(workerID string, numTasks int) []float64 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(workerID))
-		r := rand.New(rand.NewSource(int64(h.Sum64())))
-		row := make([]float64, numTasks)
-		for j := range row {
-			row[j] = lo + r.Float64()*(hi-lo)
-		}
-		return row
-	}
 }

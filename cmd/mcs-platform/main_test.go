@@ -1,46 +1,26 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/protocol"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
-
-func TestHashedSkillsDeterministicPerWorker(t *testing.T) {
-	f := hashedSkills(0.7, 0.95)
-	a := f("alice", 5)
-	b := f("alice", 5)
-	c := f("bob", 5)
-	if len(a) != 5 {
-		t.Fatalf("row length %d", len(a))
-	}
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("same worker produced different skills")
-		}
-		if a[j] < 0.7 || a[j] >= 0.95 {
-			t.Errorf("skill %v outside [0.7, 0.95)", a[j])
-		}
-	}
-	same := true
-	for j := range a {
-		if a[j] != c[j] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("distinct workers produced identical skill rows")
-	}
-}
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-tasks", "0", "-window", "1ms"}); err == nil {
@@ -63,6 +43,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-skill-lo", "NaN"},
 		{"-skill-hi", "NaN"},
 		{"-skill-lo", "0.9", "-skill-hi", "0.8"},
+		// The midpoint is the skill store's prior, which must lie
+		// strictly inside (0, 1).
+		{"-skill-lo", "0", "-skill-hi", "0"},
+		{"-skill-lo", "1", "-skill-hi", "1"},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet"}, skills...)
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "-skill-lo") {
@@ -89,6 +73,61 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// not every round once its bids are in.
 	if err := run([]string{"-addr", "127.0.0.1:0", "-window", "1ms", "-quiet", "-delta", "1.5"}); !errors.Is(err, protocol.ErrBadPlatform) {
 		t.Errorf("-delta 1.5: run = %v, want ErrBadPlatform", err)
+	}
+}
+
+// TestOneRoundServesSkillStorePrior: a one-round run reads every new
+// worker's accuracy from the skill store, which starts it at the
+// midpoint of -skill-lo and -skill-hi. With the range [0.5, 1], every
+// worker is 0.75 accurate and weighs (2*0.75-1)^2 = 0.25 on a task, so
+// five bundles cannot reach -delta 0.5's demand of 2*ln 2 = 1.39 and
+// six can.
+func TestOneRoundServesSkillStorePrior(t *testing.T) {
+	for _, tc := range []struct {
+		workers  int
+		feasible bool
+	}{{5, false}, {6, true}} {
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := probe.Addr().String()
+		_ = probe.Close()
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{
+				"-addr", addr, "-quiet", "-seed", "3", "-window", "10s",
+				"-tasks", "2", "-delta", "0.5", "-skill-lo", "0.5", "-skill-hi", "1",
+				"-min-workers", strconv.Itoa(tc.workers),
+			})
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		var wg sync.WaitGroup
+		for i := 0; i < tc.workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Only the platform's verdict matters; an infeasible round
+				// refuses its bidders.
+				_, _ = protocol.Participate(ctx, addr, protocol.WorkerConfig{
+					ID:     fmt.Sprintf("w%d", i),
+					Bundle: []int{0, 1},
+					Cost:   10,
+					Labels: func(int) crowd.Label { return crowd.Positive },
+					// The platform may not listen yet.
+					Retry: protocol.RetryPolicy{MaxAttempts: 20, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
+				})
+			}(i)
+		}
+		wg.Wait()
+		err = <-done
+		cancel()
+		if tc.feasible && err != nil {
+			t.Errorf("%d workers: run = %v, want a completed round", tc.workers, err)
+		}
+		if !tc.feasible && !errors.Is(err, core.ErrInfeasible) {
+			t.Errorf("%d workers: run = %v, want core.ErrInfeasible", tc.workers, err)
+		}
 	}
 }
 

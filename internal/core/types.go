@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sentinel errors returned by instance validation and auction
@@ -79,14 +78,41 @@ type Instance struct {
 	PriceGrid []float64
 }
 
-// Validate checks the instance for structural errors. All mechanism
-// entry points call it; it is exported so that callers constructing
-// instances from untrusted input (e.g. the wire protocol) can validate
-// early.
+// Validate checks the instance for structural errors: its terms
+// (ValidateTerms), every bid (ValidateBid) and the skill matrix. All
+// mechanism entry points call it.
 func (inst *Instance) Validate() error {
 	if len(inst.Workers) == 0 {
 		return ErrNoWorkers
 	}
+	if err := inst.ValidateTerms(); err != nil {
+		return err
+	}
+	if len(inst.Skills) != len(inst.Workers) {
+		return fmt.Errorf("%w: %d skill rows for %d workers", ErrSkillMismatch, len(inst.Skills), len(inst.Workers))
+	}
+	for i, w := range inst.Workers {
+		if err := inst.ValidateBid(w); err != nil {
+			return fmt.Errorf("%w (worker %d)", err, i)
+		}
+		if len(inst.Skills[i]) != inst.NumTasks {
+			return fmt.Errorf("%w: worker %d has %d skills for %d tasks", ErrSkillMismatch, i, len(inst.Skills[i]), inst.NumTasks)
+		}
+		for j, th := range inst.Skills[i] {
+			if th < 0 || th > 1 || math.IsNaN(th) {
+				return fmt.Errorf("%w: worker %d task %d theta=%v", ErrBadSkill, i, j, th)
+			}
+		}
+	}
+	return nil
+}
+
+// ValidateTerms checks the instance's public terms, which hold before
+// any bid arrives: a positive task count with one threshold in (0, 1)
+// per task, a cost range 0 <= CMin <= CMax with CMax finite, a finite
+// positive epsilon, and a non-empty price grid (see checkPrices). The
+// workers and skills are not read.
+func (inst *Instance) ValidateTerms() error {
 	if inst.NumTasks <= 0 {
 		return ErrNoTasks
 	}
@@ -106,42 +132,34 @@ func (inst *Instance) Validate() error {
 	if inst.Epsilon <= 0 || math.IsNaN(inst.Epsilon) || math.IsInf(inst.Epsilon, 0) {
 		return fmt.Errorf("%w: eps=%v", ErrBadEpsilon, inst.Epsilon)
 	}
-	if len(inst.Skills) != len(inst.Workers) {
-		return fmt.Errorf("%w: %d skill rows for %d workers", ErrSkillMismatch, len(inst.Skills), len(inst.Workers))
-	}
-	for i, w := range inst.Workers {
-		if len(w.Bundle) == 0 {
-			return fmt.Errorf("%w: worker %d has empty bundle", ErrBadBundle, i)
-		}
-		if !sort.IntsAreSorted(w.Bundle) {
-			return fmt.Errorf("%w: worker %d bundle not sorted", ErrBadBundle, i)
-		}
-		prev := -1
-		for _, j := range w.Bundle {
-			if j < 0 || j >= inst.NumTasks {
-				return fmt.Errorf("%w: worker %d bids on task %d of %d", ErrBadBundle, i, j, inst.NumTasks)
-			}
-			if j == prev {
-				return fmt.Errorf("%w: worker %d bundle has duplicate task %d", ErrBadBundle, i, j)
-			}
-			prev = j
-		}
-		if w.Bid < inst.CMin || w.Bid > inst.CMax || math.IsNaN(w.Bid) {
-			return fmt.Errorf("%w: worker %d bid %v outside [%v, %v]", ErrBadBid, i, w.Bid, inst.CMin, inst.CMax)
-		}
-		if len(inst.Skills[i]) != inst.NumTasks {
-			return fmt.Errorf("%w: worker %d has %d skills for %d tasks", ErrSkillMismatch, i, len(inst.Skills[i]), inst.NumTasks)
-		}
-		for j, th := range inst.Skills[i] {
-			if th < 0 || th > 1 || math.IsNaN(th) {
-				return fmt.Errorf("%w: worker %d task %d theta=%v", ErrBadSkill, i, j, th)
-			}
-		}
-	}
 	if len(inst.PriceGrid) == 0 {
 		return fmt.Errorf("%w: empty grid", ErrBadPriceGrid)
 	}
 	return checkPrices(inst.PriceGrid, inst.CMax)
+}
+
+// ValidateBid checks one bid against the instance's terms: a non-empty
+// bundle of strictly ascending tasks in [0, NumTasks), and a price in
+// [CMin, CMax]. The error may say what is wrong with the bundle, but
+// never carries the price, which is the bid's private value.
+func (inst *Instance) ValidateBid(w Worker) error {
+	if len(w.Bundle) == 0 {
+		return fmt.Errorf("%w: empty", ErrBadBundle)
+	}
+	for k, j := range w.Bundle {
+		switch {
+		case j < 0 || j >= inst.NumTasks:
+			return fmt.Errorf("%w: task %d of %d", ErrBadBundle, j, inst.NumTasks)
+		case k > 0 && j < w.Bundle[k-1]:
+			return fmt.Errorf("%w: not sorted", ErrBadBundle)
+		case k > 0 && j == w.Bundle[k-1]:
+			return fmt.Errorf("%w: duplicate task %d", ErrBadBundle, j)
+		}
+	}
+	if !(w.Bid >= inst.CMin && w.Bid <= inst.CMax) {
+		return fmt.Errorf("%w = [%v, %v]", ErrBadBid, inst.CMin, inst.CMax)
+	}
+	return nil
 }
 
 // checkPrices checks a price grid or an explicit price set: every

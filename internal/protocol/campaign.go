@@ -269,7 +269,8 @@ func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []strin
 // CampaignReport aggregates a multi-round campaign.
 type CampaignReport struct {
 	Rounds []RoundReport
-	// TotalPayment sums the platform's spend across rounds.
+	// TotalPayment sums the payments delivered across rounds (each
+	// round's DeliveredPayment).
 	TotalPayment float64
 	// FailedRounds counts rounds skipped after a degradation error.
 	FailedRounds int
@@ -318,7 +319,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 			continue
 		}
 		campaign.Rounds = append(campaign.Rounds, rep)
-		campaign.TotalPayment += rep.Outcome.TotalPayment
+		campaign.TotalPayment += rep.DeliveredPayment
 		if store != nil {
 			if err := store.UpdateFromReports(reports, rep.WorkerIDs, p.cfg.NumTasks); err != nil {
 				return campaign, err
@@ -329,7 +330,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 		p.cfg.Events.Info("campaign.round",
 			evlog.Int("round", rep.Round),
 			evlog.Int("rounds", rounds),
-			evlog.Aggregate("total_payment", rep.Outcome.TotalPayment))
+			evlog.Aggregate("total_payment", rep.DeliveredPayment))
 	}
 	return campaign, nil
 }

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,11 +46,14 @@ type chaosOpts struct {
 	quorum     int
 	window     time.Duration
 	ioTimeout  time.Duration
-	plan       faultnet.Plan
-	retry      RetryPolicy
-	accountant *mechanism.Accountant
-	telemetry  *telemetry.Registry
-	events     *evlog.Logger
+	// workerIOTimeout bounds each worker's message exchanges; 0 takes
+	// ioTimeout, the platform's.
+	workerIOTimeout time.Duration
+	plan            faultnet.Plan
+	retry           RetryPolicy
+	accountant      *mechanism.Accountant
+	telemetry       *telemetry.Registry
+	events          *evlog.Logger
 }
 
 func defaultChaosOpts(seed int64, workers int) chaosOpts {
@@ -140,6 +144,10 @@ func runChaosRound(t *testing.T, o chaosOpts) (RoundReport, []WorkerReport, []er
 		resCh <- result{rep, err}
 	}()
 
+	workerIO := o.workerIOTimeout
+	if workerIO == 0 {
+		workerIO = o.ioTimeout
+	}
 	workerReports := make([]WorkerReport, o.numWorkers)
 	workerErrs := make([]error, o.numWorkers)
 	var wg sync.WaitGroup
@@ -163,10 +171,10 @@ func runChaosRound(t *testing.T, o chaosOpts) (RoundReport, []WorkerReport, []er
 					}
 					return crowd.Negative
 				},
-				IOTimeout:      o.ioTimeout,
+				IOTimeout:      workerIO,
 				Dialer:         &faultnet.Dialer{Injector: inj, Key: id},
 				Retry:          o.retry,
-				AttemptTimeout: 2 * o.ioTimeout * 3,
+				AttemptTimeout: 2 * workerIO * 3,
 			})
 		}(i)
 	}
@@ -207,6 +215,23 @@ func assertRoundInvariants(t *testing.T, rep RoundReport, quorum int) {
 	wantPay := rep.Outcome.Price * float64(len(rep.Outcome.Winners))
 	if math.Abs(rep.Outcome.TotalPayment-wantPay) > 1e-9 {
 		t.Errorf("total payment %v != price %v x %d winners", rep.Outcome.TotalPayment, rep.Outcome.Price, len(rep.Outcome.Winners))
+	}
+	// Every winner is either paid or counted evicted or unreachable, and
+	// only the paid ones count toward the delivered payment.
+	won := make(map[string]bool)
+	for _, w := range rep.Outcome.Winners {
+		won[rep.WorkerIDs[w]] = true
+	}
+	for _, id := range rep.Paid {
+		if !won[id] {
+			t.Errorf("paid worker %s is not a winner", id)
+		}
+	}
+	if unpaid := rep.Faults.WinnersEvicted + rep.Faults.WinnersUnreachable; len(rep.Paid)+unpaid != len(rep.Outcome.Winners) {
+		t.Errorf("%d paid + %d evicted or unreachable != %d winners", len(rep.Paid), unpaid, len(rep.Outcome.Winners))
+	}
+	if want := rep.Outcome.Price * float64(len(rep.Paid)); math.Abs(rep.DeliveredPayment-want) > 1e-9 {
+		t.Errorf("delivered payment %v != price %v x %d paid", rep.DeliveredPayment, rep.Outcome.Price, len(rep.Paid))
 	}
 }
 
@@ -341,24 +366,29 @@ func TestChaosAccountantDebitedOncePerCompletedRound(t *testing.T) {
 	}
 }
 
-// TestChaosWinnerEvictionDoesNotFailRound: a winner that vanishes after
-// the outcome notification is evicted; the round still completes and
-// aggregates the remaining winners' labels.
-func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
+// evictionConfig is the platform configuration of a round whose
+// cheapest bidder vanishes once it learns it won: no transport faults
+// (the fault is behavioral), quorum 3, and deep thresholds so several
+// winners are needed. delta=0.3 demands Q = 2·ln(1/0.3) ≈ 2.41 of
+// coverage, i.e. 4 workers at quality (2·0.9-1)² = 0.64 each.
+func evictionConfig() PlatformConfig {
 	o := defaultChaosOpts(5, 0) // platform config only; workers run by hand
-	o.numWorkers = 5
 	o.quorum = 3
 	o.window = time.Second
-	o.plan = faultnet.Plan{Seed: 5} // no transport faults: the fault is behavioral
 	cfg := chaosPlatformConfig(o)
-	// Deep thresholds so several winners are needed: delta=0.3 demands
-	// Q = 2·ln(1/0.3) ≈ 2.41 of coverage, i.e. 4 workers at quality
-	// (2·0.9-1)² = 0.64 each.
 	for j := range cfg.Thresholds {
 		cfg.Thresholds[j] = 0.3
 	}
 	cfg.IOTimeout = 500 * time.Millisecond
+	return cfg
+}
 
+// runCrasherRound serves one round of cfg to four honest workers
+// bidding honest at moderate costs and one crasher bidding crasher at
+// the cheapest possible cost, which disconnects without labels the
+// moment it learns it won.
+func runCrasherRound(t *testing.T, cfg PlatformConfig, honest, crasher []int) (RoundReport, error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -381,16 +411,14 @@ func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
 		resCh <- result{rep, err}
 	}()
 
-	bundle := []int{0, 1, 2, 3, 4, 5}
 	var wg sync.WaitGroup
-	// Four honest workers at moderate cost.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, _ = Participate(ctx, ln.Addr().String(), WorkerConfig{
 				ID:     fmt.Sprintf("honest-%d", i),
-				Bundle: bundle,
+				Bundle: honest,
 				Cost:   8 + float64(i),
 				Labels: func(int) crowd.Label { return crowd.Positive },
 				// Generous: the outcome only arrives once the window closes.
@@ -398,8 +426,6 @@ func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
 			})
 		}(i)
 	}
-	// One crasher at the cheapest possible cost (all but guaranteed to
-	// win) that disconnects the moment it learns it won.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -418,7 +444,7 @@ func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
 			t.Errorf("crasher announce: %v", err)
 			return
 		}
-		if err := conn.Send(Message{Type: TypeBid, WorkerID: "crasher", Bundle: bundle, Price: 5}); err != nil {
+		if err := conn.Send(Message{Type: TypeBid, WorkerID: "crasher", Bundle: crasher, Price: 5}); err != nil {
 			t.Errorf("crasher bid: %v", err)
 			return
 		}
@@ -432,21 +458,69 @@ func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
 
 	res := <-resCh
 	wg.Wait()
-	if res.err != nil {
-		t.Fatalf("round must tolerate a crashing winner, got %v", res.err)
-	}
-	assertRoundInvariants(t, res.report, o.quorum)
-	crasherWon := false
-	for _, w := range res.report.Outcome.Winners {
-		if res.report.WorkerIDs[w] == "crasher" {
-			crasherWon = true
+	return res.report, res.err
+}
+
+// crasherWon reports whether rep's winners include the crasher.
+func crasherWon(rep RoundReport) bool {
+	for _, w := range rep.Outcome.Winners {
+		if rep.WorkerIDs[w] == "crasher" {
+			return true
 		}
 	}
-	if crasherWon && res.report.Faults.WinnersEvicted+res.report.Faults.WinnersUnreachable == 0 {
+	return false
+}
+
+// TestChaosWinnerEvictionDoesNotFailRound: a winner that vanishes after
+// the outcome notification is evicted; the round still completes and
+// aggregates the remaining winners' labels.
+func TestChaosWinnerEvictionDoesNotFailRound(t *testing.T) {
+	bundle := []int{0, 1, 2, 3, 4, 5}
+	rep, err := runCrasherRound(t, evictionConfig(), bundle, bundle)
+	if err != nil {
+		t.Fatalf("round must tolerate a crashing winner, got %v", err)
+	}
+	assertRoundInvariants(t, rep, 3)
+	won := crasherWon(rep)
+	if won && rep.Faults.WinnersEvicted+rep.Faults.WinnersUnreachable == 0 {
 		t.Error("crashing winner was neither evicted nor counted unreachable")
 	}
-	if crasherWon && res.report.ReportsReceived == 0 {
+	if won && rep.ReportsReceived == 0 {
 		t.Error("no labels aggregated from the surviving winners")
+	}
+}
+
+// TestChaosEvictedWinnerIsNotJournaledPaid: a winner evicted in the
+// labels phase never gets a payment frame, so the round's completion
+// record journals neither the winner nor its payment. The crasher alone
+// bids on task 5, whose threshold one bidder meets, so every feasible
+// winner set holds it.
+func TestChaosEvictedWinnerIsNotJournaledPaid(t *testing.T) {
+	cfg := evictionConfig()
+	cfg.Thresholds[5] = 0.75 // Q = 2·ln(1/0.75) ≈ 0.58, under one worker's 0.64
+	journal := store.NewMemStore()
+	cfg.Checkpoints = journal
+	rep, err := runCrasherRound(t, cfg, []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatalf("round must tolerate a crashing winner, got %v", err)
+	}
+	if !crasherWon(rep) {
+		t.Fatalf("fixture: the crasher must win, winners %v of %v", rep.Outcome.Winners, rep.WorkerIDs)
+	}
+	assertRoundInvariants(t, rep, 3)
+	completed := journal.State().Campaign.Completed
+	if len(completed) != 1 {
+		t.Fatalf("journal holds %d completed rounds, want 1", len(completed))
+	}
+	c := completed[0]
+	if slices.Contains(c.Workers, "crasher") || len(c.Workers) != len(rep.Outcome.Winners)-1 {
+		t.Errorf("journal pays %v, want every winner of %d but the crasher", c.Workers, len(rep.Outcome.Winners))
+	}
+	if !(c.Payment < rep.Outcome.TotalPayment) {
+		t.Errorf("journaled payment %v, want less than the outcome's %v", c.Payment, rep.Outcome.TotalPayment)
+	}
+	if c.Payment != rep.DeliveredPayment || !slices.Equal(c.Workers, rep.Paid) {
+		t.Errorf("journal pays %v to %v, the report %v to %v", c.Payment, c.Workers, rep.DeliveredPayment, rep.Paid)
 	}
 }
 
@@ -538,8 +612,8 @@ func TestChaosRetryRecoversFromDialFailures(t *testing.T) {
 
 // TestChaosCampaignTotalsProperty (property test): RunCampaignTolerant
 // under injected faults never panics, each failed round is recorded,
-// and the campaign's TotalPayment equals the sum of its per-round
-// reports — for every seed tried.
+// and the campaign's TotalPayment equals the sum of its rounds'
+// delivered payments — for every seed tried.
 func TestChaosCampaignTotalsProperty(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		seed := seed
@@ -631,7 +705,7 @@ func TestChaosCampaignTotalsProperty(t *testing.T) {
 			var sum float64
 			for _, rep := range c.Rounds {
 				assertRoundInvariants(t, rep, o.quorum)
-				sum += rep.Outcome.TotalPayment
+				sum += rep.DeliveredPayment
 			}
 			if math.Abs(sum-c.TotalPayment) > 1e-9 {
 				t.Errorf("campaign total %v != sum of rounds %v", c.TotalPayment, sum)
@@ -851,10 +925,22 @@ func TestChaosEventsReconcileWithFaults(t *testing.T) {
 
 // TestChaosSmallRoundDeterminism re-runs a compact faulty round and
 // demands byte-identical serialized reports — the cheap regression
-// guard for the determinism contract.
+// guard for the determinism contract. The seeded faults, not the
+// clock, must decide the round:
+//
+//   - each worker waits for its outcome longer than the window lasts,
+//     so no worker gives up on an admitted bid and retries it into a
+//     duplicate, which would evict it as a winner;
+//   - a failed attempt ends at the platform's 1 s deadline on the
+//     dropped frame, so the 4 s window outlasts any worker's three
+//     attempts;
+//   - that deadline evicts a winner whose labels frame the plan drops,
+//     never one a loaded machine merely slows.
 func TestChaosSmallRoundDeterminism(t *testing.T) {
 	o := defaultChaosOpts(13, 12)
-	o.window = 1500 * time.Millisecond
+	o.window = 4 * time.Second
+	o.ioTimeout = time.Second
+	o.workerIOTimeout = 10 * time.Second
 	run := func() (string, string) {
 		rep, _, _, err := runChaosRound(t, o)
 		if err != nil {
@@ -1144,8 +1230,8 @@ func TestChaosKillRestartMidCampaign(t *testing.T) {
 		if c.Round != i {
 			t.Errorf("completed[%d].Round = %d", i, c.Round)
 		}
-		if math.Float64bits(c.Payment) != math.Float64bits(preKill.Rounds[i].Outcome.TotalPayment) {
-			t.Errorf("round %d journaled payment %v != live %v", i, c.Payment, preKill.Rounds[i].Outcome.TotalPayment)
+		if math.Float64bits(c.Payment) != math.Float64bits(preKill.Rounds[i].DeliveredPayment) {
+			t.Errorf("round %d journaled payment %v != live %v", i, c.Payment, preKill.Rounds[i].DeliveredPayment)
 		}
 	}
 

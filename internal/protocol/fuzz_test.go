@@ -118,8 +118,8 @@ func FuzzMessageDecode(f *testing.F) {
 }
 
 // FuzzConnRecv streams arbitrary bytes into Conns. Over a live pipe,
-// Recv must return a value or an error, never hang past its deadline
-// or panic; the Conn then releases its codec to the pool the next one
+// Recv must return a value or an error, never hang (see awaitRecv) or
+// panic; the Conn then releases its codec to the pool the next one
 // draws from. Read from the same bytes delivered whole, and up to
 // 64 KiB of them one byte per Read and seven bytes per Read, every
 // Recv must give what a
@@ -144,9 +144,7 @@ func FuzzConnRecv(f *testing.F) {
 			defer close(done)
 			_, _ = conn.Recv()
 		}()
-		select {
-		case <-done:
-		case <-time.After(3 * time.Second):
+		if !awaitRecv(done) {
 			t.Fatal("Recv hung past its deadline")
 		}
 		_ = client.Close()
@@ -159,6 +157,31 @@ func FuzzConnRecv(f *testing.F) {
 			recvLikeDecoder(t, data, 7)
 		}
 	})
+}
+
+// awaitRecv waits for done and reports whether it closed within 3 s of
+// the time this process ran. The 3 s pass in 10 ms ticks, and a tick
+// counts for at most 10 ms however late it arrives, so the time a
+// loaded machine keeps the process off the CPU does not count against
+// Recv. A Recv whose wait outlives its deadline, or that loops without
+// end, still fails: on a machine that runs the process, the ticks come
+// on time.
+func awaitRecv(done <-chan struct{}) bool {
+	const tick = 10 * time.Millisecond
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	last := time.Now()
+	for ran := time.Duration(0); ran < 3*time.Second; {
+		select {
+		case <-done:
+			return true
+		case <-ticker.C:
+			now := time.Now()
+			ran += min(now.Sub(last), tick)
+			last = now
+		}
+	}
+	return false
 }
 
 // recvLikeDecoder reads data through a Conn, chunk bytes per Read, and

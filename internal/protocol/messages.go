@@ -82,28 +82,6 @@ type Message struct {
 	Err string `json:"err,omitempty"`
 }
 
-// checkBundle reports why bundle is not a valid bid bundle over
-// numTasks tasks: it must be non-empty and strictly ascending (sorted,
-// unique) over tasks in [0, numTasks), as core.Validate requires of
-// every bidder. A worker that has not seen the announce yet passes
-// math.MaxInt.
-func checkBundle(bundle []int, numTasks int) error {
-	if len(bundle) == 0 {
-		return errors.New("empty bundle")
-	}
-	for k, task := range bundle {
-		switch {
-		case task < 0 || task >= numTasks:
-			return fmt.Errorf("bundle task %d out of range", task)
-		case k > 0 && task < bundle[k-1]:
-			return errors.New("bundle not sorted")
-		case k > 0 && task == bundle[k-1]:
-			return fmt.Errorf("bundle has duplicate task %d", task)
-		}
-	}
-	return nil
-}
-
 // encodeFrame encodes m as one wire frame, byte-identical to what Send
 // writes for m: json.Marshal's bytes plus the newline.
 func encodeFrame(m Message) ([]byte, error) {

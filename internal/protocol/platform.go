@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sort"
@@ -50,12 +49,9 @@ func IsDegraded(err error) bool {
 		errors.Is(err, shard.ErrPartitionQuorum)
 }
 
-// SkillFunc supplies the platform's historical skill estimate for a
-// worker (Section III-A: theta is maintained by the platform from
-// prior rounds, gold tasks, or truth discovery — see crowd.EstimateSkills).
-// A returned row may be shared across calls and rounds, as
-// SkillStore.Func's are, so nothing that receives it may modify it.
-type SkillFunc func(workerID string, numTasks int) []float64
+// SkillFunc supplies the platform's historical skill row for a worker;
+// shard.SkillFunc is its one definition.
+type SkillFunc = shard.SkillFunc
 
 // PlatformConfig parameterizes one auction round.
 type PlatformConfig struct {
@@ -152,31 +148,14 @@ type PlatformConfig struct {
 	MaxConns int
 }
 
-// validate checks the configuration. It refuses every public term
-// core.Validate would refuse, which would otherwise fail each round
-// only after its bids are in.
+// validate checks the platform's own fields. The auction terms are
+// checked by core, when NewPlatform builds the round coordinator; only
+// the rule that no grid price lies below CMin, which no bid can clear,
+// is the platform's.
 func (c *PlatformConfig) validate() error {
 	switch {
-	case c.NumTasks <= 0:
-		return fmt.Errorf("%w: NumTasks=%d", ErrBadPlatform, c.NumTasks)
-	case len(c.Thresholds) != c.NumTasks:
-		return fmt.Errorf("%w: %d thresholds for %d tasks", ErrBadPlatform, len(c.Thresholds), c.NumTasks)
-	case slices.ContainsFunc(c.Thresholds, func(d float64) bool { return !(d > 0 && d < 1) }):
-		return fmt.Errorf("%w: threshold outside (0, 1)", ErrBadPlatform)
-	case c.Skills == nil:
-		return fmt.Errorf("%w: nil SkillFunc", ErrBadPlatform)
-	case !(c.Epsilon > 0) || math.IsInf(c.Epsilon, 1):
-		return fmt.Errorf("%w: epsilon=%v", ErrBadPlatform, c.Epsilon)
-	case !(c.CMin >= 0 && c.CMin <= c.CMax) || math.IsInf(c.CMax, 1):
-		return fmt.Errorf("%w: cost range [%v, %v]", ErrBadPlatform, c.CMin, c.CMax)
-	case len(c.PriceGrid) == 0:
-		return fmt.Errorf("%w: empty price grid", ErrBadPlatform)
-	case !ascendingPositive(c.PriceGrid):
-		return fmt.Errorf("%w: price grid not strictly ascending and positive", ErrBadPlatform)
-	case slices.ContainsFunc(c.PriceGrid, func(p float64) bool { return !(p >= c.CMin && p <= c.CMax) }):
-		// Core refuses a price above CMax, which would fail every round
-		// as infeasible, and no bid can clear a price below CMin.
-		return fmt.Errorf("%w: price grid leaves the cost range [%v, %v]", ErrBadPlatform, c.CMin, c.CMax)
+	case slices.ContainsFunc(c.PriceGrid, func(p float64) bool { return p < c.CMin }):
+		return fmt.Errorf("%w: price grid below cmin %v", ErrBadPlatform, c.CMin)
 	case c.BidWindow <= 0:
 		return fmt.Errorf("%w: BidWindow=%v", ErrBadPlatform, c.BidWindow)
 	case c.Quorum < 0:
@@ -191,19 +170,6 @@ func (c *PlatformConfig) validate() error {
 		return fmt.Errorf("%w: MaxConns=%d", ErrBadPlatform, c.MaxConns)
 	}
 	return nil
-}
-
-// ascendingPositive reports whether p is strictly ascending from above
-// zero; NaN fails it.
-func ascendingPositive(p []float64) bool {
-	prev := 0.0
-	for _, x := range p {
-		if !(x > prev) {
-			return false
-		}
-		prev = x
-	}
-	return true
 }
 
 // RoundSeed derives the mechanism seed for one round from the
@@ -234,8 +200,9 @@ type RoundFaults struct {
 	// DuplicatesRejected counts bids refused because the worker ID had
 	// already bid this round.
 	DuplicatesRejected int `json:"duplicates_rejected"`
-	// WinnersUnreachable counts winners that could not be notified of
-	// the outcome; they are treated as evicted.
+	// WinnersUnreachable counts winners whose outcome notification or
+	// payment could not be written; like evicted winners, they are not
+	// paid.
 	WinnersUnreachable int `json:"winners_unreachable"`
 	// WinnersEvicted counts winners that failed to deliver labels
 	// within the IO timeout; the round completes without their data.
@@ -300,6 +267,14 @@ type RoundReport struct {
 	// ReportsReceived counts the label reports admitted from winners:
 	// one per task of a winner's bid bundle, labelled +1 or -1.
 	ReportsReceived int
+	// Paid lists, sorted, the winners whose payment frame was written:
+	// winners evicted or unreachable in the labels phase are not paid.
+	Paid []string
+	// DeliveredPayment sums the payments written to Paid. It falls short
+	// of Outcome.TotalPayment, the mechanism's price times its winners,
+	// by the payments of the winners not paid. The journal and the
+	// campaign total record it.
+	DeliveredPayment float64
 	// Faults accounts the per-session failures the round survived.
 	Faults RoundFaults
 	// Sharding carries the per-partition breakdown of a sharded round
@@ -363,11 +338,11 @@ type platformFrames struct {
 	overLimit []byte
 }
 
-// newPlatformFrames encodes the constant frames of cfg, a validated
-// configuration. The announce carries only the terms a bid reads, so
-// its size does not grow with the task count or the price grid, and
-// validate has refused the NaN and infinite values json cannot encode:
-// no frame can fail.
+// newPlatformFrames encodes the constant frames of cfg, a configuration
+// whose terms core has accepted. The announce carries only the terms a
+// bid reads, so its size does not grow with the task count or the
+// price grid, and core has refused the NaN and infinite values json
+// cannot encode: no frame can fail.
 func newPlatformFrames(cfg *PlatformConfig) platformFrames {
 	announce, _ := encodeFrame(Message{
 		Type:            TypeAnnounce,
@@ -430,7 +405,10 @@ func (p *Platform) ConnectionsActive() int64 {
 	return p.connsActive.Load()
 }
 
-// NewPlatform validates the configuration and returns a Platform.
+// NewPlatform validates the configuration and returns a Platform. Its
+// round coordinator refuses any auction terms core would refuse, so a
+// bad term fails here with ErrBadPlatform, not each round once its
+// bids are in.
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -455,7 +433,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		CMin:                cfg.CMin,
 		CMax:                cfg.CMax,
 		PriceGrid:           cfg.PriceGrid,
-		Skills:              shard.SkillFunc(cfg.Skills),
+		Skills:              cfg.Skills,
 		Accountant:          cfg.Accountant,
 		Events:              cfg.Events,
 		Telemetry:           cfg.Telemetry,
@@ -583,13 +561,7 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 			// report is released: if this write fails, the round stays
 			// "begun" in the journal and resume skips it — which is the
 			// safe reading, since its payments have already gone out.
-			paid := make([]string, 0, len(rep.Outcome.Winners))
-			for _, w := range rep.Outcome.Winners {
-				if w >= 0 && w < len(rep.WorkerIDs) {
-					paid = append(paid, rep.WorkerIDs[w])
-				}
-			}
-			if cerr := p.cfg.Checkpoints.RecordRoundComplete(round, rep.Outcome.TotalPayment, paid); cerr != nil {
+			if cerr := p.cfg.Checkpoints.RecordRoundComplete(round, rep.DeliveredPayment, rep.Paid); cerr != nil {
 				p.met.roundsFailed.Inc()
 				ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "checkpoint"))
 				return rep, reports, fmt.Errorf("protocol: checkpointing round %d completion: %w", round, cerr)
@@ -797,6 +769,8 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 	// completes with whoever answered. Results are assembled in
 	// session-index order afterwards to keep the report deterministic.
 	perWinner := make([][]crowd.Report, len(sessions))
+	paid := make([]bool, len(sessions))
+	report.Paid = make([]string, 0, len(outcome.Winners))
 	var wg sync.WaitGroup
 	for i := range sessions {
 		if !winners[i] {
@@ -827,7 +801,12 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 				}
 			}
 			perWinner[i] = slices.DeleteFunc(got, func(r crowd.Report) bool { return r.Label == crowd.Unlabeled })
-			_ = s.conn.Send(Message{Type: TypePayment, Amount: winnerPrices[i]})
+			// A winner counts as paid once its payment frame is written.
+			if err := s.conn.Send(Message{Type: TypePayment, Amount: winnerPrices[i]}); err != nil {
+				p.fault(faultWinnerUnreachable, round, evlog.String("worker", s.workerID))
+				return
+			}
+			paid[i] = true
 			_ = s.conn.sendFrame(TypeDone, p.frames.done)
 		}(i, sessions[i])
 	}
@@ -835,8 +814,12 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 	tl.leave()
 
 	var reports []crowd.Report
-	for _, rs := range perWinner {
+	for i, rs := range perWinner {
 		reports = append(reports, rs...)
+		if paid[i] {
+			report.Paid = append(report.Paid, sessions[i].workerID)
+			report.DeliveredPayment += winnerPrices[i]
+		}
 	}
 	report.ReportsReceived = len(reports)
 
@@ -1111,13 +1094,11 @@ func (p *Platform) handshake(raw net.Conn) (_ *session, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The bid is checked here as the auction core would check it, so one
+	// The bid is checked here with the auction core's own check, so one
 	// malformed bid costs its own session, not the assembled round.
-	if err := checkBundle(bid.Bundle, p.cfg.NumTasks); err != nil {
-		return nil, conn.SendError(fmt.Errorf("protocol: invalid bid from %s: %v", hello.WorkerID, err))
-	}
-	if bid.Price < p.cfg.CMin || bid.Price > p.cfg.CMax {
-		return nil, conn.SendError(fmt.Errorf("protocol: invalid bid from %s", hello.WorkerID))
+	terms := core.Instance{NumTasks: p.cfg.NumTasks, CMin: p.cfg.CMin, CMax: p.cfg.CMax}
+	if err := terms.ValidateBid(core.Worker{Bundle: bid.Bundle, Bid: bid.Price}); err != nil {
+		return nil, conn.SendError(fmt.Errorf("protocol: invalid bid from %s: %w", hello.WorkerID, err))
 	}
 	return &session{
 		conn:     conn,

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -413,6 +414,40 @@ func TestShardedAllPartitionsKilled(t *testing.T) {
 		if workers[i].Attempts != 1 {
 			t.Errorf("worker %d made %d attempts, want 1", i, workers[i].Attempts)
 		}
+	}
+}
+
+// TestShardedInfeasibleRoundDegradesTyped: a sharded round in which no
+// partition's bids can cover a grid price degrades as an unsharded one
+// does: its error matches both shard.ErrNoPartitions and
+// core.ErrInfeasible, nothing is debited, and round.degraded says
+// "infeasible".
+func TestShardedInfeasibleRoundDegradesTyped(t *testing.T) {
+	o := shardedOpts(4343, 0)
+	acct, err := mechanism.NewAccountant(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := evlog.New()
+	o.accountant = acct
+	o.events = ev
+	cfg := chaosPlatformConfig(o)
+	cfg.Shards = 2
+	// w00 and w03 hash to one partition, w01 and w02 to the other. Two
+	// workers at theta 0.9 cover each task with weight 2*0.64, short of
+	// the 2*ln(1/0.35) every task needs.
+	rep, roundErr := runCleanRound(t, cfg, []float64{10, 11, 12, 13})
+	if !errors.Is(roundErr, shard.ErrNoPartitions) || !errors.Is(roundErr, core.ErrInfeasible) || !IsDegraded(roundErr) {
+		t.Fatalf("round error = %v, want a degradation matching shard.ErrNoPartitions and core.ErrInfeasible", roundErr)
+	}
+	if rep.Sharding == nil || rep.Sharding.Infeasible != 2 {
+		t.Fatalf("sharding outcome %+v, want both partitions infeasible", rep.Sharding)
+	}
+	if spent := acct.Spent(); spent != 0 {
+		t.Fatalf("infeasible round spent %v, want 0", spent)
+	}
+	if reasons := degradeReasons(t, ev); !reflect.DeepEqual(reasons, []string{"infeasible"}) {
+		t.Fatalf("round.degraded reasons %q, want [infeasible]", reasons)
 	}
 }
 

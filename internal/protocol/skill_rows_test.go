@@ -200,7 +200,7 @@ func TestSharedSkillRowsStayUnmodified(t *testing.T) {
 		cfg := chaosPlatformConfig(o)
 		cfg.Shards = shards
 		cfg.Skills = func(workerID string, n int) []float64 { return rows[workerID] }
-		rep, err := runUnshardedRound(t, cfg, costs)
+		rep, err := runCleanRound(t, cfg, costs)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -23,10 +23,11 @@ import (
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
 
-// runUnshardedRound serves one round of cfg to len(costs) workers on a
-// clean transport; worker i is chaosWorkerID(i), bids costs[i] and
-// bundles every task. The window closes once every worker has bid.
-func runUnshardedRound(t *testing.T, cfg PlatformConfig, costs []float64) (RoundReport, error) {
+// runCleanRound serves one round of cfg, sharded or not, to len(costs)
+// workers on a clean transport; worker i is chaosWorkerID(i), bids
+// costs[i] and bundles every task. The window closes once every worker
+// has bid.
+func runCleanRound(t *testing.T, cfg PlatformConfig, costs []float64) (RoundReport, error) {
 	t.Helper()
 	cfg.MinWorkers = len(costs)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -88,7 +89,7 @@ func TestUnshardedRoundDrawsFromRoundSeed(t *testing.T) {
 	for i := range costs {
 		costs[i] = 20 - float64(i)
 	}
-	rep, err := runUnshardedRound(t, cfg, costs)
+	rep, err := runCleanRound(t, cfg, costs)
 	if err != nil {
 		t.Fatalf("round: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestUnshardedInfeasibleRoundDegradesTyped(t *testing.T) {
 	cfg := chaosPlatformConfig(o)
 	// Two workers at theta 0.9 cover each task with weight 2*0.64,
 	// short of the 2*ln(1/0.35) every task needs.
-	rep, roundErr := runUnshardedRound(t, cfg, []float64{10, 11})
+	rep, roundErr := runCleanRound(t, cfg, []float64{10, 11})
 	if !errors.Is(roundErr, core.ErrInfeasible) {
 		t.Fatalf("round error = %v, want core.ErrInfeasible", roundErr)
 	}
@@ -155,6 +156,14 @@ func TestUnshardedInfeasibleRoundDegradesTyped(t *testing.T) {
 	if spent := acct.Spent(); spent != 0 {
 		t.Fatalf("infeasible round spent %v, want 0", spent)
 	}
+	if reasons := degradeReasons(t, ev); !reflect.DeepEqual(reasons, []string{"infeasible"}) {
+		t.Fatalf("round.degraded reasons %q, want [infeasible]", reasons)
+	}
+}
+
+// degradeReasons lists the reasons of ev's round.degraded events.
+func degradeReasons(t *testing.T, ev *evlog.Logger) []string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := ev.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -170,7 +179,5 @@ func TestUnshardedInfeasibleRoundDegradesTyped(t *testing.T) {
 			reasons = append(reasons, reason)
 		}
 	}
-	if !reflect.DeepEqual(reasons, []string{"infeasible"}) {
-		t.Fatalf("round.degraded reasons %q, want [infeasible]", reasons)
-	}
+	return reasons
 }

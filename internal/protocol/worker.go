@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/dphsrc/dphsrc/internal/core"
 	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 )
@@ -61,16 +62,16 @@ func (c *WorkerConfig) validate() error {
 	if len(c.ID) > MaxWorkerIDBytes {
 		return fmt.Errorf("%w: id of %d bytes exceeds %d", ErrBadWorker, len(c.ID), MaxWorkerIDBytes)
 	}
-	if err := checkBundle(c.Bundle, math.MaxInt); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadWorker, err)
-	}
-	switch {
-	case c.Labels == nil:
+	if c.Labels == nil {
 		return fmt.Errorf("%w: nil LabelFunc", ErrBadWorker)
-	case !(c.Cost >= 0) || math.IsInf(c.Cost, 1):
-		// A NaN cost would fail the bid's encoding on every attempt, and
-		// an infinite one would bid cmax and settle a win at -Inf utility.
-		return fmt.Errorf("%w: cost must be finite and non-negative", ErrBadWorker)
+	}
+	// Before the announce, the bid is checked against the widest terms:
+	// a bundle over non-negative tasks and a finite, non-negative cost.
+	// A NaN cost would fail the bid's encoding on every attempt, and an
+	// infinite one would bid cmax and settle a win at -Inf utility.
+	anyTerms := core.Instance{NumTasks: math.MaxInt, CMax: math.MaxFloat64}
+	if err := anyTerms.ValidateBid(core.Worker{Bundle: c.Bundle, Bid: c.Cost}); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadWorker, err)
 	}
 	return nil
 }
@@ -193,17 +194,16 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	if err != nil {
 		return WorkerReport{}, err
 	}
-	for _, task := range cfg.Bundle {
-		if task < 0 || task >= announce.NumTasks {
-			return WorkerReport{}, fmt.Errorf("%w: bundle task %d outside announced %d tasks", ErrBadWorker, task, announce.NumTasks)
-		}
-	}
 	bidPrice := cfg.Cost
 	if bidPrice < announce.CMin {
 		bidPrice = announce.CMin
 	}
 	if bidPrice > announce.CMax {
 		bidPrice = announce.CMax
+	}
+	terms := core.Instance{NumTasks: announce.NumTasks, CMin: announce.CMin, CMax: announce.CMax}
+	if err := terms.ValidateBid(core.Worker{Bundle: cfg.Bundle, Bid: bidPrice}); err != nil {
+		return WorkerReport{}, fmt.Errorf("%w: against the announced terms: %w", ErrBadWorker, err)
 	}
 	if err := conn.Send(Message{Type: TypeBid, WorkerID: cfg.ID, Bundle: cfg.Bundle, Price: bidPrice}); err != nil {
 		return WorkerReport{}, err

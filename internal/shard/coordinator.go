@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -192,7 +193,8 @@ func (c *Coordinator) SkillRow(workerID string) []float64 {
 }
 
 // builtPartition is one partition's state after the build step; err
-// is the build failure behind StatusInfeasible.
+// is its build failure, behind StatusInfeasible when it is
+// core.ErrInfeasible and with no status otherwise.
 type builtPartition struct {
 	status string
 	bids   []Bid
@@ -201,8 +203,10 @@ type builtPartition struct {
 
 // buildPartition sorts the partition's admitted bids, consults the
 // chaos seam, and prepares (but does not draw) its price draw. A kill
-// or cancellation surfaces as StatusKilled, an uncoverable bid set as
-// StatusInfeasible — both degrade the partition, never the process.
+// or cancellation surfaces as StatusKilled and an uncoverable bid set
+// as StatusInfeasible, which degrade the partition. Any other build
+// error, such as a malformed skill row, leaves the status empty:
+// RunRound fails the round with it.
 func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtPartition {
 	bids := c.queues[idx].bids
 	sortBids(bids)
@@ -218,7 +222,11 @@ func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtP
 	inst := c.cfg.buildInstance(bids)
 	c.rows[idx] = inst.Skills
 	if err := c.drawers[idx].Prepare(inst); err != nil {
-		return builtPartition{status: StatusInfeasible, bids: bids, err: fmt.Errorf("shard: building auction: %w", err)}
+		b := builtPartition{bids: bids, err: fmt.Errorf("shard: building partition %d: %w", idx, err)}
+		if errors.Is(err, core.ErrInfeasible) {
+			b.status = StatusInfeasible
+		}
+		return b
 	}
 	return builtPartition{status: StatusOK, bids: bids}
 }
@@ -230,14 +238,15 @@ func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtP
 // outcomes deterministically (partition order; winners sorted by
 // worker ID).
 //
-// Failure modes: ErrNoPartitions when nothing survived,
-// ErrPartitionQuorum when fewer than Quorum partitions produced
-// outcomes (both graceful degradations — no budget is spent), and the
-// accountant's own refusal. A lone partition is the whole round, so
-// when its build fails the round fails with that build error instead
-// (core.ErrInfeasible for an uncoverable bid set). The partial
-// RoundOutcome accompanies every error so the caller can fault-account
-// the lost partitions.
+// Failure modes: ErrNoPartitions when nothing survived, wrapping the
+// first partition's build error if one failed to build
+// (core.ErrInfeasible for an uncoverable bid set), ErrPartitionQuorum
+// when fewer than Quorum partitions produced outcomes (both graceful
+// degradations — no budget is spent), the accountant's own refusal,
+// and a build error other than core.ErrInfeasible, which fails the
+// round whatever the other partitions did. The partial RoundOutcome
+// accompanies every error but the last, so the caller can
+// fault-account the lost partitions.
 func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutcome, error) {
 	c.mu.Lock()
 	c.open = false
@@ -263,10 +272,19 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 		}(i)
 	}
 	wg.Wait()
+	for _, b := range built {
+		if b.status == "" { // a build error other than core.ErrInfeasible
+			return RoundOutcome{Round: round}, b.err
+		}
+	}
 
 	out := RoundOutcome{Round: round, Partitions: make([]PartitionReport, n)}
 	survivors := 0
+	var buildErr error
 	for i, b := range built {
+		if buildErr == nil {
+			buildErr = b.err
+		}
 		out.Partitions[i] = PartitionReport{
 			Partition: i,
 			Bidders:   len(c.queues[i].bids),
@@ -290,8 +308,8 @@ func (c *Coordinator) RunRound(ctx context.Context, roundSeed int64) (RoundOutco
 
 	if survivors == 0 {
 		c.emitRound(&out)
-		if n == 1 && built[0].err != nil {
-			return out, built[0].err
+		if buildErr != nil {
+			return out, fmt.Errorf("%w: %w", ErrNoPartitions, buildErr)
 		}
 		return out, ErrNoPartitions
 	}

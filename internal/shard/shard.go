@@ -21,8 +21,10 @@
 //     composition applies and the debit equals the single uniform
 //     epsilon — bit-for-bit the float a single auction spends;
 //   - a lone partition is a whole unsharded round: it is uncapped by
-//     default, draws from the round seed itself, and its build error
-//     is the round's error;
+//     default and draws from the round seed itself;
+//   - only an uncoverable bid set (core.ErrInfeasible) degrades a
+//     partition, as StatusInfeasible; any other build error fails the
+//     round;
 //   - a partition killed mid-round (the Chaos seam; see
 //     faultnet.PartitionPlan) degrades the round to a fault-accounted
 //     partial outcome over the surviving partitions instead of failing
@@ -59,7 +61,8 @@ var (
 	// ErrRoundClosed reports a Submit outside an open round.
 	ErrRoundClosed = errors.New("shard: round not accepting bids")
 	// ErrNoPartitions reports a merged round in which no partition
-	// produced an outcome (all killed, infeasible, or empty).
+	// produced an outcome (all killed, infeasible, or empty); it wraps
+	// the first partition build error, if any.
 	ErrNoPartitions = errors.New("shard: no partition produced an outcome")
 	// ErrPartitionQuorum reports fewer surviving partition outcomes
 	// than Config.Quorum requires.
@@ -75,11 +78,12 @@ type Bid struct {
 	Price    float64
 }
 
-// SkillFunc supplies the platform's historical skill row for a worker;
-// it mirrors protocol.SkillFunc so the two layers share one source. A
-// returned row may be shared across calls and rounds and must not be
-// modified: the instances the coordinator builds and SkillRow's callers
-// only read it.
+// SkillFunc supplies the platform's historical skill row for a worker
+// (Section III-A: theta is maintained by the platform from its record
+// of past labels; see protocol.SkillStore). It is the one definition;
+// protocol.SkillFunc aliases it. A returned row may be shared across
+// calls and rounds and must not be modified: the instances the
+// coordinator builds and SkillRow's callers only read it.
 type SkillFunc func(workerID string, numTasks int) []float64
 
 // KillFunc is the chaos seam: consulted once per (round, partition)
@@ -130,23 +134,22 @@ type Config struct {
 	Chaos KillFunc
 }
 
+// validate checks the coordinator's own fields, then the auction terms
+// with core's own check, so that a round never assembles its bids
+// under terms every partition build would refuse.
 func (c *Config) validate() error {
 	switch {
 	case c.Partitions < 1:
 		return fmt.Errorf("%w: Partitions=%d", ErrBadConfig, c.Partitions)
-	case c.NumTasks <= 0:
-		return fmt.Errorf("%w: NumTasks=%d", ErrBadConfig, c.NumTasks)
-	case len(c.Thresholds) != c.NumTasks:
-		return fmt.Errorf("%w: %d thresholds for %d tasks", ErrBadConfig, len(c.Thresholds), c.NumTasks)
 	case c.Skills == nil:
 		return fmt.Errorf("%w: nil SkillFunc", ErrBadConfig)
-	case c.Epsilon <= 0:
-		return fmt.Errorf("%w: epsilon=%v", ErrBadConfig, c.Epsilon)
-	case len(c.PriceGrid) == 0:
-		return fmt.Errorf("%w: empty price grid", ErrBadConfig)
 	case c.QueueDepth < 0 || c.BatchSize < 0 || c.MaxBidsPerPartition < 0:
 		return fmt.Errorf("%w: QueueDepth=%d BatchSize=%d MaxBidsPerPartition=%d",
 			ErrBadConfig, c.QueueDepth, c.BatchSize, c.MaxBidsPerPartition)
+	}
+	terms := c.buildInstance(nil)
+	if err := terms.ValidateTerms(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	return nil
 }

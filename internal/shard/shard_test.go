@@ -479,11 +479,12 @@ func TestLonePartitionIsTheRound(t *testing.T) {
 	}
 }
 
-// TestLonePartitionBuildErrorIsTheRounds: when a lone partition cannot
-// build, the round fails with the build error itself (typed
-// core.ErrInfeasible) and spends nothing; several partitions that all
-// fail still report ErrNoPartitions.
-func TestLonePartitionBuildErrorIsTheRounds(t *testing.T) {
+// TestNoSurvivorWrapsBuildError: a round in which no partition can
+// cover its bids fails, for any partition count, with ErrNoPartitions
+// wrapping the first build error, core.ErrInfeasible, and spends
+// nothing: an all-infeasible sharded round degrades as infeasible just
+// as an unsharded one does.
+func TestNoSurvivorWrapsBuildError(t *testing.T) {
 	for _, partitions := range []int{1, 2} {
 		cfg := testConfig(partitions)
 		for j := range cfg.Thresholds {
@@ -494,12 +495,42 @@ func TestLonePartitionBuildErrorIsTheRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Accountant = acct
-		_, err = runOnce(t, cfg, testBids(40, cfg.NumTasks), 5)
-		if partitions == 1 && (!errors.Is(err, core.ErrInfeasible) || errors.Is(err, ErrNoPartitions)) {
-			t.Fatalf("lone partition: err = %v, want its build error core.ErrInfeasible", err)
+		out, err := runOnce(t, cfg, testBids(40, cfg.NumTasks), 5)
+		if !errors.Is(err, ErrNoPartitions) || !errors.Is(err, core.ErrInfeasible) {
+			t.Fatalf("%d partitions: err = %v, want ErrNoPartitions wrapping core.ErrInfeasible", partitions, err)
 		}
-		if partitions > 1 && (!errors.Is(err, ErrNoPartitions) || errors.Is(err, core.ErrInfeasible)) {
-			t.Fatalf("%d partitions: err = %v, want bare ErrNoPartitions", partitions, err)
+		if out.Infeasible != partitions {
+			t.Fatalf("%d partitions: %d infeasible, want every partition", partitions, out.Infeasible)
+		}
+		if acct.Spent() != 0 {
+			t.Fatalf("%d partitions: failed round spent %v", partitions, acct.Spent())
+		}
+	}
+}
+
+// TestBuildErrorFailsRound: a partition build that fails other than
+// core.ErrInfeasible, here on a malformed skill row, fails the round
+// with that error rather than degrading it, whatever the other
+// partitions did, and spends nothing.
+func TestBuildErrorFailsRound(t *testing.T) {
+	bids := testBids(40, 6)
+	short := bids[0].WorkerID
+	for _, partitions := range []int{1, 2} {
+		cfg := testConfig(partitions)
+		cfg.Skills = func(id string, numTasks int) []float64 {
+			if id == short {
+				numTasks--
+			}
+			return testSkills(id, numTasks)
+		}
+		acct, err := mechanism.NewAccountant(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Accountant = acct
+		_, err = runOnce(t, cfg, bids, 5)
+		if !errors.Is(err, core.ErrSkillMismatch) || errors.Is(err, ErrNoPartitions) || errors.Is(err, core.ErrInfeasible) {
+			t.Fatalf("%d partitions: err = %v, want the build's core.ErrSkillMismatch alone", partitions, err)
 		}
 		if acct.Spent() != 0 {
 			t.Fatalf("%d partitions: failed round spent %v", partitions, acct.Spent())
@@ -521,6 +552,9 @@ func TestPartitionSeedDistinct(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: a coordinator refuses its own bad fields and
+// every auction term core refuses, which would otherwise make every
+// partition build fail once a round's bids are in.
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Partitions = 0 },
@@ -530,6 +564,21 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Epsilon = 0 },
 		func(c *Config) { c.PriceGrid = nil },
 		func(c *Config) { c.QueueDepth = -1 },
+		// The term cases protocol's TestPlatformConfigValidation
+		// refuses.
+		func(c *Config) { c.PriceGrid = core.PriceGridRange(c.CMin, c.CMax+1, 1) },
+		func(c *Config) { c.Thresholds = []float64{0.3, math.NaN(), 0.3, 0.3, 0.3, 0.3} },
+		func(c *Config) { c.Thresholds = []float64{0.3, 0, 0.3, 0.3, 0.3, 0.3} },
+		func(c *Config) { c.Thresholds = []float64{0.3, 1, 0.3, 0.3, 0.3, 0.3} },
+		func(c *Config) { c.Thresholds = []float64{1.5, 1.5, 1.5, 1.5, 1.5, 1.5} },
+		func(c *Config) { c.Epsilon = math.NaN() },
+		func(c *Config) { c.Epsilon = math.Inf(1) },
+		func(c *Config) { c.CMin = -1 },
+		func(c *Config) { c.CMin, c.CMax = 30, 10 },
+		func(c *Config) { c.CMax = math.Inf(1) },
+		func(c *Config) { c.PriceGrid = append(core.PriceGridRange(10, 30, 1), math.Inf(1)) },
+		func(c *Config) { c.PriceGrid = []float64{20, 15, 10} },
+		func(c *Config) { c.PriceGrid = []float64{10, 15, 15, 20} },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig(2)
