@@ -38,10 +38,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/dphsrc/dphsrc/internal/core"
+	"github.com/dphsrc/dphsrc/internal/crowd"
 	"github.com/dphsrc/dphsrc/internal/experiment"
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -371,14 +373,18 @@ func absoluteGates(fresh benchFile) []string {
 }
 
 // coreBenches is the original suite: auction construction and sampling,
-// the served path's prepare-and-draw, plus the telemetry nop-vs-live
-// overhead pair.
+// the served path's prepare-and-draw, truth discovery on one served
+// round's labels, plus the telemetry nop-vs-live overhead pair.
 func coreBenches(workers int) ([]namedBench, error) {
 	inst, err := workload.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
 	}
 	auction, err := core.New(inst)
+	if err != nil {
+		return nil, err
+	}
+	labels, winners, tasks, err := durableRoundLabels()
 	if err != nil {
 		return nil, err
 	}
@@ -425,6 +431,15 @@ func coreBenches(workers int) ([]namedBench, error) {
 				d.Draw(r)
 			}
 		}},
+		// What a campaign pays per round to learn skills: EM over the
+		// labels of one durable-shape round's winners.
+		{"TruthDiscovery", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := crowd.EstimateSkills(labels, winners, tasks, crowd.EMOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"TelemetryCounterIncNop", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				nopCounter.Inc()
@@ -465,6 +480,49 @@ func coreBenches(workers int) ([]namedBench, error) {
 			}
 		}},
 	}, nil
+}
+
+// durableRoundLabels draws one round of e2ebench's campaign-durable
+// shape (4000 workers, 400 tasks, bundles of 2-6, accuracy in
+// [0.75, 0.95], delta 0.3, costs and prices 5..30 step 0.5, epsilon
+// 0.5), runs its auction and has the winners label their bundles. It
+// returns the labels as a served round hands them to truth discovery:
+// in winner order by worker index, each Worker a winner's rank. It
+// also returns the winner and task counts.
+func durableRoundLabels() ([]crowd.Report, int, int, error) {
+	p := workload.Params{
+		N: 4000, K: 400, Epsilon: 0.5,
+		CMin: 5, CMax: 30, CostStep: 0.5,
+		BundleMin: 2, BundleMax: 6,
+		ThetaMin: 0.75, ThetaMax: 0.95,
+		DeltaMin: 0.3, DeltaMax: 0.3,
+		PriceLo: 5, PriceHi: 30, PriceStep: 0.5,
+	}
+	r := rand.New(rand.NewSource(1))
+	inst, err := p.Generate(r)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	a, err := core.New(inst)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	round, err := crowd.RunCampaign(a, r)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	winners := slices.Clone(round.Outcome.Winners)
+	slices.Sort(winners)
+	rank := make(map[int]int, len(winners))
+	for k, w := range winners {
+		rank[w] = k
+	}
+	labels := round.Reports
+	for i := range labels {
+		labels[i].Worker = rank[labels[i].Worker]
+	}
+	slices.SortStableFunc(labels, func(x, y crowd.Report) int { return x.Worker - y.Worker })
+	return labels, len(winners), inst.NumTasks, nil
 }
 
 // experimentBenches covers the sweep-engine hot paths this repo

@@ -64,7 +64,9 @@ type Instance struct {
 	Workers []Worker
 	// Skills is the N x K skill-level matrix theta maintained by the
 	// platform: Skills[i][j] is the probability that worker i labels
-	// task j correctly.
+	// task j correctly. Only the entries of worker i's bundle are read
+	// (Lemma 1 weighs no other label), so only they must lie in [0, 1];
+	// every row still holds K entries.
 	Skills [][]float64
 	// Epsilon is the differential-privacy budget.
 	Epsilon float64
@@ -79,8 +81,11 @@ type Instance struct {
 }
 
 // Validate checks the instance for structural errors: its terms
-// (ValidateTerms), every bid (ValidateBid) and the skill matrix. All
-// mechanism entry points call it.
+// (ValidateTerms), every bid (ValidateBid) and the skill matrix, whose
+// rows must each hold NumTasks entries and whose bundle entries must
+// lie in [0, 1]. An entry outside the worker's bundle is not checked:
+// nothing reads it, so validation costs O(sum of bundle sizes), not
+// O(N*K). All mechanism entry points call it.
 func (inst *Instance) Validate() error {
 	if len(inst.Workers) == 0 {
 		return ErrNoWorkers
@@ -98,8 +103,8 @@ func (inst *Instance) Validate() error {
 		if len(inst.Skills[i]) != inst.NumTasks {
 			return fmt.Errorf("%w: worker %d has %d skills for %d tasks", ErrSkillMismatch, i, len(inst.Skills[i]), inst.NumTasks)
 		}
-		for j, th := range inst.Skills[i] {
-			if th < 0 || th > 1 || math.IsNaN(th) {
+		for _, j := range w.Bundle {
+			if th := inst.Skills[i][j]; th < 0 || th > 1 || math.IsNaN(th) {
 				return fmt.Errorf("%w: worker %d task %d theta=%v", ErrBadSkill, i, j, th)
 			}
 		}

@@ -126,7 +126,11 @@ func TestValidateRejections(t *testing.T) {
 		{"epsilon nan", func(i *Instance) { i.Epsilon = math.NaN() }, ErrBadEpsilon},
 		{"skill rows", func(i *Instance) { i.Skills = i.Skills[:1] }, ErrSkillMismatch},
 		{"skill cols", func(i *Instance) { i.Skills[0] = i.Skills[0][:1] }, ErrSkillMismatch},
-		{"skill range", func(i *Instance) { i.Skills[2][1] = 1.5 }, ErrBadSkill},
+		// Worker c bids {0, 2}: θ is judged at its bundle entries only,
+		// the only ones Lemma 1 reads, so an off-bundle 1.5 passes.
+		{"skill range", func(i *Instance) { i.Skills[2][2] = 1.5 }, ErrBadSkill},
+		{"skill nan", func(i *Instance) { i.Skills[2][0] = math.NaN() }, ErrBadSkill},
+		{"off-bundle skill", func(i *Instance) { i.Skills[2][1] = 1.5 }, nil},
 		{"empty bundle", func(i *Instance) { i.Workers[0].Bundle = nil }, ErrBadBundle},
 		{"unsorted bundle", func(i *Instance) { i.Workers[0].Bundle = []int{1, 0} }, ErrBadBundle},
 		{"dup bundle", func(i *Instance) { i.Workers[0].Bundle = []int{1, 1} }, ErrBadBundle},

@@ -47,6 +47,12 @@ const accuracyClamp = 0.01
 // (M-step), starting from majority-vote labels. This is the
 // ground-truth-free skill estimation route the paper points to in
 // Section III-A for maintaining the platform's theta matrix.
+//
+// The reports are grouped by task once, so an iteration costs
+// O(len(reports)): it touches only the tasks and workers that appear
+// in a report. A worker with no report keeps the starting accuracy 0.7
+// and a task with none the prior. The buffers are allocated once per
+// call, whatever the iteration count.
 func EstimateSkills(reports []Report, numWorkers, numTasks int, opts EMOptions) (EMResult, error) {
 	if len(reports) == 0 {
 		return EMResult{}, ErrNoLabels
@@ -63,9 +69,6 @@ func EstimateSkills(reports []Report, numWorkers, numTasks int, opts EMOptions) 
 	if prior <= 0 || prior >= 1 {
 		prior = 0.5
 	}
-
-	byTask := make([][]Report, numTasks)
-	counts := make([]int, numWorkers)
 	for _, rep := range reports {
 		if rep.Worker < 0 || rep.Worker >= numWorkers || rep.Task < 0 || rep.Task >= numTasks {
 			return EMResult{}, fmt.Errorf("%w: report %+v", ErrShape, rep)
@@ -73,86 +76,85 @@ func EstimateSkills(reports []Report, numWorkers, numTasks int, opts EMOptions) 
 		if rep.Label != Positive && rep.Label != Negative {
 			return EMResult{}, fmt.Errorf("%w: report %+v has no label", ErrShape, rep)
 		}
-		byTask[rep.Task] = append(byTask[rep.Task], rep)
-		counts[rep.Worker]++
 	}
+	g := groupReports(reports, numWorkers, numTasks)
+	voters, votes, groups := g.voters, g.votes, g.groups
 
 	// Initialize posteriors from majority vote, softened so EM can move
-	// away from wrong initial votes.
+	// away from wrong initial votes. A task nobody labelled holds the
+	// prior, as the first E-step would set it; no M-step reads it.
 	post := make([]float64, numTasks)
-	for j, reps := range byTask {
+	for j := range post {
+		post[j] = prior
+	}
+	for _, t := range groups {
 		sum := 0
-		for _, rep := range reps {
-			sum += int(rep.Label)
+		for _, v := range votes[t.lo:t.hi] {
+			if v.positive {
+				sum++
+			} else {
+				sum--
+			}
 		}
 		switch {
 		case sum > 0:
-			post[j] = 0.9
+			post[t.task] = 0.9
 		case sum < 0:
-			post[j] = 0.1
+			post[t.task] = 0.1
 		default:
-			post[j] = 0.5
+			post[t.task] = 0.5
 		}
 	}
 
-	acc := make([]float64, numWorkers)
-	for i := range acc {
-		acc[i] = 0.7 // optimistic but not degenerate starting accuracy
-	}
-
+	logPrior, logNotPrior := math.Log(prior), math.Log(1-prior)
 	result := EMResult{}
 	for iter := 0; iter < maxIter; iter++ {
 		// M-step: accuracy = expected fraction of a worker's reports
-		// matching the (soft) posterior truth.
-		newAcc := make([]float64, numWorkers)
-		for j, reps := range byTask {
-			for _, rep := range reps {
-				if rep.Label == Positive {
-					newAcc[rep.Worker] += post[j]
+		// matching the (soft) posterior truth. Each worker's sum runs
+		// over its reports in task order, then report order.
+		for k := range voters {
+			voters[k].sum = 0
+		}
+		for _, t := range groups {
+			p := post[t.task]
+			for _, v := range votes[t.lo:t.hi] {
+				if v.positive {
+					voters[v.voter].sum += p
 				} else {
-					newAcc[rep.Worker] += 1 - post[j]
+					voters[v.voter].sum += 1 - p
 				}
 			}
 		}
 		maxDelta := 0.0
-		for i := range newAcc {
-			if counts[i] == 0 {
-				newAcc[i] = acc[i]
-				continue
-			}
-			a := newAcc[i] / float64(counts[i])
+		for k := range voters {
+			w := &voters[k]
+			a := w.sum / w.count
 			a = math.Min(1-accuracyClamp, math.Max(accuracyClamp, a))
-			if d := math.Abs(a - acc[i]); d > maxDelta {
+			if d := math.Abs(a - w.acc); d > maxDelta {
 				maxDelta = d
 			}
-			newAcc[i] = a
+			w.acc, w.logAcc, w.logErr = a, math.Log(a), math.Log(1-a)
 		}
-		acc = newAcc
 
 		// E-step: posterior of Positive per task from the current
 		// accuracies, computed in log-space.
-		for j, reps := range byTask {
-			if len(reps) == 0 {
-				post[j] = prior
-				continue
-			}
-			logPos := math.Log(prior)
-			logNeg := math.Log(1 - prior)
-			for _, rep := range reps {
-				a := acc[rep.Worker]
-				if rep.Label == Positive {
-					logPos += math.Log(a)
-					logNeg += math.Log(1 - a)
+		for _, t := range groups {
+			logPos, logNeg := logPrior, logNotPrior
+			for _, v := range votes[t.lo:t.hi] {
+				w := &voters[v.voter]
+				if v.positive {
+					logPos += w.logAcc
+					logNeg += w.logErr
 				} else {
-					logPos += math.Log(1 - a)
-					logNeg += math.Log(a)
+					logPos += w.logErr
+					logNeg += w.logAcc
 				}
 			}
 			// Normalize with the log-sum-exp shift.
 			m := math.Max(logPos, logNeg)
 			pPos := math.Exp(logPos - m) //mcslint:allow MCS-FLT002 max-shift softmax: exponent is <= 0 by construction, cannot overflow
 			pNeg := math.Exp(logNeg - m) //mcslint:allow MCS-FLT002 max-shift softmax: exponent is <= 0 by construction, cannot overflow
-			post[j] = pPos / (pPos + pNeg)
+			post[t.task] = pPos / (pPos + pNeg)
 		}
 
 		result.Iterations = iter + 1
@@ -162,21 +164,109 @@ func EstimateSkills(reports []Report, numWorkers, numTasks int, opts EMOptions) 
 		}
 	}
 
+	acc := make([]float64, numWorkers)
+	for i := range acc {
+		acc[i] = startAccuracy
+	}
+	for _, w := range voters {
+		acc[w.worker] = w.acc
+	}
 	labels := make([]Label, numTasks)
-	for j := range labels {
-		if len(byTask[j]) == 0 {
-			continue
-		}
-		if post[j] >= 0.5 {
-			labels[j] = Positive
+	for _, t := range groups {
+		if post[t.task] >= 0.5 {
+			labels[t.task] = Positive
 		} else {
-			labels[j] = Negative
+			labels[t.task] = Negative
 		}
 	}
 	result.Accuracy = acc
 	result.PosteriorPositive = post
 	result.Labels = labels
 	return result, nil
+}
+
+// startAccuracy is every worker's accuracy before the first M-step:
+// optimistic but not degenerate.
+const startAccuracy = 0.7
+
+// emVoter is one reporting worker's EM state.
+type emVoter struct {
+	worker int
+	// count is the worker's report count, sum its M-step agreement.
+	count, sum float64
+	// acc is the current accuracy, logAcc and logErr its logarithm and
+	// that of its complement, which the E-step adds per report.
+	acc, logAcc, logErr float64
+}
+
+// emVote is one report: its voter's index and whether it reads
+// Positive.
+type emVote struct {
+	voter    int32
+	positive bool
+}
+
+// emTask is one labelled task's reports, votes[lo:hi].
+type emTask struct {
+	task, lo, hi int
+}
+
+// emGroups is a report set grouped once for EM.
+type emGroups struct {
+	// voters holds the reporting workers in order of first report.
+	voters []emVoter
+	// votes holds the reports grouped by task in ascending task order,
+	// in report order within a task.
+	votes []emVote
+	// groups lists the labelled tasks, ascending.
+	groups []emTask
+}
+
+// groupReports groups valid reports by task with a counting sort, and
+// gives each reporting worker a dense index.
+func groupReports(reports []Report, numWorkers, numTasks int) emGroups {
+	// start[j+1] counts task j's reports; slot[w] is worker w's dense
+	// index plus one, 0 until its first report.
+	start := make([]int, numTasks+1)
+	slot := make([]int32, numWorkers)
+	voters, tasks := 0, 0
+	for _, rep := range reports {
+		if start[rep.Task+1] == 0 {
+			tasks++
+		}
+		start[rep.Task+1]++
+		if slot[rep.Worker] == 0 {
+			voters++
+			slot[rep.Worker] = int32(voters)
+		}
+	}
+	g := emGroups{
+		voters: make([]emVoter, voters),
+		votes:  make([]emVote, len(reports)),
+		groups: make([]emTask, 0, tasks),
+	}
+	for j := 0; j < numTasks; j++ {
+		start[j+1] += start[j]
+	}
+	// start[j] is task j's next free vote until the pass ends, then the
+	// end of its group.
+	for _, rep := range reports {
+		k := slot[rep.Worker] - 1
+		v := &g.voters[k]
+		v.worker = rep.Worker
+		v.count++
+		v.acc = startAccuracy
+		g.votes[start[rep.Task]] = emVote{voter: k, positive: rep.Label == Positive}
+		start[rep.Task]++
+	}
+	lo := 0
+	for j := 0; j < numTasks; j++ {
+		if hi := start[j]; hi > lo {
+			g.groups = append(g.groups, emTask{task: j, lo: lo, hi: hi})
+			lo = hi
+		}
+	}
+	return g
 }
 
 // SkillMatrix expands per-worker accuracies into the N x K theta matrix

@@ -305,7 +305,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 		if err := ctx.Err(); err != nil {
 			return campaign, err
 		}
-		rep, reports, err := p.runRoundCollecting(ctx, ln)
+		rep, labels, err := p.runRoundCollecting(ctx, ln)
 		if err != nil {
 			if !IsDegraded(err) {
 				return campaign, fmt.Errorf("protocol: round %d: %w", rep.Round, err)
@@ -321,7 +321,7 @@ func (p *Platform) RunCampaignTolerant(ctx context.Context, ln net.Listener, rou
 		campaign.Rounds = append(campaign.Rounds, rep)
 		campaign.TotalPayment += rep.DeliveredPayment
 		if store != nil {
-			if err := store.UpdateFromReports(reports, rep.WorkerIDs, p.cfg.NumTasks); err != nil {
+			if err := store.UpdateFromReports(labels.reports, labels.winners, p.cfg.NumTasks); err != nil {
 				return campaign, err
 			}
 		}

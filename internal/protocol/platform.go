@@ -523,18 +523,26 @@ type deadlineListener interface {
 	SetDeadline(time.Time) error
 }
 
-// runRoundCollecting is RunRound plus the raw label reports, which the
+// roundLabels is what a completed round hands truth discovery: the
+// admitted label reports, whose Worker is the reporting winner's rank
+// (see roundWinner), and the winners' IDs by rank.
+type roundLabels struct {
+	reports []crowd.Report
+	winners []string
+}
+
+// runRoundCollecting is RunRound plus the round's labels, which the
 // multi-round campaign feeds to truth discovery. It wraps roundPhases
 // with the round-level telemetry: the round's timeline, and the final
 // outcome tally.
-func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (RoundReport, []crowd.Report, error) {
+func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (RoundReport, roundLabels, error) {
 	dl, ok := ln.(deadlineListener)
 	if !ok {
-		return RoundReport{}, nil, fmt.Errorf("%w: listener %T has no SetDeadline to close the bid window", ErrBadPlatform, ln)
+		return RoundReport{}, roundLabels{}, fmt.Errorf("%w: listener %T has no SetDeadline to close the bid window", ErrBadPlatform, ln)
 	}
 	// Clear the past deadline a previous round's close left set.
 	if err := dl.SetDeadline(time.Time{}); err != nil {
-		return RoundReport{}, nil, fmt.Errorf("%w: clearing the accept deadline: %v", ErrBadPlatform, err)
+		return RoundReport{}, roundLabels{}, fmt.Errorf("%w: clearing the accept deadline: %v", ErrBadPlatform, err)
 	}
 	ev := p.cfg.Events
 	round := p.claimRound()
@@ -543,14 +551,14 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 		// not durable must not run, or a crash could re-run (and re-pay)
 		// it on resume.
 		if err := p.cfg.Checkpoints.RecordRoundBegin(round); err != nil {
-			return RoundReport{Round: round}, nil, fmt.Errorf("protocol: checkpointing round %d begin: %w", round, err)
+			return RoundReport{Round: round}, roundLabels{}, fmt.Errorf("protocol: checkpointing round %d begin: %w", round, err)
 		}
 	}
 	defer p.setStatus(round, PhaseIdle)
 	p.tally = [numFaultKinds]atomic.Int64{}
 	tl := p.startTimeline(round)
 	ev.Info("round.start", evlog.Int("round", round))
-	rep, reports, err := p.roundPhases(ctx, dl, &tl)
+	rep, labels, err := p.roundPhases(ctx, dl, &tl)
 	rep.Round = round
 	rep.Faults = p.roundFaults()
 	tl.end()
@@ -564,7 +572,7 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 			if cerr := p.cfg.Checkpoints.RecordRoundComplete(round, rep.DeliveredPayment, rep.Paid); cerr != nil {
 				p.met.roundsFailed.Inc()
 				ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "checkpoint"))
-				return rep, reports, fmt.Errorf("protocol: checkpointing round %d completion: %w", round, cerr)
+				return rep, labels, fmt.Errorf("protocol: checkpointing round %d completion: %w", round, cerr)
 			}
 		}
 		p.met.roundsCompleted.Inc()
@@ -599,7 +607,7 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 		p.met.roundsFailed.Inc()
 		ev.Error("round.failed", evlog.Int("round", round), evlog.String("reason", "error"))
 	}
-	return rep, reports, err
+	return rep, labels, err
 }
 
 // timeline times one round on the wall clock, read once at each
@@ -676,7 +684,7 @@ func degradeReason(err error) string {
 // labels, aggregate — each timed on tl. tl.round is the campaign-wide
 // index that roots this round's mechanism randomness and labels its
 // events. The report's Round and Faults are left to the caller.
-func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *timeline) (RoundReport, []crowd.Report, error) {
+func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *timeline) (RoundReport, roundLabels, error) {
 	ev := p.cfg.Events
 	round := tl.round
 	if p.cfg.Accountant != nil {
@@ -687,7 +695,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 		// debit is the parallel composition of the partition epsilons —
 		// exactly cfg.Epsilon however many partitions there are.
 		if rem := p.cfg.Accountant.Remaining(); rem+1e-12 < p.cfg.Epsilon {
-			return RoundReport{}, nil, fmt.Errorf("%w: remaining %v cannot cover epsilon %v",
+			return RoundReport{}, roundLabels{}, fmt.Errorf("%w: remaining %v cannot cover epsilon %v",
 				mechanism.ErrBudgetExhausted, rem, p.cfg.Epsilon)
 		}
 	}
@@ -701,7 +709,7 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 	sessions, err := p.collectBids(ctx, ln, round)
 	tl.leave()
 	if err != nil {
-		return RoundReport{}, nil, err
+		return RoundReport{}, roundLabels{}, err
 	}
 	defer func() {
 		for _, s := range sessions {
@@ -715,11 +723,11 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 
 	switch {
 	case len(sessions) == 0:
-		return RoundReport{}, nil, ErrNoBids
+		return RoundReport{}, roundLabels{}, ErrNoBids
 	case len(sessions) < p.cfg.Quorum:
 		err := fmt.Errorf("%w: %d of %d required bids", ErrQuorumNotMet, len(sessions), p.cfg.Quorum)
 		refuse(sessions, err)
-		return RoundReport{}, nil, err
+		return RoundReport{}, roundLabels{}, err
 	}
 	ev.Info("round.bids_collected",
 		evlog.Int("round", round),
@@ -727,32 +735,31 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 		evlog.Int("faults", p.roundFaults().Total()))
 
 	tl.enter(phaseAuction)
-	outcome, skills, winnerPrices, shardOut, err := p.runAuctionPhase(ctx, sessions, round)
+	outcome, won, shardOut, err := p.runAuctionPhase(ctx, sessions, round)
 	tl.leave()
 	if err != nil {
 		refuse(sessions, err)
-		return RoundReport{Sharding: shardOut}, nil, err
+		return RoundReport{Sharding: shardOut}, roundLabels{}, err
 	}
 
 	report := RoundReport{
-		Bidders:  len(sessions),
-		Outcome:  outcome,
-		Sharding: shardOut,
+		Bidders:   len(sessions),
+		Outcome:   outcome,
+		Sharding:  shardOut,
+		WorkerIDs: make([]string, len(sessions)),
 	}
-	for _, s := range sessions {
-		report.WorkerIDs = append(report.WorkerIDs, s.workerID)
-	}
-
-	winners := make(map[int]bool, len(outcome.Winners))
-	for _, w := range outcome.Winners {
-		winners[w] = true
+	for i, s := range sessions {
+		report.WorkerIDs[i] = s.workerID
 	}
 
 	tl.enter(phaseLabels)
 
-	// Notify losers and release them.
+	// Notify losers and release them. The winners are ranked by session
+	// index, so one walk beside the sessions skips them.
+	next := 0
 	for i, s := range sessions {
-		if winners[i] {
+		if next < len(won) && won[next].session == i {
+			next++
 			continue
 		}
 		if err := s.conn.sendFrame(TypeOutcome, p.frames.lost); err != nil {
@@ -766,20 +773,16 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 	// stalled winner costs the round a single IO timeout, not a
 	// serialized wait per straggler. A winner that cannot be reached
 	// or does not deliver within the timeout is evicted; the round
-	// completes with whoever answered. Results are assembled in
-	// session-index order afterwards to keep the report deterministic.
-	perWinner := make([][]crowd.Report, len(sessions))
-	paid := make([]bool, len(sessions))
-	report.Paid = make([]string, 0, len(outcome.Winners))
+	// completes with whoever answered. Results are assembled in rank
+	// order afterwards to keep the report deterministic.
+	perWinner := make([][]crowd.Report, len(won))
+	paid := make([]bool, len(won))
 	var wg sync.WaitGroup
-	for i := range sessions {
-		if !winners[i] {
-			continue
-		}
+	for r, w := range won {
 		wg.Add(1)
-		go func(i int, s *session) {
+		go func(r int, price float64, s *session) {
 			defer wg.Done()
-			if err := s.conn.Send(Message{Type: TypeOutcome, Won: true, ClearingPrice: winnerPrices[i]}); err != nil {
+			if err := s.conn.Send(Message{Type: TypeOutcome, Won: true, ClearingPrice: price}); err != nil {
 				p.fault(faultWinnerUnreachable, round, evlog.String("worker", s.workerID))
 				return
 			}
@@ -797,40 +800,50 @@ func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, tl *tim
 			for _, lr := range m.Reports {
 				k, in := slices.BinarySearch(s.bundle, lr.Task)
 				if in && got[k].Label == crowd.Unlabeled && (lr.Label == 1 || lr.Label == -1) {
-					got[k] = crowd.Report{Worker: i, Task: lr.Task, Label: crowd.Label(lr.Label)}
+					got[k] = crowd.Report{Worker: r, Task: lr.Task, Label: crowd.Label(lr.Label)}
 				}
 			}
-			perWinner[i] = slices.DeleteFunc(got, func(r crowd.Report) bool { return r.Label == crowd.Unlabeled })
+			perWinner[r] = slices.DeleteFunc(got, func(rep crowd.Report) bool { return rep.Label == crowd.Unlabeled })
 			// A winner counts as paid once its payment frame is written.
-			if err := s.conn.Send(Message{Type: TypePayment, Amount: winnerPrices[i]}); err != nil {
+			if err := s.conn.Send(Message{Type: TypePayment, Amount: price}); err != nil {
 				p.fault(faultWinnerUnreachable, round, evlog.String("worker", s.workerID))
 				return
 			}
-			paid[i] = true
+			paid[r] = true
 			_ = s.conn.sendFrame(TypeDone, p.frames.done)
-		}(i, sessions[i])
+		}(r, w.price, sessions[w.session])
 	}
 	wg.Wait()
 	tl.leave()
 
-	var reports []crowd.Report
-	for i, rs := range perWinner {
-		reports = append(reports, rs...)
-		if paid[i] {
-			report.Paid = append(report.Paid, sessions[i].workerID)
-			report.DeliveredPayment += winnerPrices[i]
-		}
+	labels := roundLabels{winners: make([]string, len(won))}
+	n := 0
+	for _, rs := range perWinner {
+		n += len(rs)
 	}
-	report.ReportsReceived = len(reports)
+	labels.reports = make([]crowd.Report, 0, n)
+	report.Paid = make([]string, 0, len(won))
+	skills := make([][]float64, len(won))
+	for r, w := range won {
+		id := sessions[w.session].workerID
+		labels.winners[r] = id
+		labels.reports = append(labels.reports, perWinner[r]...)
+		if paid[r] {
+			report.Paid = append(report.Paid, id)
+			report.DeliveredPayment += w.price
+		}
+		skills[r] = w.skills
+	}
+	report.ReportsReceived = len(labels.reports)
 
 	tl.enter(phaseAggregate)
-	agg, err := crowd.WeightedAggregate(reports, skills, p.cfg.NumTasks)
+	agg, err := crowd.WeightedAggregate(labels.reports, skills, p.cfg.NumTasks)
 	tl.leave()
 	if err != nil {
-		return RoundReport{}, nil, fmt.Errorf("protocol: aggregation: %w", err)
+		return RoundReport{}, roundLabels{}, fmt.Errorf("protocol: aggregation: %w", err)
 	}
 	report.Aggregated = agg
-	return report, reports, nil
+	return report, labels, nil
 }
 
 // refuse tells every session why the round failed before its outcome:
@@ -844,15 +857,27 @@ func refuse(sessions []*session, cause error) {
 	}
 }
 
+// roundWinner is one winning session. A round ranks its winners by
+// session index, which is worker-ID order, the order the report lists
+// them in; the labels phase keeps its per-winner state by rank, so it
+// sizes to the winners, not the bidders.
+type roundWinner struct {
+	session int
+	// price is the amount the winner is notified of and paid.
+	price float64
+	// skills is the winner's row in its partition's instance, which
+	// aggregation weighs its labels by.
+	skills []float64
+}
+
 // runAuctionPhase closes the round to bids and runs the partition
 // auctions (see shard.Coordinator.RunRound), which debit the privacy
 // accountant exactly once, immediately before the price draws. The
 // mechanism randomness is rooted at RoundSeed(cfg.Seed, round), so
 // every round draws a distinct stream and a recovered campaign
 // re-derives the same stream for the same round index. The result is
-// mapped back onto session indices, with winnerPrices carrying the
-// amount each winner is notified of and paid and skills the
-// aggregation row of each winner:
+// mapped back onto session indices, and the winners are returned by
+// rank (see roundWinner):
 //
 //   - unsharded, the lone partition's draw is the round's Outcome:
 //     winners in the auction's selection order, all paid its clearing
@@ -863,7 +888,7 @@ func refuse(sessions []*session, cause error) {
 //
 // Killed partitions are tolerated faults, recorded like the
 // per-session fault classes.
-func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, round int) (core.Outcome, [][]float64, []float64, *shard.RoundOutcome, error) {
+func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, round int) (core.Outcome, []roundWinner, *shard.RoundOutcome, error) {
 	so, err := p.coord.RunRound(ctx, RoundSeed(p.cfg.Seed, round))
 	var merged *shard.RoundOutcome
 	if p.coord.Partitions() > 1 {
@@ -875,7 +900,7 @@ func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, rou
 		}
 	}
 	if err != nil {
-		return core.Outcome{}, nil, nil, merged, err
+		return core.Outcome{}, nil, merged, err
 	}
 
 	// Merged winners are sorted by worker ID, like the sessions, so
@@ -893,21 +918,20 @@ func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, rou
 			winners[k] = shard.Winner{WorkerID: id, Price: lone.Price}
 		}
 	}
-	winnerPrices := make([]float64, len(sessions))
 	// Only winners report labels, so only their rows are aggregated:
 	// the rows their partition instances already hold.
-	skills := make([][]float64, len(sessions))
+	won := make([]roundWinner, 0, len(winners))
 	for _, w := range winners {
 		i := sort.Search(len(sessions), func(i int) bool { return sessions[i].workerID >= w.WorkerID })
 		if i == len(sessions) || sessions[i].workerID != w.WorkerID {
 			// A winner the session table does not know would be a
 			// routing bug; fail loudly rather than mis-pay.
-			return core.Outcome{}, nil, nil, merged, fmt.Errorf("protocol: winner %q has no session", w.WorkerID)
+			return core.Outcome{}, nil, merged, fmt.Errorf("protocol: winner %q has no session", w.WorkerID)
 		}
 		outcome.Winners = append(outcome.Winners, i)
-		winnerPrices[i] = w.Price
-		skills[i] = p.coord.SkillRow(w.WorkerID)
+		won = append(won, roundWinner{session: i, price: w.Price, skills: p.coord.SkillRow(w.WorkerID)})
 	}
+	slices.SortFunc(won, func(a, b roundWinner) int { return a.session - b.session })
 	// Like round.complete, a sharded round's draw carries no single
 	// price.
 	fields := []evlog.Field{evlog.Int("round", round), evlog.Int("winners", len(outcome.Winners))}
@@ -915,7 +939,7 @@ func (p *Platform) runAuctionPhase(ctx context.Context, sessions []*session, rou
 		fields = append(fields, evlog.Aggregate("clearing_price", outcome.Price))
 	}
 	p.cfg.Events.Debug("round.price_drawn", fields...)
-	return outcome, skills, winnerPrices, merged, nil
+	return outcome, won, merged, nil
 }
 
 // acquireConn reserves one connection slot, returning false when

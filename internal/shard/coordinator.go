@@ -38,14 +38,16 @@ type Coordinator struct {
 
 	// drawers[i] is partition i's price draw, prepared in the build
 	// phase and drawn after the debit, its buffers reused across
-	// rounds, and rows[i] the skill rows of the round's built instance,
-	// aligned with its sorted bids (nil until it is built). Within a
+	// rounds. insts[i] is the instance partition i's build assembles,
+	// its Workers and Skills slices reused across rounds like the bid
+	// buffers; its Skills, aligned with the sorted bids, are the rows
+	// SkillRow reads, and empty until the round builds it. Within a
 	// round each entry is touched only by the goroutine building
 	// partition i inside RunRound's build barrier, then by RunRound's
 	// draw loop after it, and rounds run one at a time, so no extra
 	// locking is needed.
 	drawers []*core.Drawer
-	rows    [][][]float64
+	insts   []core.Instance
 }
 
 // NewCoordinator validates the configuration, applies defaults
@@ -79,7 +81,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		queues:  queues,
 		stats:   make([]partStat, cfg.Partitions),
 		drawers: drawers,
-		rows:    make([][][]float64, cfg.Partitions),
+		insts:   make([]core.Instance, cfg.Partitions),
 	}, nil
 }
 
@@ -139,7 +141,11 @@ func (c *Coordinator) BeginRound(round int) {
 	defer c.mu.Unlock()
 	for i, q := range c.queues {
 		q.reset()
-		c.rows[i] = nil
+		// Drop the previous round's bundles and rows with its bids.
+		inst := &c.insts[i]
+		clear(inst.Workers)
+		clear(inst.Skills)
+		inst.Workers, inst.Skills = inst.Workers[:0], inst.Skills[:0]
 	}
 	c.round = round
 	c.begun = true
@@ -184,7 +190,7 @@ func (c *Coordinator) CloseRound() {
 // RunRound.
 func (c *Coordinator) SkillRow(workerID string) []float64 {
 	i := PartitionFor(workerID, c.cfg.Partitions)
-	bids, rows := c.queues[i].bids, c.rows[i]
+	bids, rows := c.queues[i].bids, c.insts[i].Skills
 	k := sort.Search(len(rows), func(k int) bool { return bids[k].WorkerID >= workerID })
 	if k < len(rows) && bids[k].WorkerID == workerID {
 		return rows[k]
@@ -219,9 +225,9 @@ func (c *Coordinator) buildPartition(ctx context.Context, round, idx int) builtP
 	if len(bids) == 0 {
 		return builtPartition{status: StatusEmpty}
 	}
-	inst := c.cfg.buildInstance(bids)
-	c.rows[idx] = inst.Skills
-	if err := c.drawers[idx].Prepare(inst); err != nil {
+	inst := &c.insts[idx]
+	c.cfg.buildInstance(inst, bids)
+	if err := c.drawers[idx].Prepare(*inst); err != nil {
 		b := builtPartition{bids: bids, err: fmt.Errorf("shard: building partition %d: %w", idx, err)}
 		if errors.Is(err, core.ErrInfeasible) {
 			b.status = StatusInfeasible

@@ -147,7 +147,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: QueueDepth=%d BatchSize=%d MaxBidsPerPartition=%d",
 			ErrBadConfig, c.QueueDepth, c.BatchSize, c.MaxBidsPerPartition)
 	}
-	terms := c.buildInstance(nil)
+	var terms core.Instance
+	c.buildInstance(&terms, nil)
 	if err := terms.ValidateTerms(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -227,26 +228,27 @@ func partitionSeed(roundSeed int64, idx int) int64 {
 	return int64(z)
 }
 
-// buildInstance assembles one partition's core auction instance from
-// its admitted bids (already sorted by worker ID). The instance aliases
-// the config's thresholds and grid and the bids' bundles: Drawer.Prepare
-// validates it and draws from its own deep copy.
-func (c *Config) buildInstance(bids []Bid) core.Instance {
-	inst := core.Instance{
+// buildInstance assembles one partition's core auction instance in
+// inst from its admitted bids (already sorted by worker ID), reusing
+// inst's Workers and Skills slices as the queues reuse their bid
+// buffers. The instance aliases the config's thresholds and grid and
+// the bids' bundles: Drawer.Prepare validates it and draws from its own
+// deep copy.
+func (c *Config) buildInstance(inst *core.Instance, bids []Bid) {
+	*inst = core.Instance{
 		NumTasks:   c.NumTasks,
 		Thresholds: c.Thresholds,
 		Epsilon:    c.Epsilon,
 		CMin:       c.CMin,
 		CMax:       c.CMax,
 		PriceGrid:  c.PriceGrid,
-		Workers:    make([]core.Worker, 0, len(bids)),
-		Skills:     make([][]float64, 0, len(bids)),
+		Workers:    inst.Workers[:0],
+		Skills:     inst.Skills[:0],
 	}
 	for _, b := range bids {
 		inst.Workers = append(inst.Workers, core.Worker{ID: b.WorkerID, Bundle: b.Bundle, Bid: b.Price})
 		inst.Skills = append(inst.Skills, c.Skills(b.WorkerID, c.NumTasks))
 	}
-	return inst
 }
 
 // mergeEpsilon is the merged round's debit: parallel composition over

@@ -451,7 +451,9 @@ func TestLonePartitionIsTheRound(t *testing.T) {
 
 	sorted := append([]Bid(nil), bids...)
 	sortBids(sorted)
-	a, err := core.New(cfg.buildInstance(sorted))
+	var inst core.Instance
+	cfg.buildInstance(&inst, sorted)
+	a, err := core.New(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
