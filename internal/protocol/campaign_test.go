@@ -69,6 +69,45 @@ func TestSkillStoreUpdateFromReports(t *testing.T) {
 	}
 }
 
+// TestSkillStoreUpdateWeighsLabels pins the update rule: a round in
+// which a worker gave n labels moves its estimate n/(skillPriorLabels+n)
+// of the way from where it stood to the round's EM accuracy, round
+// after round, and a worker who gave none keeps its estimate.
+func TestSkillStoreUpdateWeighsLabels(t *testing.T) {
+	const tasks = 8
+	s := NewSkillStoreFromState(0.7, map[string]float64{"b": 0.9, "idle": 0.6})
+	ids := []string{"a", "b", "idle"}
+	// b labels every task Positive; a labels two and disagrees on one.
+	var reports []crowd.Report
+	for j := 0; j < tasks; j++ {
+		reports = append(reports, crowd.Report{Worker: 1, Task: j, Label: crowd.Positive})
+	}
+	reports = append(reports,
+		crowd.Report{Worker: 0, Task: 0, Label: crowd.Positive},
+		crowd.Report{Worker: 0, Task: 1, Label: crowd.Negative})
+	labels := []float64{2, tasks}
+	em, err := crowd.EstimateSkills(reports, len(ids), tasks, crowd.EMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		before := []float64{s.Get("a"), s.Get("b")}
+		if err := s.UpdateFromReports(reports, ids, tasks); err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range labels {
+			want := before[i] + n/(skillPriorLabels+n)*(em.Accuracy[i]-before[i])
+			if got := s.Get(ids[i]); math.Abs(got-want) > 1e-12 || got == before[i] {
+				t.Errorf("round %d: %s moved from %v to %v with %v labels at EM accuracy %v, want %v",
+					round, ids[i], before[i], got, n, em.Accuracy[i], want)
+			}
+		}
+		if got := s.Get("idle"); got != 0.6 {
+			t.Errorf("round %d: a worker with no labels moved to %v", round, got)
+		}
+	}
+}
+
 func TestSkillStoreUpdateEmptyReports(t *testing.T) {
 	s := NewSkillStore(0.7)
 	if err := s.UpdateFromReports(nil, []string{"a"}, 3); err != nil {
