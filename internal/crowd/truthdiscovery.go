@@ -77,8 +77,7 @@ func EstimateSkills(reports []Report, numWorkers, numTasks int, opts EMOptions) 
 			return EMResult{}, fmt.Errorf("%w: report %+v has no label", ErrShape, rep)
 		}
 	}
-	g := groupReports(reports, numWorkers, numTasks)
-	voters, votes, groups := g.voters, g.votes, g.groups
+	voters, votes, groups := groupReports(reports, numWorkers, numTasks)
 
 	// Initialize posteriors from majority vote, softened so EM can move
 	// away from wrong initial votes. A task nobody labelled holds the
@@ -211,20 +210,11 @@ type emTask struct {
 	task, lo, hi int
 }
 
-// emGroups is a report set grouped once for EM.
-type emGroups struct {
-	// voters holds the reporting workers in order of first report.
-	voters []emVoter
-	// votes holds the reports grouped by task in ascending task order,
-	// in report order within a task.
-	votes []emVote
-	// groups lists the labelled tasks, ascending.
-	groups []emTask
-}
-
-// groupReports groups valid reports by task with a counting sort, and
-// gives each reporting worker a dense index.
-func groupReports(reports []Report, numWorkers, numTasks int) emGroups {
+// groupReports groups valid reports for EM with a counting sort. It
+// returns the reporting workers in order of first report; the reports
+// as votes, grouped by task in ascending task order and in report
+// order within a task; and the labelled tasks, ascending.
+func groupReports(reports []Report, numWorkers, numTasks int) ([]emVoter, []emVote, []emTask) {
 	// start[j+1] counts task j's reports; slot[w] is worker w's dense
 	// index plus one, 0 until its first report.
 	start := make([]int, numTasks+1)
@@ -240,11 +230,9 @@ func groupReports(reports []Report, numWorkers, numTasks int) emGroups {
 			slot[rep.Worker] = int32(voters)
 		}
 	}
-	g := emGroups{
-		voters: make([]emVoter, voters),
-		votes:  make([]emVote, len(reports)),
-		groups: make([]emTask, 0, tasks),
-	}
+	ws := make([]emVoter, voters)
+	votes := make([]emVote, len(reports))
+	groups := make([]emTask, 0, tasks)
 	for j := 0; j < numTasks; j++ {
 		start[j+1] += start[j]
 	}
@@ -252,21 +240,21 @@ func groupReports(reports []Report, numWorkers, numTasks int) emGroups {
 	// end of its group.
 	for _, rep := range reports {
 		k := slot[rep.Worker] - 1
-		v := &g.voters[k]
+		v := &ws[k]
 		v.worker = rep.Worker
 		v.count++
 		v.acc = startAccuracy
-		g.votes[start[rep.Task]] = emVote{voter: k, positive: rep.Label == Positive}
+		votes[start[rep.Task]] = emVote{voter: k, positive: rep.Label == Positive}
 		start[rep.Task]++
 	}
 	lo := 0
 	for j := 0; j < numTasks; j++ {
 		if hi := start[j]; hi > lo {
-			g.groups = append(g.groups, emTask{task: j, lo: lo, hi: hi})
+			groups = append(groups, emTask{task: j, lo: lo, hi: hi})
 			lo = hi
 		}
 	}
-	return g
+	return ws, votes, groups
 }
 
 // SkillMatrix expands per-worker accuracies into the N x K theta matrix

@@ -58,9 +58,8 @@ type skillRow struct {
 // near 0.18, three times the spread (0.06) of accuracies uniform in
 // [0.75, 0.95]. At 20, such a round moves the estimate a sixth of the
 // way, so the estimate averages about the last 2*20+n labels (standard
-// error near 0.05), where a fixed weight of one half averaged about 3
-// rounds: one unlucky round could sink a worker the auction then
-// stopped picking, so no later round corrected it.
+// error near 0.05). A worker one unlucky round sinks is rarely picked
+// again, so no later round would correct a larger step.
 const skillPriorLabels = 20
 
 // NewSkillStore returns a store that assumes defaultAccuracy for
@@ -221,8 +220,8 @@ func filledRow(a float64, n int) []float64 {
 // one-coin Dawid-Skene EM over the reports and updates every worker who
 // actually reported. A worker who gave n labels, of which EM's
 // accuracy a says a*n agree with the truth, moves from its estimate old
-// to (skillPriorLabels*old + a*n) / (skillPriorLabels + n): a few noisy
-// labels move it a little, not halfway. workerIDs maps report worker
+// to (skillPriorLabels*old + a*n) / (skillPriorLabels + n), so a few
+// noisy labels move it a little. workerIDs maps report worker
 // indices to identities and holds each worker once, as a round's do.
 // The round's estimates are journaled together before any is applied,
 // so a failed journal write leaves the table as it was. A successful
